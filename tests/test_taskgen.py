@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,23 @@ def test_determinism_byte_identical(tmp_path, small_kinship):
     write_jsonl(small_kinship, a)
     write_jsonl(again, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# Content hashes of two small fixed specs.  A change that is meant to keep
+# the output bytes must keep these; one that changes them on purpose updates
+# them and says why.
+PINNED = {
+    "kinship": ({2: 10, 6: 10, 10: 3}, "b26b77d3b95e6b57d7f4001736dd346c"),
+    "spatial": ({2: 10, 10: 10}, "bdbde84454cffa7d62d473244249aeef"),
+}
+
+
+@pytest.mark.parametrize("task", sorted(PINNED))
+def test_pinned_content_hash(tmp_path, task):
+    counts, digest = PINNED[task]
+    path = tmp_path / "d.jsonl"
+    write_jsonl(build_dataset(DatasetSpec.make(task, counts, seed=0)), path)
+    assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == digest
 
 
 def test_different_seed_changes_data():
