@@ -10,8 +10,7 @@ from .augment import add_edge_noise, flip_edges, no_augment, permute
 from .evalkit import ScoreReport, score, stats_table
 from .kinship import KINSHIP_LABELS, KinshipEngine
 from .promptkit import parse_response, render_prompt, render_target
-from .relgraph import (GrowthConfig, RelationalGraph, Triple, grow_graph,
-                       has_incoming_relation, relation_between)
+from .relgraph import GrowthConfig, RelationalGraph, Triple, grow_graph
 from .sampler import ReasoningChain, SamplerConfig, sample_chain
 from .spatial import SPATIAL_LABELS, SpatialEngine
 from .taskgen import (DatasetSpec, Example, build_dataset, corrupt,
@@ -24,8 +23,8 @@ __all__ = [
     "KinshipEngine", "ReasoningChain", "RelationalGraph", "SPATIAL_LABELS",
     "SamplerConfig", "ScoreReport", "SpatialEngine", "Triple",
     "add_edge_noise", "build_dataset", "corrupt", "flip_edges",
-    "grow_graph", "has_incoming_relation", "no_augment", "parse_response",
-    "permute", "read_jsonl", "relation_between", "render_prompt",
+    "grow_graph", "no_augment", "parse_response",
+    "permute", "read_jsonl", "render_prompt",
     "render_target", "sample_chain", "score", "stats_table",
     "verify_dataset", "write_jsonl",
 ]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .relgraph import RelationalGraph, Triple
 from .sampler import ChainStep, ReasoningChain
@@ -137,9 +136,6 @@ def flip_edges(
 
 def flip_step(step: ChainStep, graph: RelationalGraph) -> ChainStep:
     t = step.triple
-    gender: Optional[str] = None
-    if graph.task == "kinship":
-        gender = graph.engine.genealogy.gender[t.object]
-    inverse = graph.engine.invert_label(t.relation, gender)
+    inverse = graph.engine.invert_label(t.relation, t.object)
     return ChainStep(Triple(t.object, inverse, t.subject),
                      reversed=not step.reversed)

@@ -17,7 +17,7 @@ from .evalkit import read_predictions, score, stats_table
 from .promptkit import FewShotConfig, draw_shots, render_prompt, render_target
 from .taskgen import (DatasetSpec, GenerationExhausted, build_dataset,
                       derive_seed, read_jsonl, verify_dataset, write_jsonl)
-from .verbalizer import TemplatePool, data_dir
+from .verbalizer import TemplatePool, read_asset
 
 TASK_ALIASES = {"clutrr": "kinship", "stepgame": "spatial",
                 "kinship": "kinship", "spatial": "spatial"}
@@ -28,7 +28,7 @@ AUG_KINDS = {"permute": "permutation", "noise": "edge-noise",
 
 
 class ConfigError(Exception):
-    pass
+    """Bad input: reported as one line on stderr with exit status 2."""
 
 
 def parse_hops(text: str) -> list[int]:
@@ -70,16 +70,31 @@ def parse_aug(text: str, noise_k: int, flip_count: int) -> tuple[dict, ...]:
 
 
 def load_preset(task: str, name: str) -> dict:
-    path = data_dir() / "presets" / PRESET_FILES[task].format(name=name)
-    if not path.exists():
-        raise ConfigError(f"no preset {name!r} for task {task}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        text = read_asset("presets/" + PRESET_FILES[task].format(name=name))
+    except FileNotFoundError:
+        raise ConfigError(f"no preset {name!r} for task {task}") from None
+    return json.loads(text)
+
+
+def read_input(path, reader=read_jsonl) -> list:
+    """reader(path), with an unreadable file or a malformed line as a
+    ConfigError."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def build_spec(args) -> DatasetSpec:
     config = {}
     if args.config:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc.strerror}") from None
 
     task_name = args.task or config.get("task")
     if not task_name or task_name not in TASK_ALIASES:
@@ -100,6 +115,8 @@ def build_spec(args) -> DatasetSpec:
     if counts is None:
         raise ConfigError("no per-hop counts given (use --preset, --counts, "
                           "or --hops with --count)")
+    if not counts:
+        raise ConfigError("no hop buckets to generate")
 
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     graph_iterations = (args.graph_iters if args.graph_iters is not None
@@ -132,11 +149,12 @@ def build_spec(args) -> DatasetSpec:
 
 
 def cmd_gen(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
     try:
         spec = build_spec(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     try:
         examples = build_dataset(spec, workers=args.workers)
     except GenerationExhausted as exc:
@@ -149,17 +167,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        examples = read_jsonl(args.dataset)
-    except OSError as exc:
-        print(f"error: cannot read dataset: {exc}", file=sys.stderr)
-        return 1
-    shots_pool = None
-    if args.shots > 0:
-        if not args.shots_file:
-            print("error: --shots-file is required when -k > 0", file=sys.stderr)
-            return 2
-        shots_pool = read_jsonl(args.shots_file)
+    if args.shots > 0 and not args.shots_file:
+        raise ConfigError("--shots-file is required when -k > 0")
+    examples = read_input(args.dataset)
+    shots_pool = read_input(args.shots_file) if args.shots > 0 else None
     pool = TemplatePool.for_task(examples[0].task) if examples else None
     with open(args.output, "w", encoding="utf-8") as handle:
         for example in examples:
@@ -179,8 +190,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_score(args) -> int:
-    gold = read_jsonl(args.gold)
-    predictions = read_predictions(args.predictions)
+    gold = read_input(args.gold)
+    predictions = read_input(args.predictions, read_predictions)
     try:
         report = score(predictions, gold, args.style)
     except (KeyError, ValueError) as exc:
@@ -195,8 +206,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    examples = read_jsonl(args.dataset)
-    report = verify_dataset(examples)
+    report = verify_dataset(read_input(args.dataset))
     print(f"{report.total} examples, {report.mismatch_count} mismatches")
     for mismatch in report.mismatches[:20]:
         print(f"  {mismatch['id']}: expected {mismatch['expected']}, "
@@ -206,7 +216,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    print(stats_table(read_jsonl(args.dataset)))
+    print(stats_table(read_input(args.dataset)))
     return 0
 
 
@@ -263,7 +273,11 @@ def main(argv=None) -> int:
     stats.set_defaults(func=cmd_stats)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

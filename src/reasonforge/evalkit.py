@@ -8,28 +8,14 @@ next to genuinely wrong answers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .promptkit import parse_response
-from .taskgen import Example
+from .taskgen import Example, read_jsonl
 from .verbalizer import TemplatePool
 
 HOP_RANGE = tuple(range(2, 11))
-
-
-@dataclass
-class PredictionRecord:
-    id: str
-    response: str
-    parsed: Optional[str] = None
-    gold: Optional[str] = None
-    hop: Optional[int] = None
-
-    @property
-    def correct(self) -> bool:
-        return self.parsed is not None and self.parsed == self.gold
 
 
 @dataclass
@@ -64,13 +50,14 @@ class ScoreReport:
         return "\n".join(lines)
 
 
+def _prediction(record: dict) -> dict:
+    return {"id": record["id"], "response": record["response"]}
+
+
 def read_predictions(path) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
+    """{id, response} records; a malformed line raises ValueError naming
+    its file:line."""
+    return read_jsonl(path, _prediction)
 
 
 def score(
@@ -90,7 +77,6 @@ def score(
 
     report = ScoreReport()
     seen: set[str] = set()
-    records: list[PredictionRecord] = []
     for item in predictions:
         pid = item["id"]
         if pid in seen:
@@ -99,19 +85,14 @@ def score(
         example = by_id.get(pid)
         if example is None:
             raise KeyError(f"prediction id {pid} not in gold dataset")
-        parsed = parse_response(item["response"], style, task, pool=pool)
-        records.append(PredictionRecord(
-            id=pid, response=item["response"], parsed=parsed.relation,
-            gold=example.answer, hop=example.hop))
-
-    for record in sorted(records, key=lambda r: r.id):
+        parsed = parse_response(item["response"], style, task, pool=pool).relation
         row = report.per_hop.setdefault(
-            record.hop, {"n": 0, "correct": 0, "accuracy": 0.0})
+            example.hop, {"n": 0, "correct": 0, "accuracy": 0.0})
         row["n"] += 1
         report.total += 1
-        if record.parsed is None:
+        if parsed is None:
             report.unparseable += 1
-        if record.correct:
+        elif parsed == example.answer:
             row["correct"] += 1
             report.correct += 1
     for row in report.per_hop.values():

@@ -268,15 +268,25 @@ class KinshipEngine:
     def __init__(self) -> None:
         self.genealogy = Genealogy()
 
-    def new_root(self, rng, gender: Optional[str] = None) -> int:
-        return self.genealogy.new_person(gender or rng.choice(("m", "f")))
+    def new_root(self, rng) -> int:
+        return self.genealogy.new_person(rng.choice(("m", "f")))
 
-    def invert_label(self, relation: str, subject_gender: Optional[str] = None) -> str:
-        assert subject_gender is not None
-        return invert(relation, subject_gender)
+    @property
+    def genders(self) -> dict[int, str]:
+        """Person -> gender, the cue names carry."""
+        return self.genealogy.gender
 
-    def node_attrs(self, node: int) -> dict:
-        return {"id": node, "gender": self.genealogy.gender[node]}
+    @property
+    def fold(self) -> dict[str, dict[str, str]]:
+        """acc -> step label -> acc: the composition a walk must keep alive."""
+        return COMPOSE_BY_ACC
+
+    def invert_label(self, relation: str, subject: int) -> str:
+        """Label of subject to the other endpoint of its `relation` edge."""
+        return invert(relation, self.genealogy.gender[subject])
+
+    def chain_relation(self, labels: list[str]) -> Optional[str]:
+        return chain_relation(labels)
 
     # -- realization ----------------------------------------------------------
 
@@ -427,7 +437,7 @@ class KinshipEngine:
         r = self.derive(u, v)
         if r is None:
             return None, None
-        return r, invert(r, self.genealogy.gender[v])
+        return r, self.invert_label(r, v)
 
 
 # Pairwise composition: COMPOSE[(r1, r2)] = r3 means "A is r1 of B" and
@@ -537,11 +547,6 @@ COMPOSE: dict[tuple[str, str], str] = {
 COMPOSE_BY_ACC: dict[str, dict[str, str]] = {}
 for (_r1, _r2), _out in COMPOSE.items():
     COMPOSE_BY_ACC.setdefault(_r1, {})[_r2] = _out
-
-
-def compose(r1: str, r2: str) -> Optional[str]:
-    """Unique label of the two-step chain, or None when undefined."""
-    return COMPOSE.get((r1, r2))
 
 
 def chain_relation(relations: list[str]) -> Optional[str]:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .kinship import KINSHIP_LABELS
 from .taskgen import Example, query_endpoints
-from .verbalizer import TemplatePool, data_dir, render_answer
+from .verbalizer import TemplatePool, read_asset, render_answer
 
 STYLES = ("std-p", "eta-p")
 
@@ -32,8 +32,7 @@ _TRIPLES_LEAD_IN = "The ordered structured triples are:"
 def load_prompt_asset(task: str, style: str) -> str:
     if style not in STYLES:
         raise ValueError(f"unknown prompt style {style!r}")
-    path = data_dir() / "prompts" / f"{task}_{style}.txt"
-    return path.read_text(encoding="utf-8")
+    return read_asset(f"prompts/{task}_{style}.txt")
 
 
 @dataclass(frozen=True)

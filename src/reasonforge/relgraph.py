@@ -18,7 +18,6 @@ Completed graphs are immutable and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -46,7 +45,6 @@ class GrowthConfig:
     iterations: int
     seed: int = 0
     growth_set: Optional[Sequence[str]] = None
-    root_gender: Optional[str] = None  # kinship only; None draws from the seed
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
@@ -115,20 +113,6 @@ class RelationalGraph:
             self.edges.items(), key=lambda kv: (kv[0][0], kv[1], kv[0][1]))]
 
 
-def has_incoming_relation(graph: RelationalGraph, node: int, relation: str) -> bool:
-    """True iff some edge (v', relation, node) exists."""
-    if node not in graph:
-        raise KeyError(f"unknown node {node}")
-    return relation in graph.incoming[node]
-
-
-def relation_between(graph: RelationalGraph, u: int, v: int) -> Optional[str]:
-    """Engine-deduced label of "u is <r> of v", or None."""
-    if u not in graph or v not in graph:
-        raise KeyError("unknown node")
-    return graph.engine.derive(u, v)
-
-
 def _attach(graph: RelationalGraph, node: int) -> None:
     """Add a node and every deducible edge between it and existing nodes."""
     derive_pair = graph.engine.derive_pair
@@ -146,11 +130,7 @@ def grow_graph(engine: Engine, config: GrowthConfig) -> RelationalGraph:
     """Run the iterative construction and return the closed graph."""
     rng = random.Random(config.seed)
     graph = RelationalGraph(engine)
-    if engine.task == "kinship":
-        root = engine.new_root(rng, gender=config.root_gender)
-    else:
-        root = engine.new_root(rng)
-    graph.add_node(root)
+    graph.add_node(engine.new_root(rng))
 
     growth_set = tuple(config.growth_set or engine.default_growth)
     for label in growth_set:
@@ -161,7 +141,7 @@ def grow_graph(engine: Engine, config: GrowthConfig) -> RelationalGraph:
         snapshot = sorted(graph.nodes)
         for node in snapshot:
             for relation in growth_set:
-                if has_incoming_relation(graph, node, relation):
+                if relation in graph.incoming[node]:
                     continue
                 realized = engine.realize(node, relation, rng)
                 if realized is None:
@@ -175,54 +155,3 @@ def grow_graph(engine: Engine, config: GrowthConfig) -> RelationalGraph:
                         f"realized {relation} edge missing for ({subject}, {node})")
     return graph
 
-
-# --------------------------------------------------------------------------
-# serialization
-# --------------------------------------------------------------------------
-
-def graph_to_dict(graph: RelationalGraph) -> dict:
-    nodes = [graph.engine.node_attrs(n) for n in sorted(graph.nodes)]
-    edges = sorted(([s, r, o] for (s, o), r in graph.edges.items()))
-    return {"task": graph.task, "nodes": nodes, "edges": edges}
-
-
-def graph_to_json(graph: RelationalGraph) -> str:
-    return json.dumps(graph_to_dict(graph))
-
-
-def graph_from_dict(data: dict) -> RelationalGraph:
-    """Rebuild a graph from its serialized form.
-
-    Spatial graphs recover their full ground truth from the coordinates;
-    kinship graphs recover genders and edges only (the genealogy primitives
-    stay with the process that grew the graph), so engine deduction is not
-    available on them.
-    """
-    task = data["task"]
-    if task == "spatial":
-        engine: Engine = SpatialEngine()
-        graph = RelationalGraph(engine)
-        for attrs in data["nodes"]:
-            node = attrs["id"]
-            xy = tuple(attrs["xy"])
-            engine.pos[node] = xy
-            engine.occupied[xy] = node
-            engine._next_id = max(engine._next_id, node + 1)
-            graph.add_node(node)
-    elif task == "kinship":
-        engine = KinshipEngine()
-        graph = RelationalGraph(engine)
-        for attrs in data["nodes"]:
-            node = attrs["id"]
-            engine.genealogy.gender[node] = attrs["gender"]
-            engine.genealogy._next_id = max(engine.genealogy._next_id, node + 1)
-            graph.add_node(node)
-    else:
-        raise ValueError(f"unknown task {task!r}")
-    for s, r, o in data["edges"]:
-        graph.add_edge(s, r, o)
-    return graph
-
-
-def graph_from_json(text: str) -> RelationalGraph:
-    return graph_from_dict(json.loads(text))

@@ -128,14 +128,7 @@ def sample_chain(graph: RelationalGraph, config: SamplerConfig) -> ReasoningChai
 def oriented_labels(chain: ReasoningChain, graph: RelationalGraph) -> list[str]:
     """Per-step labels read in walk direction: element i is the relation of
     walk[i] to walk[i+1], inverting steps stored against the walk."""
-    engine = graph.engine
-    labels = []
-    for i, step in enumerate(chain.steps):
-        if not step.reversed:
-            labels.append(step.triple.relation)
-        else:
-            gender = None
-            if graph.task == "kinship":
-                gender = engine.genealogy.gender[chain.walk[i]]
-            labels.append(engine.invert_label(step.triple.relation, gender))
-    return labels
+    invert = graph.engine.invert_label
+    return [invert(step.triple.relation, chain.walk[i]) if step.reversed
+            else step.triple.relation
+            for i, step in enumerate(chain.steps)]

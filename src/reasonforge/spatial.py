@@ -82,6 +82,8 @@ class SpatialEngine:
     labels = SPATIAL_LABELS
     # overlaps would create coincident nodes with no reasoning value
     default_growth = tuple(r for r in SPATIAL_LABELS if r != "overlaps")
+    genders = None  # letters carry no gender
+    fold = None  # every chain of labels has a label: walks prune nothing
 
     def __init__(self) -> None:
         self.pos: dict[int, tuple[int, int]] = {}
@@ -128,9 +130,8 @@ class SpatialEngine:
         dx, dy = _sign(ux - vx), _sign(uy - vy)
         return _BY_SIGN[(dx, dy)], _BY_SIGN[(-dx, -dy)]
 
-    def invert_label(self, relation: str, subject_gender: Optional[str] = None) -> str:
+    def invert_label(self, relation: str, subject: int) -> str:
         return invert(relation)
 
-    def node_attrs(self, node: int) -> dict:
-        x, y = self.pos[node]
-        return {"id": node, "xy": [x, y]}
+    def chain_relation(self, labels: Sequence[str]) -> str:
+        return chain_relation(labels)

@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import Callable, Iterable, Optional
 
-from . import kinship, spatial
+from . import kinship
 from .augment import (AugmentedChain, NoiseUnavailable, add_edge_noise,
                       flip_edges, no_augment, permute)
 from .kinship import KinshipEngine
@@ -53,6 +55,16 @@ DEFAULT_AUGMENTATION_MIX = (
 
 DEFAULT_GRAPH_ITERATIONS = {"kinship": 1, "spatial": 2}
 
+ENGINES = {"kinship": KinshipEngine, "spatial": SpatialEngine}
+
+AUGMENTATION_KINDS = ("none", "permutation", "edge-noise", "direction-flip")
+
+# attempts per example before a bucket gives up
+MAX_ATTEMPTS = 400
+# attempts spent looking for a candidate not yet in the bucket; past this the
+# combinatorial space is too small and the first valid repeat is accepted
+DEDUP_WINDOW = 25
+
 
 class GenerationExhausted(Exception):
     def __init__(self, hop: int, index: int, attempts: int) -> None:
@@ -76,17 +88,24 @@ class DatasetSpec:
     growth_set: Optional[tuple[str, ...]] = None
     augmentation_mix: tuple = DEFAULT_AUGMENTATION_MIX
     graphs_per_hop: int = 0  # 0 grows a fresh graph per example
-    max_attempts: int = 400
-    dedup_window: int = 25
 
     def __post_init__(self) -> None:
-        if self.task not in ("kinship", "spatial"):
+        if self.task not in ENGINES:
             raise ValueError(f"unknown task {self.task!r}")
         for hop, count in self.counts:
             if hop < 1 or count < 0:
                 raise ValueError(f"bad bucket ({hop}, {count})")
+        if len({hop for hop, _ in self.counts}) != len(self.counts):
+            raise ValueError("each hop may appear in only one bucket")
         if not self.augmentation_mix:
             raise ValueError("augmentation mix must be nonempty")
+        for entry in self.augmentation_mix:
+            if entry["kind"] not in AUGMENTATION_KINDS:
+                raise ValueError(f"unknown augmentation kind {entry['kind']!r}")
+            for param in ("k", "count"):
+                if int(entry.get(param, 0)) < 0:
+                    raise ValueError(f"{entry['kind']} {param} must be >= 0, "
+                                     f"got {entry[param]}")
         if sum(entry.get("weight", 1) for entry in self.augmentation_mix) <= 0:
             raise ValueError("augmentation weights must sum to a positive value")
 
@@ -139,17 +158,14 @@ def corrupt(chain: ReasoningChain, graph: RelationalGraph) -> Optional[str]:
     and asks the caller to resample.
     """
     if graph.task == "spatial":
-        return spatial.chain_relation(oriented_labels(chain, graph))
+        return graph.engine.chain_relation(oriented_labels(chain, graph))
     return graph.engine.derive(chain.head, chain.tail)
 
 
 def entailed_relation(chain: ReasoningChain, graph: RelationalGraph) -> Optional[str]:
     """Head-to-tail label forced by the step relations alone (the reader's
     view), or None when the steps do not pin down a unique label."""
-    labels = oriented_labels(chain, graph)
-    if graph.task == "spatial":
-        return spatial.chain_relation(labels)
-    return kinship.chain_relation(labels)
+    return graph.engine.chain_relation(oriented_labels(chain, graph))
 
 
 # --------------------------------------------------------------------------
@@ -159,8 +175,7 @@ def entailed_relation(chain: ReasoningChain, graph: RelationalGraph) -> Optional
 @lru_cache(maxsize=128)
 def _cached_graph(task: str, iterations: int, growth_set: Optional[tuple[str, ...]],
                   seed: int) -> RelationalGraph:
-    engine = KinshipEngine() if task == "kinship" else SpatialEngine()
-    return grow_graph(engine, GrowthConfig(
+    return grow_graph(ENGINES[task](), GrowthConfig(
         iterations=iterations, seed=seed, growth_set=growth_set))
 
 
@@ -184,8 +199,6 @@ def _apply_augmentation(
     chain: ReasoningChain, graph: RelationalGraph, entry: dict, seed: int
 ) -> AugmentedChain:
     kind = entry["kind"]
-    if kind == "none":
-        return no_augment(chain)
     if kind == "permutation":
         return permute(chain, seed)
     if kind == "edge-noise":
@@ -193,7 +206,7 @@ def _apply_augmentation(
     if kind == "direction-flip":
         count = min(int(entry.get("count", 1)), chain.hop)
         return flip_edges(chain, graph, count, seed)
-    raise ValueError(f"unknown augmentation kind {kind!r}")
+    return no_augment(chain)
 
 
 _POOLS: dict[str, TemplatePool] = {}
@@ -296,15 +309,14 @@ def generate_candidate(
     answer = corrupt(aug.chain, graph)
     if answer is None:
         return None
-    if graph.task == "kinship" and entailed_relation(aug.chain, graph) != answer:
+    if entailed_relation(aug.chain, graph) != answer:
         # story triples alone do not force the ground-truth label; resample
         return None
 
     walk = aug.chain.walk
     named_nodes = list(walk) + [t.object for t, _ in aug.distractors]
-    genders = graph.engine.genealogy.gender if spec.task == "kinship" else None
     names = assign_names(named_nodes, spec.task, derive_seed(*base, "names"),
-                         genders=genders)
+                         genders=graph.engine.genders)
     pool = _pool(spec.task)
     story = verbalize_story(aug, names, pool, derive_seed(*base, "story"))
 
@@ -335,11 +347,6 @@ def _dedup_key(example: Example) -> tuple:
     )
 
 
-def _candidate_batch(spec: DatasetSpec, hop: int, index: int,
-                     attempts: int) -> list[Optional[Example]]:
-    return [generate_candidate(spec, hop, index, a) for a in range(attempts)]
-
-
 # --------------------------------------------------------------------------
 # dataset assembly
 # --------------------------------------------------------------------------
@@ -347,41 +354,34 @@ def _candidate_batch(spec: DatasetSpec, hop: int, index: int,
 def build_dataset(spec: DatasetSpec, workers: int = 1) -> list[Example]:
     """Generate all buckets, exactly meeting the per-hop counts.
 
-    A worker pool only precomputes candidate attempts; acceptance runs in
-    index order, so any worker count yields byte-identical output.
+    Buckets are independent (dedup is per bucket and every candidate is a
+    pure function of its seed lineage), so a pool of up to `workers`
+    processes, never more than cores or buckets, builds whole buckets,
+    deepest and slowest first; any worker count yields byte-identical output.
     """
-    examples: list[Example] = []
-    if workers <= 1:
-        for hop, count in spec.counts:
-            examples.extend(_build_bucket(spec, hop, count, prefetched=None))
-        return examples
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for hop, count in spec.counts:
-            futures = [
-                pool.submit(_candidate_batch, spec, hop, index, spec.dedup_window)
-                for index in range(count)
-            ]
-            examples.extend(_build_bucket(
-                spec, hop, count, prefetched=[f.result() for f in futures]))
-    return examples
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    jobs = sorted(spec.counts, reverse=True)
+    hops = [hop for hop, _ in jobs]
+    counts = [count for _, count in jobs]
+    workers = min(workers, os.cpu_count() or 1, len(hops))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            buckets = list(pool.map(_build_bucket, repeat(spec), hops, counts))
+    else:
+        buckets = list(map(_build_bucket, repeat(spec), hops, counts))
+    by_hop = dict(zip(hops, buckets))
+    return [example for hop, _ in spec.counts for example in by_hop[hop]]
 
 
-def _build_bucket(
-    spec: DatasetSpec, hop: int, count: int,
-    prefetched: Optional[list[list[Optional[Example]]]],
-) -> list[Example]:
+def _build_bucket(spec: DatasetSpec, hop: int, count: int) -> list[Example]:
     bucket: list[Example] = []
     seen: set[tuple] = set()
     for index in range(count):
-        ready = prefetched[index] if prefetched is not None else None
         accepted = None
         first_valid = None
-        for attempt in range(spec.max_attempts):
-            if ready is not None and attempt < len(ready):
-                candidate = ready[attempt]
-            else:
-                candidate = generate_candidate(spec, hop, index, attempt)
+        for attempt in range(MAX_ATTEMPTS):
+            candidate = generate_candidate(spec, hop, index, attempt)
             if candidate is None:
                 continue
             if _dedup_key(candidate) not in seen:
@@ -389,12 +389,12 @@ def _build_bucket(
                 break
             if first_valid is None:
                 first_valid = candidate
-            if attempt + 1 >= spec.dedup_window:
+            if attempt + 1 >= DEDUP_WINDOW:
                 break  # small combinatorial space; settle for a repeat
         if accepted is None:
             accepted = first_valid
         if accepted is None:
-            raise GenerationExhausted(hop, index, spec.max_attempts)
+            raise GenerationExhausted(hop, index, MAX_ATTEMPTS)
         seen.add(_dedup_key(accepted))
         bucket.append(accepted)
     return bucket
@@ -406,13 +406,21 @@ def write_jsonl(examples: Iterable[Example], path) -> None:
             handle.write(json.dumps(example.to_dict()) + "\n")
 
 
-def read_jsonl(path) -> list[Example]:
-    examples = []
+def read_jsonl(path, record: Callable[[dict], object] = Example.from_dict) -> list:
+    """One `record(...)` per nonblank line; a malformed line raises
+    ValueError naming its file:line."""
+    records = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                examples.append(Example.from_dict(json.loads(line)))
-    return examples
+        for lineno, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(record(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return records
 
 
 # --------------------------------------------------------------------------

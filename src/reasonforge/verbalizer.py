@@ -17,9 +17,10 @@ import os
 import random
 import re
 import string
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .augment import AugmentedChain
 
@@ -49,8 +50,18 @@ def data_dir() -> Path:
     return Path(os.fspath(resources.files("reasonforge"))) / "data"
 
 
+@lru_cache(maxsize=None)
+def _read_text(path: Path) -> str:
+    return path.read_text(encoding="utf-8")
+
+
+def read_asset(name: str) -> str:
+    """Text of a data asset, read from disk once per process and path."""
+    return _read_text((data_dir() / name).resolve())
+
+
 def _load_json(name: str) -> dict:
-    return json.loads((data_dir() / name).read_text(encoding="utf-8"))
+    return json.loads(read_asset(name))
 
 
 class TemplatePool:
@@ -160,9 +171,3 @@ def render_answer(head: str, tail: str, relation: str, task: str) -> str:
         return f"{head} is the {relation} of {tail}"
     return f"{head} {SPATIAL_ANSWER_PHRASES[relation]} {tail}."
 
-
-def render_triple_sentences(
-    triples: Iterable[tuple[str, str, str]], pool: TemplatePool
-) -> list[str]:
-    """Canonical one-line form of each (subject, relation, object)."""
-    return [pool.canonical(r, a, b) for a, r, b in triples]

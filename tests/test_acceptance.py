@@ -121,7 +121,7 @@ def test_kinship_compose_validation(acceptance_report):
             for r2 in KINSHIP_LABELS:
                 eng = KinshipEngine()
                 rng = random.Random(seed)
-                c = eng.new_root(rng, gender="m" if seed % 2 else "f")
+                c = eng.genealogy.new_person("m" if seed % 2 else "f")
                 second = eng.realize(c, r2, rng)
                 if second is None:
                     continue

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from reasonforge.cli import main, parse_aug, parse_counts, parse_hops
 from reasonforge.taskgen import read_jsonl
 
@@ -40,8 +42,8 @@ def test_gen_workers_match_single_thread(tmp_path):
 
 
 def test_gen_workers_match_at_deep_hops(tmp_path):
-    # deep kinship buckets discard many attempts, exercising the sequential
-    # continuation past the workers' prefetched candidates
+    # deep kinship buckets discard many attempts; each worker builds whole
+    # buckets, and their reassembly must follow hop order
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     argv = ["gen", "--task", "clutrr", "--hops", "9:10", "--count", "5",
             "--seed", "31"]
@@ -122,7 +124,7 @@ def test_render_missing_shot_pool(tmp_path):
 
 def test_render_unreadable_dataset(tmp_path):
     assert run(["render", "--dataset", str(tmp_path / "missing.jsonl"),
-                "--style", "std-p", "-o", str(tmp_path / "p.jsonl")]) == 1
+                "--style", "std-p", "-o", str(tmp_path / "p.jsonl")]) == 2
 
 
 def test_score_unknown_id(tmp_path):
@@ -149,6 +151,44 @@ def test_verify_clean_and_corrupted(tmp_path, capsys):
     assert run(["verify", "--dataset", str(corrupted)]) == 1
     out = capsys.readouterr().out
     assert lines[0]["id"] in out
+
+
+GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--task", "clutrr", "--hops", "5:2", "--count", "3"],
+     "no hop buckets"),
+    (GEN + ["--aug", "noise:-2"], "edge-noise k must be >= 0"),
+    (GEN + ["--aug", "flip:-1"], "direction-flip count must be >= 0"),
+    (GEN + ["--workers", "0"], "--workers must be >= 1"),
+    (GEN + ["--config", "{dir}/missing.json"], "cannot read {dir}/missing.json"),
+    (["verify", "--dataset", "{dir}/missing.jsonl"],
+     "cannot read {dir}/missing.jsonl"),
+    (["verify", "--dataset", "{dir}/bad.jsonl"], "{dir}/bad.jsonl:2: "),
+    (["stats", "--dataset", "{dir}/fields.jsonl"],
+     "{dir}/fields.jsonl:1: missing field"),
+    (["score", "--predictions", "{dir}/preds.jsonl", "--gold", "{dir}/d.jsonl"],
+     "{dir}/preds.jsonl:2: "),
+])
+def test_bad_input_fails_fast(tmp_path, capsys, argv, message):
+    dataset = tmp_path / "d.jsonl"
+    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "1",
+         "--seed", "0", "-o", str(dataset)])
+    (tmp_path / "bad.jsonl").write_text(dataset.read_text() + "{not json\n")
+    (tmp_path / "fields.jsonl").write_text(json.dumps({"id": "x"}) + "\n")
+    (tmp_path / "preds.jsonl").write_text(
+        json.dumps({"id": "spatial-2-0", "response": "x"}) + "\n[1, 2]\n")
+    capsys.readouterr()
+    out = tmp_path / "out.jsonl"
+    argv = [a.format(dir=tmp_path) for a in argv]
+    if argv[0] == "gen":
+        argv += ["-o", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert message.format(dir=tmp_path) in err
+    assert not out.exists()
 
 
 def test_verify_empty(tmp_path):

@@ -53,9 +53,10 @@ def test_corrupt_spatial_uses_offset_sum():
 
 def test_corrupt_kinship_daughter_sister_niece():
     eng = KinshipEngine()
-    g = grow_graph(eng, GrowthConfig(iterations=1, seed=2,
-                                     growth_set=("sister",), root_gender="f"))
+    g = grow_graph(eng, GrowthConfig(iterations=1, seed=0,
+                                     growth_set=("sister",)))
     root = 0
+    assert eng.genealogy.gender[root] == "f"
     sister = next(n for n in g.nodes if g.edge_between(n, root) == "sister")
     daughter = eng.genealogy.add_child(sister, "f")
     from reasonforge.relgraph import _attach
@@ -191,8 +192,7 @@ def test_verify_empty():
 
 def test_generation_exhausted_names_hop():
     # a 10-hop walk cannot exist in a 9-node spatial graph
-    spec = DatasetSpec.make("spatial", {10: 1}, seed=0, graph_iterations=1,
-                            max_attempts=5)
+    spec = DatasetSpec.make("spatial", {10: 1}, seed=0, graph_iterations=1)
     with pytest.raises(GenerationExhausted) as err:
         build_dataset(spec)
     assert err.value.hop == 10
