@@ -11,7 +11,7 @@ from .evalkit import ScoreReport, score, stats_table
 from .kinship import KINSHIP_LABELS, KinshipEngine
 from .promptkit import parse_response, render_prompt, render_target
 from .relgraph import GrowthConfig, RelationalGraph, Triple, grow_graph
-from .sampler import ReasoningChain, SamplerConfig, sample_chain
+from .sampler import ReasoningChain, sample_chain
 from .spatial import SPATIAL_LABELS, SpatialEngine
 from .taskgen import (DatasetSpec, Example, build_dataset, corrupt,
                       read_jsonl, verify_dataset, write_jsonl)
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DatasetSpec", "Example", "GrowthConfig", "KINSHIP_LABELS",
     "KinshipEngine", "ReasoningChain", "RelationalGraph", "SPATIAL_LABELS",
-    "SamplerConfig", "ScoreReport", "SpatialEngine", "Triple",
+    "ScoreReport", "SpatialEngine", "Triple",
     "add_edge_noise", "build_dataset", "corrupt", "flip_edges",
     "grow_graph", "no_augment", "parse_response",
     "permute", "read_jsonl", "render_prompt",

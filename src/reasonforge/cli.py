@@ -91,10 +91,8 @@ def read_input(path, reader=read_jsonl) -> list:
 def build_spec(args) -> DatasetSpec:
     config = {}
     if args.config:
-        try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read {args.config}: {exc.strerror}") from None
+        config = read_input(
+            args.config, lambda path: json.loads(Path(path).read_text(encoding="utf-8")))
 
     task_name = args.task or config.get("task")
     if not task_name or task_name not in TASK_ALIASES:

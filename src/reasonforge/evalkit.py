@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .promptkit import parse_response
-from .taskgen import Example, read_jsonl
+from .taskgen import Example, read_records
 from .verbalizer import TemplatePool
 
 HOP_RANGE = tuple(range(2, 11))
@@ -57,7 +57,7 @@ def _prediction(record: dict) -> dict:
 def read_predictions(path) -> list[dict]:
     """{id, response} records; a malformed line raises ValueError naming
     its file:line."""
-    return read_jsonl(path, _prediction)
+    return read_records(path, _prediction)
 
 
 def score(

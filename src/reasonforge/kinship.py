@@ -155,18 +155,6 @@ class Genealogy:
             return ()
         return tuple(self.units[uid].children)
 
-    def siblings_of(self, person: int) -> tuple[int, ...]:
-        uid = self.child_unit.get(person)
-        if uid is None:
-            return ()
-        return tuple(c for c in self.units[uid].children if c != person)
-
-    def are_siblings(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        ua = self.child_unit.get(a)
-        return ua is not None and ua == self.child_unit.get(b)
-
     # -- unit plumbing -------------------------------------------------------
 
     def _own_child_unit(self, person: int) -> FamilyUnit:

@@ -36,9 +36,6 @@ class Triple:
     relation: str
     object: int
 
-    def as_list(self) -> list:
-        return [self.subject, self.relation, self.object]
-
 
 @dataclass(frozen=True)
 class GrowthConfig:
@@ -62,27 +59,22 @@ class RelationalGraph:
         self.task: str = engine.task
         self.nodes: list[int] = []
         self.edges: dict[tuple[int, int], str] = {}
-        self.adjacency: dict[int, set[int]] = {}
-        self.incoming: dict[int, set[str]] = {}
+        self.incoming: dict[int, set[str]] = {}  # node -> labels of edges into it
         self.growth_log: list[tuple[int, str, str]] = []
         self._outgoing: Optional[dict[int, list[tuple[int, str]]]] = None
-
-    def __contains__(self, node: int) -> bool:
-        return node in self.adjacency
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def add_node(self, node: int) -> None:
-        if node in self.adjacency:
+        if node in self.incoming:
             raise ValueError(f"duplicate node {node}")
         self.nodes.append(node)
-        self.adjacency[node] = set()
         self.incoming[node] = set()
 
     def add_edge(self, subject: int, relation: str, object: int) -> None:
-        if subject not in self.adjacency or object not in self.adjacency:
+        if subject not in self.incoming or object not in self.incoming:
             raise KeyError("edge endpoints must be graph nodes")
         if subject == object and relation != "overlaps":
             raise ValueError("self-edges are only allowed for overlaps")
@@ -92,8 +84,6 @@ class RelationalGraph:
                 raise ValueError(f"conflicting relation for pair {key}")
             return
         self.edges[key] = relation
-        self.adjacency[subject].add(object)
-        self.adjacency[object].add(subject)
         self.incoming[object].add(relation)
 
     def edge_between(self, subject: int, object: int) -> Optional[str]:
@@ -107,10 +97,6 @@ class RelationalGraph:
                 table[s].append((o, r))
             self._outgoing = table
         return self._outgoing
-
-    def triples(self) -> list[Triple]:
-        return [Triple(s, r, o) for (s, o), r in sorted(
-            self.edges.items(), key=lambda kv: (kv[0][0], kv[1], kv[0][1]))]
 
 
 def _attach(graph: RelationalGraph, node: int) -> None:

@@ -1,40 +1,31 @@
-"""Reasoning-chain sampling by non-repeating random walk.
+"""Reasoning-chain sampling by randomized depth-first search.
 
-A chain is a walk of l+1 distinct nodes plus the l graph edges between
-consecutive nodes.  The walk starts at a uniformly drawn node and at each
-step moves to a uniformly drawn unvisited neighbor (edges are traversed in
-either direction).  A walk that dead-ends before reaching the requested
-length is abandoned and retried with fresh draws, up to a bounded number
-of attempts, so sampling always terminates.
+A chain is a walk of l+1 distinct nodes plus the l stored graph edges
+between consecutive nodes (grown graphs store both directions of every
+related pair).  The search starts at a uniformly drawn node and moves to a
+uniformly drawn untried, unvisited neighbor; a dead end backtracks, and an
+exhausted start gives way to another.  Where every pair is related nothing
+dead-ends and this is a uniform random walk.
 
-Edges are recorded exactly as stored in the graph; when the walk traverses
-an edge against its stored direction the step carries a reversed flag so
-later stages can verbalize the stored fact and still reason head-to-tail.
+An engine's fold (acc -> step label -> acc, kinship's composition table)
+admits a neighbor only while the head-to-current relation stays defined, so
+long chains whose steps entail their answer are reachable; blind walks
+almost never find them.  A node-expansion budget bounds the search.
+
+Sampled steps are never reversed; only direction flips make reversed steps.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from .relgraph import RelationalGraph, Triple
 
 
 class SamplingExhausted(Exception):
-    """No valid walk found within the attempt budget."""
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    length: int
-    seed: int = 0
-    max_attempts: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("walk length must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+    """No valid walk found within the search budget."""
 
 
 @dataclass(frozen=True)
@@ -69,60 +60,58 @@ class ReasoningChain:
         return frozenset(self.walk)
 
 
-def transition_distribution(
-    graph: RelationalGraph, current: int, visited: frozenset[int] | set[int]
-) -> dict[int, float]:
-    """Uniform distribution over unvisited neighbors of current.
+def sample_chain(graph: RelationalGraph, length: int, seed: int,
+                 budget: int = 800) -> ReasoningChain:
+    """Draw one chain of `length` steps within `budget` node expansions.
 
-    An empty dict is a legitimate result meaning the walk is stuck.
+    Deterministic for a fixed (graph, length, seed, budget).  Raises
+    SamplingExhausted when the budget runs out or no chain exists.
     """
-    if current not in graph:
-        raise KeyError(f"unknown node {current}")
-    candidates = sorted(n for n in graph.adjacency[current] if n not in visited)
-    if not candidates:
-        return {}
-    p = 1.0 / len(candidates)
-    return {n: p for n in candidates}
-
-
-def _step_for(graph: RelationalGraph, a: int, b: int) -> ChainStep:
-    r = graph.edge_between(a, b)
-    if r is not None:
-        return ChainStep(Triple(a, r, b), reversed=False)
-    r = graph.edge_between(b, a)
-    if r is None:
-        raise AssertionError(f"no edge between {a} and {b}")
-    return ChainStep(Triple(b, r, a), reversed=True)
-
-
-def sample_chain(graph: RelationalGraph, config: SamplerConfig) -> ReasoningChain:
-    """Draw one chain of the configured length.
-
-    Deterministic for a fixed (graph, config).  Raises SamplingExhausted
-    when every attempt dead-ends (or the graph is too small to begin with).
-    """
-    rng = random.Random(config.seed)
-    nodes = sorted(graph.nodes)
-    if len(nodes) < config.length + 1:
+    if length < 1:
+        raise ValueError("walk length must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if len(graph.nodes) < length + 1:
         raise SamplingExhausted(
-            f"graph has {len(nodes)} nodes; need {config.length + 1}")
+            f"graph has {len(graph.nodes)} nodes; need {length + 1}")
+    rng = random.Random(seed)
+    randrange = rng.randrange
+    outgoing = graph.outgoing()
+    fold = graph.engine.fold
+    empty: dict[str, str] = {}
+    walk: list[int] = []
+    on_walk: set[int] = set()
 
-    for _ in range(config.max_attempts):
-        walk = [rng.choice(nodes)]
-        visited = {walk[0]}
-        while len(walk) <= config.length:
-            dist = transition_distribution(graph, walk[-1], visited)
-            if not dist:
-                break
-            nxt = rng.choice(sorted(dist))
-            walk.append(nxt)
-            visited.add(nxt)
-        if len(walk) == config.length + 1:
-            steps = [_step_for(graph, walk[i], walk[i + 1])
-                     for i in range(config.length)]
-            return ReasoningChain(walk=walk, steps=steps)
-    raise SamplingExhausted(
-        f"no walk of length {config.length} in {config.max_attempts} attempts")
+    def frontier(node: int, acc: Optional[str]) -> list[tuple[int, Optional[str]]]:
+        if acc is None or fold is None:
+            return [(nb, label) for nb, label in outgoing[node] if nb not in on_walk]
+        row = fold.get(acc, empty)
+        return [(nb, row[label]) for nb, label in outgoing[node]
+                if label in row and nb not in on_walk]
+
+    # stack[i] holds the untried (node, acc) choices for walk[i]; the
+    # bottom level is the start nodes
+    stack = [[(node, None) for node in sorted(graph.nodes)]]
+    while stack and budget > 0:
+        top = stack[-1]
+        if not top:
+            stack.pop()
+            if walk:
+                on_walk.discard(walk.pop())
+            continue
+        i = randrange(len(top))
+        node, acc = top[i]
+        top[i] = top[-1]
+        top.pop()
+        walk.append(node)
+        on_walk.add(node)
+        if len(walk) == length + 1:
+            edges = graph.edges
+            return ReasoningChain(walk=walk, steps=[
+                ChainStep(Triple(a, edges[(a, b)], b)) for a, b in zip(walk, walk[1:])])
+        budget -= 1
+        stack.append(frontier(node, acc))
+    raise SamplingExhausted(f"no walk of length {length} within the search budget")
 
 
 def oriented_labels(chain: ReasoningChain, graph: RelationalGraph) -> list[str]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -30,16 +31,15 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Iterable, Optional
 
-from . import kinship
 from .augment import (AugmentedChain, NoiseUnavailable, add_edge_noise,
                       flip_edges, no_augment, permute)
 from .kinship import KinshipEngine
 from .oracle import (InconsistentWorld, coordinate_relation,
                      genealogy_relation, kinship_world_from_triples,
                      spatial_world_from_triples)
-from .relgraph import GrowthConfig, RelationalGraph, Triple, grow_graph
-from .sampler import (ChainStep, ReasoningChain, SamplerConfig,
-                      SamplingExhausted, oriented_labels, sample_chain)
+from .relgraph import GrowthConfig, RelationalGraph, grow_graph
+from .sampler import (ReasoningChain, SamplingExhausted, oriented_labels,
+                      sample_chain)
 from .spatial import SpatialEngine
 from .verbalizer import (TemplatePool, assign_names, name_gender_lookup,
                          render_query, verbalize_story)
@@ -95,8 +95,6 @@ class DatasetSpec:
         for hop, count in self.counts:
             if hop < 1 or count < 0:
                 raise ValueError(f"bad bucket ({hop}, {count})")
-        if len({hop for hop, _ in self.counts}) != len(self.counts):
-            raise ValueError("each hop may appear in only one bucket")
         if not self.augmentation_mix:
             raise ValueError("augmentation mix must be nonempty")
         for entry in self.augmentation_mix:
@@ -218,68 +216,6 @@ def _pool(task: str) -> TemplatePool:
     return _POOLS[task]
 
 
-def _sample_entailed_chain(
-    graph: RelationalGraph, length: int, seed: int, expansion_budget: int = 1200
-) -> ReasoningChain:
-    """Kinship walk that keeps the composition fold alive at every step.
-
-    Same flavor as the public sampler (random start, random step among
-    candidates, no revisits), but a neighbor is a candidate only when the
-    step keeps the head-to-current relation uniquely labeled, and dead ends
-    backtrack instead of abandoning the walk.  A blind walk almost never
-    survives the fold beyond a few hops, so searching within the fold is
-    what makes long entailed chains reachable at all; the answers
-    themselves are unchanged, being ground-truth derivations that the fold
-    must agree with.
-    """
-    rng = random.Random(seed)
-    nodes = sorted(graph.nodes)
-    if len(nodes) < length + 1:
-        raise SamplingExhausted(f"graph has {len(nodes)} nodes; need {length + 1}")
-    edges = graph.edges
-    outgoing = graph.outgoing()
-    by_acc = kinship.COMPOSE_BY_ACC
-    empty: dict[str, str] = {}
-    budget = expansion_budget
-    rng.shuffle(nodes)
-
-    for start in nodes:
-        if budget <= 0:
-            break
-        walk = [start]
-        on_walk = {start}
-
-        def frontier(current: int, acc: Optional[str]) -> list[tuple[int, str]]:
-            if acc is None:
-                out = [(nb, label) for nb, label in outgoing[current]
-                       if nb not in on_walk]
-            else:
-                row = by_acc.get(acc, empty)
-                out = [(nb, row[step_label])
-                       for nb, step_label in outgoing[current]
-                       if step_label in row and nb not in on_walk]
-            rng.shuffle(out)
-            return out
-
-        stack = [frontier(start, None)]
-        while stack and budget > 0:
-            if len(walk) == length + 1:
-                steps = [ChainStep(Triple(walk[i], edges[(walk[i], walk[i + 1])],
-                                          walk[i + 1]))
-                         for i in range(length)]
-                return ReasoningChain(walk=walk, steps=steps)
-            if not stack[-1]:
-                stack.pop()
-                on_walk.discard(walk.pop())
-                continue
-            budget -= 1
-            nb, acc = stack[-1].pop()
-            walk.append(nb)
-            on_walk.add(nb)
-            stack.append(frontier(nb, acc))
-    raise SamplingExhausted(f"no entailed walk of length {length} found")
-
-
 def generate_candidate(
     spec: DatasetSpec, hop: int, index: int, attempt: int
 ) -> Optional[Example]:
@@ -287,14 +223,9 @@ def generate_candidate(
     graph = _graph_for(spec, hop, index, attempt)
     base = (spec.seed, spec.task, hop, index, attempt)
     try:
-        if spec.task == "kinship":
-            # ten-hop entailed walks are scarce; deep search beats regrowing
-            budget = 3500 if hop >= 10 else 800
-            chain = _sample_entailed_chain(
-                graph, hop, derive_seed(*base, "walk"), expansion_budget=budget)
-        else:
-            chain = sample_chain(graph, SamplerConfig(
-                length=hop, seed=derive_seed(*base, "walk"), max_attempts=200))
+        # ten-hop entailed kinship walks are scarce; deep search beats regrowing
+        chain = sample_chain(graph, hop, derive_seed(*base, "walk"),
+                             budget=3500 if hop >= 10 else 800)
     except SamplingExhausted:
         return None
 
@@ -362,16 +293,16 @@ def build_dataset(spec: DatasetSpec, workers: int = 1) -> list[Example]:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     jobs = sorted(spec.counts, reverse=True)
-    hops = [hop for hop, _ in jobs]
-    counts = [count for _, count in jobs]
-    workers = min(workers, os.cpu_count() or 1, len(hops))
+    args = (repeat(spec), [hop for hop, _ in jobs], [count for _, count in jobs])
+    workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            buckets = list(pool.map(_build_bucket, repeat(spec), hops, counts))
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            buckets = list(pool.map(_build_bucket, *args))
     else:
-        buckets = list(map(_build_bucket, repeat(spec), hops, counts))
-    by_hop = dict(zip(hops, buckets))
-    return [example for hop, _ in spec.counts for example in by_hop[hop]]
+        buckets = list(map(_build_bucket, *args))
+    built = dict(zip(jobs, buckets))
+    return [example for job in spec.counts for example in built[job]]
 
 
 def _build_bucket(spec: DatasetSpec, hop: int, count: int) -> list[Example]:
@@ -406,9 +337,14 @@ def write_jsonl(examples: Iterable[Example], path) -> None:
             handle.write(json.dumps(example.to_dict()) + "\n")
 
 
-def read_jsonl(path, record: Callable[[dict], object] = Example.from_dict) -> list:
-    """One `record(...)` per nonblank line; a malformed line raises
-    ValueError naming its file:line."""
+def read_jsonl(path) -> list[Example]:
+    """Examples of a dataset file; a malformed line raises ValueError
+    naming its file:line."""
+    return read_records(path, Example.from_dict)
+
+
+def read_records(path, record: Callable[[dict], object]) -> list:
+    """record(object) for the JSON object on each nonblank line."""
     records = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):

@@ -18,7 +18,6 @@ import random
 import re
 import string
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -39,15 +38,16 @@ SPATIAL_ANSWER_PHRASES = {
 }
 
 
+_PACKAGED_DATA = Path(__file__).parent / "data"
+
+
 def data_dir() -> Path:
     """Directory holding template, name, prompt, and preset assets.
 
     REASONFORGE_DATA_DIR overrides the packaged data.
     """
     override = os.environ.get("REASONFORGE_DATA_DIR")
-    if override:
-        return Path(override)
-    return Path(os.fspath(resources.files("reasonforge"))) / "data"
+    return Path(override) if override else _PACKAGED_DATA
 
 
 @lru_cache(maxsize=None)
@@ -56,8 +56,9 @@ def _read_text(path: Path) -> str:
 
 
 def read_asset(name: str) -> str:
-    """Text of a data asset, read from disk once per process and path."""
-    return _read_text((data_dir() / name).resolve())
+    """Text of a data asset, read from disk once per process and absolute
+    path (so a relative REASONFORGE_DATA_DIR stays tied to the cwd)."""
+    return _read_text((data_dir() / name).absolute())
 
 
 def _load_json(name: str) -> dict:

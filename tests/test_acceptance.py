@@ -24,10 +24,10 @@ from reasonforge.oracle import (coordinate_relation, genealogy_relation,
                                 spatial_world_from_triples)
 from reasonforge.promptkit import parse_response, render_target
 from reasonforge.relgraph import GrowthConfig, grow_graph
-from reasonforge.sampler import SamplerConfig, SamplingExhausted, sample_chain
+from reasonforge.sampler import SamplingExhausted, sample_chain
 from reasonforge.spatial import SPATIAL_LABELS, SpatialEngine, chain_relation
-from reasonforge.taskgen import (_sample_entailed_chain, corrupt, derive_seed,
-                                 entailed_relation, read_jsonl)
+from reasonforge.taskgen import (corrupt, derive_seed, entailed_relation,
+                                 read_jsonl)
 
 CLUTRR_COUNTS = {2: 1162, 3: 1170, 4: 1129, 5: 1219, 6: 1224, 7: 1231,
                  8: 1120, 9: 945, 10: 795}
@@ -166,8 +166,8 @@ def test_sampler_invariants(acceptance_report):
                 else:
                     graph = kinship_graphs[seed % len(kinship_graphs)]
                 try:
-                    chain = sample_chain(graph, SamplerConfig(
-                        length=hop, seed=derive_seed("acc", task, hop, seed)))
+                    chain = sample_chain(graph, hop,
+                                         derive_seed("acc", task, hop, seed))
                 except SamplingExhausted:
                     seed += 1
                     continue
@@ -177,8 +177,8 @@ def test_sampler_invariants(acceptance_report):
                     assert graph.edge_between(t.subject, t.object) == t.relation
                     assert {t.subject, t.object} == {chain.walk[i],
                                                      chain.walk[i + 1]}
-                again = sample_chain(graph, SamplerConfig(
-                    length=hop, seed=derive_seed("acc", task, hop, seed)))
+                again = sample_chain(graph, hop,
+                                     derive_seed("acc", task, hop, seed))
                 assert repr(again.walk) == repr(chain.walk)
                 assert repr(again.steps) == repr(chain.steps)
                 drawn += 1
@@ -213,19 +213,15 @@ def test_augmentation_answer_invariance(acceptance_report):
         hop = 2 + seed % 5
         if task == "spatial":
             graph = spatial_graph
-            try:
-                chain = sample_chain(graph, SamplerConfig(length=hop, seed=seed))
-            except SamplingExhausted:
-                continue
         else:
             graph = grow_graph(KinshipEngine(),
                                GrowthConfig(iterations=1, seed=seed))
-            try:
-                chain = _sample_entailed_chain(graph, hop, seed)
-            except SamplingExhausted:
-                continue
-            if entailed_relation(chain, graph) != corrupt(chain, graph):
-                continue
+        try:
+            chain = sample_chain(graph, hop, seed, budget=1200)
+        except SamplingExhausted:
+            continue
+        if entailed_relation(chain, graph) != corrupt(chain, graph):
+            continue
         before = corrupt(chain, graph)
         if before is None:
             continue

@@ -9,7 +9,7 @@ from reasonforge.oracle import (coordinate_relation, genealogy_relation,
                                 kinship_world_from_genealogy,
                                 spatial_world_from_coords)
 from reasonforge.relgraph import GrowthConfig, RelationalGraph, Triple, grow_graph
-from reasonforge.sampler import ChainStep, ReasoningChain, SamplerConfig, sample_chain
+from reasonforge.sampler import ChainStep, ReasoningChain, sample_chain
 from reasonforge.spatial import SpatialEngine
 
 
@@ -52,7 +52,7 @@ def test_permute_preserves_triple_multiset(seed):
 
 def test_noise_zero_is_identity():
     g = spatial_l1()
-    chain = sample_chain(g, SamplerConfig(length=2, seed=1))
+    chain = sample_chain(g, 2, 1)
     aug = add_edge_noise(chain, g, 0, seed=4)
     assert aug.distractors == []
     assert [t for _, t in aug.story_items()] == [s.triple for s in chain.steps]
@@ -62,7 +62,7 @@ def test_noise_structure_and_oracle_labels():
     g = spatial_l1()
     world = spatial_world_from_coords(g.engine.pos)
     for seed in range(40):
-        chain = sample_chain(g, SamplerConfig(length=2, seed=seed))
+        chain = sample_chain(g, 2, seed)
         aug = add_edge_noise(chain, g, 2, seed=seed)
         assert len(aug.distractors) == 2
         on_chain = chain.node_set()
@@ -94,7 +94,7 @@ def test_noise_unavailable():
 
 def test_noise_interleaves_at_recorded_slots():
     g = spatial_l1()
-    chain = sample_chain(g, SamplerConfig(length=3, seed=2))
+    chain = sample_chain(g, 3, 2)
     aug = add_edge_noise(chain, g, 2, seed=9)
     items = aug.story_items()
     assert len(items) == 5
@@ -107,7 +107,7 @@ def test_noise_interleaves_at_recorded_slots():
 
 def test_flip_zero_is_identity():
     g = spatial_l1()
-    chain = sample_chain(g, SamplerConfig(length=2, seed=0))
+    chain = sample_chain(g, 2, 0)
     aug = flip_edges(chain, g, 0, seed=1)
     assert aug.chain.steps == chain.steps
 
@@ -129,7 +129,7 @@ def test_flip_kinship_daughter_to_mother():
 
 def test_flip_count_bounds():
     g = spatial_l1()
-    chain = sample_chain(g, SamplerConfig(length=2, seed=0))
+    chain = sample_chain(g, 2, 0)
     with pytest.raises(ValueError):
         flip_edges(chain, g, 3, seed=0)
 
@@ -138,7 +138,7 @@ def test_flip_preserves_facts():
     g = spatial_l1()
     world = spatial_world_from_coords(g.engine.pos)
     for seed in range(40):
-        chain = sample_chain(g, SamplerConfig(length=3, seed=seed))
+        chain = sample_chain(g, 3, seed)
         aug = flip_edges(chain, g, 2, seed=seed)
         assert aug.chain.walk == chain.walk
         for step in aug.chain.steps:
@@ -155,7 +155,7 @@ def test_augmentations_keep_head_tail_answer():
 
     g = spatial_l1()
     for seed in range(60):
-        chain = sample_chain(g, SamplerConfig(length=3, seed=seed))
+        chain = sample_chain(g, 3, seed)
         answer = chain_relation(oriented_labels(chain, g))
         for aug in (permute(chain, seed),
                     add_edge_noise(chain, g, 1, seed),
@@ -168,7 +168,7 @@ def test_kinship_flip_keeps_derivation():
         eng = KinshipEngine()
         g = grow_graph(eng, GrowthConfig(iterations=1, seed=seed))
         world = kinship_world_from_genealogy(eng.genealogy)
-        chain = sample_chain(g, SamplerConfig(length=2, seed=seed))
+        chain = sample_chain(g, 2, seed)
         aug = flip_edges(chain, g, 1, seed=seed)
         for step in aug.chain.steps:
             assert genealogy_relation(

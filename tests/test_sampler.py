@@ -1,10 +1,12 @@
+from collections import Counter
+
 import pytest
 
-from reasonforge.kinship import KinshipEngine
+from reasonforge.augment import flip_step
+from reasonforge.kinship import KinshipEngine, chain_relation
 from reasonforge.relgraph import GrowthConfig, RelationalGraph, grow_graph
-from reasonforge.sampler import (ReasoningChain, SamplerConfig,
-                                 SamplingExhausted, oriented_labels,
-                                 sample_chain, transition_distribution)
+from reasonforge.sampler import (ReasoningChain, SamplingExhausted,
+                                 oriented_labels, sample_chain)
 from reasonforge.spatial import SpatialEngine
 
 
@@ -34,27 +36,55 @@ def spatial_l1():
 
 
 def test_transition_point_mass():
+    # the one stored edge runs 1 -> 0; starting at 0 dead-ends, so every
+    # seed yields the walk along it
     g = two_node_graph()
-    assert transition_distribution(g, 0, {0}) == {1: 1.0}
+    assert {tuple(sample_chain(g, 1, seed).walk) for seed in range(20)} == {(1, 0)}
 
 
 def test_transition_uniform_eighth():
+    # from the centre of the 3x3 grid each of the 8 neighbours is equally
+    # likely as the next step
     g = spatial_l1()
-    dist = transition_distribution(g, 0, {0})
-    assert len(dist) == 8
-    assert all(abs(p - 0.125) < 1e-12 for p in dist.values())
+    centre = next(n for n, xy in g.engine.pos.items() if xy == (0, 0))
+    following = Counter()
+    for seed in range(3600):
+        chain = sample_chain(g, 1, seed)
+        if chain.head == centre:
+            following[chain.tail] += 1
+    expected = sum(following.values()) / 8
+    assert len(following) == 8
+    assert all(0.6 * expected < n < 1.4 * expected for n in following.values())
 
 
-def test_transition_dead_end_and_unknown_node():
-    g = two_node_graph()
-    assert transition_distribution(g, 0, {0, 1}) == {}
-    with pytest.raises(KeyError):
-        transition_distribution(g, 42, set())
+def test_dead_end_backtracks():
+    # edges run i -> i-1 only, so a 3-step walk must start at node 3; every
+    # other start dead-ends and the search backtracks instead of giving up
+    g = path_graph(4)
+    for seed in range(30):
+        assert sample_chain(g, 3, seed).walk == [3, 2, 1, 0]
+    with pytest.raises(SamplingExhausted):
+        sample_chain(g, 3, 0, budget=1)
+
+
+def test_fold_keeps_kinship_chains_entailed():
+    graphs = [grow_graph(KinshipEngine(), GrowthConfig(iterations=1, seed=s))
+              for s in range(3)]
+    drawn = 0
+    for seed in range(60):
+        g = graphs[seed % 3]
+        try:
+            chain = sample_chain(g, 2 + seed % 5, seed)
+        except SamplingExhausted:
+            continue
+        assert chain_relation(oriented_labels(chain, g)) is not None
+        drawn += 1
+    assert drawn >= 50
 
 
 def test_sample_unique_edge():
     g = two_node_graph()
-    chain = sample_chain(g, SamplerConfig(length=1, seed=5))
+    chain = sample_chain(g, 1, 5)
     assert chain.hop == 1
     step = chain.steps[0]
     assert (step.triple.subject, step.triple.relation, step.triple.object) == (
@@ -64,52 +94,46 @@ def test_sample_unique_edge():
 def test_sample_needs_enough_nodes():
     g = path_graph(4)
     with pytest.raises(SamplingExhausted):
-        sample_chain(g, SamplerConfig(length=4, seed=0))
+        sample_chain(g, 4, 0)
 
 
 def test_sampled_chains_are_simple_and_edge_valid():
     g = spatial_l1()
     for seed in range(300):
-        chain = sample_chain(g, SamplerConfig(length=2, seed=seed))
+        chain = sample_chain(g, 2, seed)
         assert len(set(chain.walk)) == 3
         for i, step in enumerate(chain.steps):
             t = step.triple
             assert g.edge_between(t.subject, t.object) == t.relation
-            endpoints = {chain.walk[i], chain.walk[i + 1]}
-            assert {t.subject, t.object} == endpoints
+            assert (t.subject, t.object) == (chain.walk[i], chain.walk[i + 1])
 
 
 def test_reverse_orientation_recorded():
-    g = two_node_graph()
-    # the only stored edge is (1, above, 0); a walk starting at 0 traverses
-    # it against the stored direction and keeps the stored triple
-    seen = set()
+    # sampled steps follow stored edges; a flipped step stores the inverse
+    # triple, is marked reversed, and still reads head-first
+    g = spatial_l1()
     for seed in range(50):
-        chain = sample_chain(g, SamplerConfig(length=1, seed=seed))
-        step = chain.steps[0]
-        assert step.triple == g.triples()[0]
-        if chain.walk == [0, 1]:
-            assert step.reversed
-            assert oriented_labels(chain, g) == ["below"]
-        else:
-            assert not step.reversed
-            assert oriented_labels(chain, g) == ["above"]
-        seen.add(tuple(chain.walk))
-    assert seen == {(0, 1), (1, 0)}
+        chain = sample_chain(g, 2, seed)
+        assert not any(step.reversed for step in chain.steps)
+        flipped = flip_step(chain.steps[0], g)
+        t = chain.steps[0].triple
+        assert flipped.reversed
+        assert (flipped.triple.subject, flipped.triple.object) == (t.object, t.subject)
+        again = ReasoningChain(walk=chain.walk, steps=[flipped, chain.steps[1]])
+        assert oriented_labels(again, g) == oriented_labels(chain, g)
 
 
 def test_determinism():
     g = spatial_l1()
-    a = sample_chain(g, SamplerConfig(length=4, seed=99))
-    b = sample_chain(g, SamplerConfig(length=4, seed=99))
+    a = sample_chain(g, 4, 99)
+    b = sample_chain(g, 4, 99)
     assert a.walk == b.walk
     assert a.steps == b.steps
 
 
 def test_start_coverage():
     g = spatial_l1()
-    starts = {sample_chain(g, SamplerConfig(length=2, seed=s)).head
-              for s in range(10 * len(g.nodes))}
+    starts = {sample_chain(g, 2, s).head for s in range(10 * len(g.nodes))}
     assert starts == set(g.nodes)
 
 
@@ -132,7 +156,8 @@ def test_oriented_labels_kinship_inversion():
 
 
 def test_config_validation():
+    g = spatial_l1()
     with pytest.raises(ValueError):
-        SamplerConfig(length=0)
+        sample_chain(g, 0, 0)
     with pytest.raises(ValueError):
-        SamplerConfig(length=1, max_attempts=0)
+        sample_chain(g, 1, 0, budget=0)

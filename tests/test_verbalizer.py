@@ -3,7 +3,7 @@ import pytest
 from reasonforge.augment import add_edge_noise, no_augment, permute
 from reasonforge.kinship import KINSHIP_LABELS
 from reasonforge.relgraph import GrowthConfig, Triple, grow_graph
-from reasonforge.sampler import ChainStep, ReasoningChain, SamplerConfig, sample_chain
+from reasonforge.sampler import ChainStep, ReasoningChain, sample_chain
 from reasonforge.spatial import SPATIAL_LABELS, SpatialEngine
 from reasonforge.verbalizer import (TemplatePool, assign_names,
                                     name_gender_lookup, render_answer,
@@ -83,7 +83,7 @@ def test_assign_names_spatial_letters():
 
 def test_story_one_sentence_per_triple_and_deterministic(spatial_pool):
     g = grow_graph(SpatialEngine(), GrowthConfig(iterations=1))
-    chain = sample_chain(g, SamplerConfig(length=3, seed=8))
+    chain = sample_chain(g, 3, 8)
     aug = add_edge_noise(chain, g, 1, seed=8)
     nodes = list(chain.walk) + [t.object for t, _ in aug.distractors]
     names = assign_names(nodes, "spatial", seed=8)
@@ -98,7 +98,7 @@ def test_story_one_sentence_per_triple_and_deterministic(spatial_pool):
 
 def test_story_follows_permuted_order(spatial_pool):
     g = grow_graph(SpatialEngine(), GrowthConfig(iterations=1))
-    chain = sample_chain(g, SamplerConfig(length=3, seed=4))
+    chain = sample_chain(g, 3, 4)
     aug = permute(chain, seed=0)
     names = assign_names(chain.walk, "spatial", seed=4)
     story = verbalize_story(aug, names, spatial_pool, seed=4)
@@ -146,3 +146,13 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("REASONFORGE_DATA_DIR", str(custom))
     pool = TemplatePool.for_task("spatial")
     assert pool.canonical("above", "A", "B") == "A hovers right over B."
+
+
+def test_assets_read_once_per_path():
+    from reasonforge.verbalizer import _read_text, load_name_pools
+
+    load_name_pools()
+    misses = _read_text.cache_info().misses
+    for _ in range(5):
+        load_name_pools()
+    assert _read_text.cache_info().misses == misses
