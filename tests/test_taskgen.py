@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from reasonforge.cli import main
 from reasonforge.kinship import KinshipEngine
 from reasonforge.relgraph import GrowthConfig, RelationalGraph, Triple, grow_graph
 from reasonforge.sampler import ChainStep, ReasoningChain
@@ -120,21 +121,29 @@ def test_determinism_byte_identical(tmp_path, small_kinship):
     assert a.read_bytes() == b.read_bytes()
 
 
-# Content hashes of two small fixed specs.  A change that is meant to keep
+# Content hashes of two small fixed specs: the dataset, its std-p prompts and
+# its eta-p 5-shot prompts drawn from itself.  A change that is meant to keep
 # the output bytes must keep these; one that changes them on purpose updates
 # them and says why.
 PINNED = {
-    "kinship": ({2: 10, 6: 10, 10: 3}, "a54b9f29610c6ffd199fdd4ec988fb13"),
-    "spatial": ({2: 10, 10: 10}, "bdbde84454cffa7d62d473244249aeef"),
+    "kinship": ({2: 10, 6: 10, 10: 3}, "a54b9f29610c6ffd199fdd4ec988fb13",
+                "9d6b283d423a9227fec5acb9af1aedd1", "c0cc728cfd9896c70a413a399068c336"),
+    "spatial": ({2: 10, 10: 10}, "bdbde84454cffa7d62d473244249aeef",
+                "71f0865af94712e8a5afdfc1d1250711", "4ff6739479908c00936459bf4040fbd2"),
 }
 
 
 @pytest.mark.parametrize("task", sorted(PINNED))
 def test_pinned_content_hash(tmp_path, task):
-    counts, digest = PINNED[task]
-    path = tmp_path / "d.jsonl"
-    write_jsonl(build_dataset(DatasetSpec.make(task, counts, seed=0)), path)
-    assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == digest
+    counts, *digests = PINNED[task]
+    data, std, eta = (tmp_path / n for n in ("d.jsonl", "std.jsonl", "eta.jsonl"))
+    write_jsonl(build_dataset(DatasetSpec.make(task, counts, seed=0)), data)
+    render = ["render", "--dataset", str(data), "--seed", "0", "-o"]
+    assert main(render + [str(std), "--style", "std-p"]) == 0
+    assert main(render + [str(eta), "--style", "eta-p", "-k", "5",
+                          "--shots-file", str(data)]) == 0
+    assert [hashlib.blake2b(p.read_bytes(), digest_size=16).hexdigest()
+            for p in (data, std, eta)] == digests
 
 
 def test_different_seed_changes_data():
