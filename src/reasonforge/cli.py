@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from .evalkit import read_predictions, score, stats_table
-from .promptkit import FewShotConfig, draw_shots, render_prompt, render_target
+from .promptkit import draw_shots, render_prompt, render_target
 from .taskgen import (DatasetSpec, GenerationExhausted, build_dataset,
                       derive_seed, read_jsonl, verify_dataset, write_jsonl)
-from .verbalizer import TemplatePool, read_asset
+from .verbalizer import read_asset
 
 TASK_ALIASES = {"clutrr": "kinship", "stepgame": "spatial",
                 "kinship": "kinship", "spatial": "spatial"}
@@ -88,6 +89,18 @@ def read_input(path, reader=read_jsonl) -> list:
         raise ConfigError(str(exc)) from None
 
 
+def check_output(path) -> None:
+    """An output path that cannot be opened for writing, as a ConfigError
+    raised before any work; the probe leaves no file behind."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def build_spec(args) -> DatasetSpec:
     config = {}
     if args.config:
@@ -153,6 +166,7 @@ def cmd_gen(args) -> int:
         spec = build_spec(args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    check_output(args.output)
     try:
         examples = build_dataset(spec, workers=args.workers)
     except GenerationExhausted as exc:
@@ -165,22 +179,27 @@ def cmd_gen(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.shots < 0:
+        raise ConfigError("-k must be >= 0")
     if args.shots > 0 and not args.shots_file:
         raise ConfigError("--shots-file is required when -k > 0")
     examples = read_input(args.dataset)
-    shots_pool = read_input(args.shots_file) if args.shots > 0 else None
-    pool = TemplatePool.for_task(examples[0].task) if examples else None
+    shots_pool = read_input(args.shots_file) if args.shots > 0 else []
+    check_output(args.output)
+    positions: dict[str, list[int]] = {}
+    for position, shot in enumerate(shots_pool):
+        positions.setdefault(shot.id, []).append(position)
     with open(args.output, "w", encoding="utf-8") as handle:
         for example in examples:
             shots = []
-            if shots_pool is not None:
-                config = FewShotConfig(k=args.shots,
-                                       seed=derive_seed(args.seed, example.id))
-                shots = draw_shots(shots_pool, config, example.id)
+            if args.shots:
+                shots = draw_shots(shots_pool, args.shots,
+                                   derive_seed(args.seed, example.id),
+                                   positions.get(example.id, ()))
             record = {
                 "id": example.id,
-                "prompt": render_prompt(example, args.style, shots, pool=pool),
-                "target": render_target(example, args.style, pool=pool),
+                "prompt": render_prompt(example, args.style, shots),
+                "target": render_target(example, args.style),
             }
             handle.write(json.dumps(record) + "\n")
     print(f"wrote {len(examples)} prompts to {args.output}")
@@ -190,13 +209,14 @@ def cmd_render(args) -> int:
 def cmd_score(args) -> int:
     gold = read_input(args.gold)
     predictions = read_input(args.predictions, read_predictions)
+    report_path = args.report or f"{args.predictions}.report.json"
+    check_output(report_path)
     try:
         report = score(predictions, gold, args.style)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(report.to_text())
-    report_path = args.report or f"{args.predictions}.report.json"
     Path(report_path).write_text(
         json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"report written to {report_path}")

@@ -9,11 +9,10 @@ next to genuinely wrong answers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .promptkit import parse_response
 from .taskgen import Example, read_records
-from .verbalizer import TemplatePool
 
 HOP_RANGE = tuple(range(2, 11))
 
@@ -64,7 +63,6 @@ def score(
     predictions: Iterable[dict],
     gold: Sequence[Example],
     style: str,
-    task: Optional[str] = None,
 ) -> ScoreReport:
     """Exact label match per prediction, aggregated by hop.
 
@@ -72,8 +70,6 @@ def score(
     duplicate ids are errors, not skips.
     """
     by_id = {e.id: e for e in gold}
-    task = task or (gold[0].task if gold else "kinship")
-    pool = TemplatePool.for_task(task)
 
     report = ScoreReport()
     seen: set[str] = set()
@@ -85,7 +81,7 @@ def score(
         example = by_id.get(pid)
         if example is None:
             raise KeyError(f"prediction id {pid} not in gold dataset")
-        parsed = parse_response(item["response"], style, task, pool=pool).relation
+        parsed = parse_response(item["response"], style, example.task).relation
         row = report.per_hop.setdefault(
             example.hop, {"n": 0, "correct": 0, "accuracy": 0.0})
         row["n"] += 1

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .kinship import KINSHIP_LABELS
-from .taskgen import Example, query_endpoints
-from .verbalizer import TemplatePool, read_asset, render_answer
+from .taskgen import Example
+from .verbalizer import (TemplatePool, query_endpoints, read_asset,
+                         render_answer)
 
 STYLES = ("std-p", "eta-p")
 
@@ -35,60 +36,52 @@ def load_prompt_asset(task: str, style: str) -> str:
     return read_asset(f"prompts/{task}_{style}.txt")
 
 
-@dataclass(frozen=True)
-class FewShotConfig:
-    k: int = 5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-
-
 def draw_shots(
-    pool: Sequence[Example], config: FewShotConfig, exclude_id: str
+    pool: Sequence[Example], k: int, seed: int, skip: Sequence[int]
 ) -> list[Example]:
-    """Deterministically pick k in-context examples, never the query itself."""
-    eligible = [e for e in pool if e.id != exclude_id]
-    if len(eligible) < config.k:
-        raise ValueError(f"shot pool has {len(eligible)} usable examples; "
-                         f"need {config.k}")
-    rng = random.Random(config.seed)
-    return rng.sample(eligible, config.k)
+    """Deterministically pick k in-context examples from `pool`, never one
+    at the ascending positions in `skip` (those holding the query's id):
+    the draw `random.Random(seed).sample` makes from the pool without them."""
+    eligible = len(pool) - len(skip)
+    if eligible < k:
+        raise ValueError(f"shot pool has {eligible} usable examples; need {k}")
+    shots = []
+    for index in random.Random(seed).sample(range(eligible), k):
+        for position in skip:
+            if position > index:
+                break
+            index += 1
+        shots.append(pool[index])
+    return shots
 
 
-def _answer_sentence(example: Example, pool: TemplatePool) -> str:
+def _answer_sentence(example: Example) -> str:
     head, tail = query_endpoints(example.query, example.task)
     return render_answer(head, tail, example.answer, example.task)
 
 
-def _triples_block(example: Example, pool: TemplatePool) -> str:
+def _triples_block(example: Example) -> str:
+    pool = TemplatePool.for_task(example.task)
     return "\n".join(
         pool.canonical(r, a, b) for a, r, b in example.gold_triples)
 
 
-def render_target(example: Example, style: str,
-                  pool: Optional[TemplatePool] = None) -> str:
+def render_target(example: Example, style: str) -> str:
     """Gold completion: the answer sentence, preceded under eta-p by the
     ordered gold triples."""
-    pool = pool or TemplatePool.for_task(example.task)
-    answer = _answer_sentence(example, pool)
+    answer = _answer_sentence(example)
     if style == "std-p":
         return answer
     if style == "eta-p":
-        return (f"{_TRIPLES_LEAD_IN}\n{_triples_block(example, pool)}\n"
+        return (f"{_TRIPLES_LEAD_IN}\n{_triples_block(example)}\n"
                 f"Therefore, {answer}")
     raise ValueError(f"unknown prompt style {style!r}")
 
 
 def render_prompt(
-    example: Example,
-    style: str,
-    shots: Sequence[Example] = (),
-    pool: Optional[TemplatePool] = None,
+    example: Example, style: str, shots: Sequence[Example] = ()
 ) -> str:
     """Instruction block, completed shot blocks, then the open query block."""
-    pool = pool or TemplatePool.for_task(example.task)
     for shot in shots:
         if shot.id == example.id:
             raise ValueError(f"shot {shot.id} is the query example")
@@ -102,9 +95,8 @@ def render_prompt(
     def filled(e: Example, completed: bool) -> str:
         text = block.replace("[STORY]", e.story).replace("[QUERY]", e.query)
         if completed:
-            answer = _answer_sentence(e, pool)
-            return (text.replace("[TRIPLES]", _triples_block(e, pool))
-                        .replace("[ANSWER]", answer))
+            return (text.replace("[TRIPLES]", _triples_block(e))
+                        .replace("[ANSWER]", _answer_sentence(e)))
         return text[:text.index("### Output:") + len("### Output:")] + "\n"
 
     parts = [instruction]
@@ -155,10 +147,6 @@ class ParsedResponse:
     relation: Optional[str]
     triples: Optional[list[list[str]]] = None
 
-    @property
-    def unparseable(self) -> bool:
-        return self.relation is None
-
 
 def _final_segment(text: str) -> str:
     idx = text.rfind("Therefore")
@@ -193,15 +181,11 @@ def _extract_triples(text: str, pool: TemplatePool) -> Optional[list[list[str]]]
     return [[a, r, b] for a, r, b in found]
 
 
-def parse_response(
-    text: str, style: str, task: str,
-    pool: Optional[TemplatePool] = None,
-) -> ParsedResponse:
+def parse_response(text: str, style: str, task: str) -> ParsedResponse:
     """Pull the predicted relation (and, under eta-p, the extracted triples)
     out of a free-form model response."""
     relation = _last_relation(_final_segment(text), task)
     triples = None
     if style == "eta-p":
-        pool = pool or TemplatePool.for_task(task)
-        triples = _extract_triples(text, pool)
+        triples = _extract_triples(text, TemplatePool.for_task(task))
     return ParsedResponse(relation=relation, triples=triples)

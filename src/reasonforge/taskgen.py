@@ -24,7 +24,6 @@ import json
 import multiprocessing
 import os
 import random
-import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -42,7 +41,7 @@ from .sampler import (ReasoningChain, SamplingExhausted, oriented_labels,
                       sample_chain)
 from .spatial import SpatialEngine
 from .verbalizer import (TemplatePool, assign_names, name_gender_lookup,
-                         render_query, verbalize_story)
+                         query_endpoints, render_query, verbalize_story)
 
 JSONL_FIELDS = ("id", "task", "hop", "triples", "distractors", "story",
                 "query", "answer", "gold_triples", "augmentation", "seed")
@@ -207,15 +206,6 @@ def _apply_augmentation(
     return no_augment(chain)
 
 
-_POOLS: dict[str, TemplatePool] = {}
-
-
-def _pool(task: str) -> TemplatePool:
-    if task not in _POOLS:
-        _POOLS[task] = TemplatePool.for_task(task)
-    return _POOLS[task]
-
-
 def generate_candidate(
     spec: DatasetSpec, hop: int, index: int, attempt: int
 ) -> Optional[Example]:
@@ -248,8 +238,8 @@ def generate_candidate(
     named_nodes = list(walk) + [t.object for t, _ in aug.distractors]
     names = assign_names(named_nodes, spec.task, derive_seed(*base, "names"),
                          genders=graph.engine.genders)
-    pool = _pool(spec.task)
-    story = verbalize_story(aug, names, pool, derive_seed(*base, "story"))
+    story = verbalize_story(aug, names, TemplatePool.for_task(spec.task),
+                            derive_seed(*base, "story"))
 
     def named(t) -> list[str]:
         return [names[t.subject], t.relation, names[t.object]]
@@ -362,19 +352,6 @@ def read_records(path, record: Callable[[dict], object]) -> list:
 # --------------------------------------------------------------------------
 # verification
 # --------------------------------------------------------------------------
-
-_QUERY_PATTERNS = {
-    "kinship": r"What is the relationship of (\S+) to (\S+)\?",
-    "spatial": r"What is the relation of the agent (\S+) to the agent (\S+)\?",
-}
-
-
-def query_endpoints(query: str, task: str) -> tuple[str, str]:
-    m = re.fullmatch(_QUERY_PATTERNS[task], query)
-    if not m:
-        raise ValueError(f"unparseable query: {query!r}")
-    return m.group(1), m.group(2)
-
 
 @dataclass
 class VerificationReport:

@@ -38,16 +38,17 @@ SPATIAL_ANSWER_PHRASES = {
 }
 
 
-_PACKAGED_DATA = Path(__file__).parent / "data"
+_PACKAGED_DATA = (Path(__file__).parent / "data").absolute()
 
 
 def data_dir() -> Path:
-    """Directory holding template, name, prompt, and preset assets.
+    """Absolute directory holding template, name, prompt, and preset assets.
 
-    REASONFORGE_DATA_DIR overrides the packaged data.
+    REASONFORGE_DATA_DIR overrides the packaged data; a relative override
+    is taken from the current working directory.
     """
     override = os.environ.get("REASONFORGE_DATA_DIR")
-    return Path(override) if override else _PACKAGED_DATA
+    return Path(override).absolute() if override else _PACKAGED_DATA
 
 
 @lru_cache(maxsize=None)
@@ -56,13 +57,8 @@ def _read_text(path: Path) -> str:
 
 
 def read_asset(name: str) -> str:
-    """Text of a data asset, read from disk once per process and absolute
-    path (so a relative REASONFORGE_DATA_DIR stays tied to the cwd)."""
-    return _read_text((data_dir() / name).absolute())
-
-
-def _load_json(name: str) -> dict:
-    return json.loads(read_asset(name))
+    """Text of a data asset, read from disk once per process and path."""
+    return _read_text(data_dir() / name)
 
 
 class TemplatePool:
@@ -88,8 +84,8 @@ class TemplatePool:
 
     @classmethod
     def for_task(cls, task: str) -> "TemplatePool":
-        data = _load_json(f"templates_{task}.json")
-        return cls(data["templates"], data["name_pattern"])
+        """The task's pool, built once per process and data directory."""
+        return _task_pool(task, data_dir())
 
     def canonical(self, relation: str, a: str, b: str) -> str:
         return self.templates[relation][0].format(A=a, B=b)
@@ -106,8 +102,14 @@ class TemplatePool:
         return [found[pos] for pos in sorted(found)]
 
 
+@lru_cache(maxsize=None)
+def _task_pool(task: str, directory: Path) -> TemplatePool:
+    data = json.loads(_read_text(directory / f"templates_{task}.json"))
+    return TemplatePool(data["templates"], data["name_pattern"])
+
+
 def load_name_pools() -> dict[str, list[str]]:
-    return _load_json("names.json")
+    return json.loads(read_asset("names.json"))
 
 
 def name_gender_lookup() -> dict[str, str]:
@@ -161,10 +163,25 @@ def verbalize_story(
     return " ".join(sentences)
 
 
+# The query sentence per task, with head and tail slots; query_endpoints
+# parses it back.
+_QUERY_FORMS = {
+    "kinship": "What is the relationship of {} to {}?",
+    "spatial": "What is the relation of the agent {} to the agent {}?",
+}
+_QUERY_MATCHERS = {task: re.compile(re.escape(form).replace(r"\{\}", r"(\S+)"))
+                   for task, form in _QUERY_FORMS.items()}
+
+
 def render_query(head: str, tail: str, task: str) -> str:
-    if task == "kinship":
-        return f"What is the relationship of {head} to {tail}?"
-    return f"What is the relation of the agent {head} to the agent {tail}?"
+    return _QUERY_FORMS[task].format(head, tail)
+
+
+def query_endpoints(query: str, task: str) -> tuple[str, str]:
+    m = _QUERY_MATCHERS[task].fullmatch(query)
+    if not m:
+        raise ValueError(f"unparseable query: {query!r}")
+    return m.group(1), m.group(2)
 
 
 def render_answer(head: str, tail: str, relation: str, task: str) -> str:

@@ -170,6 +170,13 @@ GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
      "{dir}/fields.jsonl:1: missing field"),
     (["score", "--predictions", "{dir}/preds.jsonl", "--gold", "{dir}/d.jsonl"],
      "{dir}/preds.jsonl:2: "),
+    (GEN + ["-o", "{dir}/nodir/x.jsonl"], "cannot write {dir}/nodir/x.jsonl"),
+    (["render", "--dataset", "{dir}/d.jsonl", "--style", "std-p",
+      "-o", "{dir}/nodir/p.jsonl"], "cannot write {dir}/nodir/p.jsonl"),
+    (["score", "--predictions", "{dir}/answers.jsonl", "--gold", "{dir}/d.jsonl",
+      "--report", "{dir}/nodir/r.json"], "cannot write {dir}/nodir/r.json"),
+    (["render", "--dataset", "{dir}/d.jsonl", "--style", "std-p", "-k", "-1",
+      "-o", "{dir}/p.jsonl"], "-k must be >= 0"),
 ])
 def test_bad_input_fails_fast(tmp_path, capsys, argv, message):
     dataset = tmp_path / "d.jsonl"
@@ -179,16 +186,18 @@ def test_bad_input_fails_fast(tmp_path, capsys, argv, message):
     (tmp_path / "fields.jsonl").write_text(json.dumps({"id": "x"}) + "\n")
     (tmp_path / "preds.jsonl").write_text(
         json.dumps({"id": "spatial-2-0", "response": "x"}) + "\n[1, 2]\n")
+    (tmp_path / "answers.jsonl").write_text(
+        json.dumps({"id": "spatial-2-0", "response": "x"}) + "\n")
     capsys.readouterr()
     out = tmp_path / "out.jsonl"
     argv = [a.format(dir=tmp_path) for a in argv]
-    if argv[0] == "gen":
+    if argv[0] == "gen" and "-o" not in argv:
         argv += ["-o", str(out)]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert message.format(dir=tmp_path) in err
-    assert not out.exists()
+    assert not out.exists() and not (tmp_path / "p.jsonl").exists()
 
 
 def test_verify_empty(tmp_path):

@@ -143,9 +143,14 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
                                        "{A} is directly above {B}."]
     (custom / "templates_spatial.json").write_text(json.dumps(templates))
 
+    packaged = TemplatePool.for_task("spatial")
+    assert TemplatePool.for_task("spatial") is packaged
     monkeypatch.setenv("REASONFORGE_DATA_DIR", str(custom))
     pool = TemplatePool.for_task("spatial")
+    assert pool is not packaged and TemplatePool.for_task("spatial") is pool
     assert pool.canonical("above", "A", "B") == "A hovers right over B."
+    monkeypatch.delenv("REASONFORGE_DATA_DIR")
+    assert TemplatePool.for_task("spatial") is packaged
 
 
 def test_assets_read_once_per_path():
