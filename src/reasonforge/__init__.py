@@ -10,7 +10,7 @@ from .augment import add_edge_noise, flip_edges, no_augment, permute
 from .evalkit import ScoreReport, score, stats_table
 from .kinship import KINSHIP_LABELS, KinshipEngine
 from .promptkit import parse_response, render_prompt, render_target
-from .relgraph import GrowthConfig, RelationalGraph, Triple, grow_graph
+from .relgraph import RelationalGraph, Triple, grow_graph
 from .sampler import ReasoningChain, sample_chain
 from .spatial import SPATIAL_LABELS, SpatialEngine
 from .taskgen import (DatasetSpec, Example, build_dataset, corrupt,
@@ -19,7 +19,7 @@ from .taskgen import (DatasetSpec, Example, build_dataset, corrupt,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DatasetSpec", "Example", "GrowthConfig", "KINSHIP_LABELS",
+    "DatasetSpec", "Example", "KINSHIP_LABELS",
     "KinshipEngine", "ReasoningChain", "RelationalGraph", "SPATIAL_LABELS",
     "ScoreReport", "SpatialEngine", "Triple",
     "add_edge_noise", "build_dataset", "corrupt", "flip_edges",

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from .relgraph import RelationalGraph, Triple
-from .sampler import ChainStep, ReasoningChain
+from .sampler import ReasoningChain
 
 
 class NoiseUnavailable(Exception):
@@ -49,11 +49,11 @@ class AugmentedChain:
             for triple in by_slot.get(pos, ()):
                 items.append(("noise", triple))
             if pos < hop:
-                items.append(("core", self.chain.steps[self.story_order[pos]].triple))
+                items.append(("core", self.chain.steps[self.story_order[pos]]))
         return items
 
     def core_story_triples(self) -> list[Triple]:
-        return [self.chain.steps[i].triple for i in self.story_order]
+        return [self.chain.steps[i] for i in self.story_order]
 
 
 def no_augment(chain: ReasoningChain) -> AugmentedChain:
@@ -84,7 +84,7 @@ def add_edge_noise(
     aug = no_augment(chain)
     if k == 0:
         return aug
-    on_chain = chain.node_set()
+    on_chain = set(chain.walk)
     candidates = sorted(
         (s, o) for (s, o) in graph.edges
         if s in on_chain and o not in on_chain
@@ -134,8 +134,7 @@ def flip_edges(
     )
 
 
-def flip_step(step: ChainStep, graph: RelationalGraph) -> ChainStep:
-    t = step.triple
-    inverse = graph.engine.invert_label(t.relation, t.object)
-    return ChainStep(Triple(t.object, inverse, t.subject),
-                     reversed=not step.reversed)
+def flip_step(step: Triple, graph: RelationalGraph) -> Triple:
+    """The same fact read from the other endpoint: (b, r', a) for (a, r, b)."""
+    inverse = graph.engine.invert_label(step.relation, step.object)
+    return Triple(step.object, inverse, step.subject)

@@ -78,11 +78,11 @@ def load_preset(task: str, name: str) -> dict:
     return json.loads(text)
 
 
-def read_input(path, reader=read_jsonl) -> list:
-    """reader(path), with an unreadable file or a malformed line as a
-    ConfigError."""
+def read_input(path, reader=None) -> list:
+    """reader(path), read_jsonl by default, with an unreadable file or a
+    malformed line as a ConfigError."""
     try:
-        return reader(path)
+        return (reader or read_jsonl)(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:
@@ -144,9 +144,6 @@ def build_spec(args) -> DatasetSpec:
     kwargs = {}
     if mix is not None:
         kwargs["augmentation_mix"] = tuple(dict(e) for e in mix)
-    growth_set = config.get("growth_set", preset.get("growth_set"))
-    if growth_set is not None:
-        kwargs["growth_set"] = tuple(growth_set)
 
     return DatasetSpec.make(
         task,
@@ -185,10 +182,16 @@ def cmd_render(args) -> int:
         raise ConfigError("--shots-file is required when -k > 0")
     examples = read_input(args.dataset)
     shots_pool = read_input(args.shots_file) if args.shots > 0 else []
-    check_output(args.output)
     positions: dict[str, list[int]] = {}
     for position, shot in enumerate(shots_pool):
         positions.setdefault(shot.id, []).append(position)
+    if args.shots and examples:
+        # draw_shots skips the query's own id in the pool
+        usable = len(shots_pool) - max(len(positions.get(e.id, ())) for e in examples)
+        if usable < args.shots:
+            raise ConfigError(f"-k {args.shots} exceeds the {usable} shots "
+                              f"{args.shots_file} can give")
+    check_output(args.output)
     with open(args.output, "w", encoding="utf-8") as handle:
         for example in examples:
             shots = []
@@ -229,7 +232,9 @@ def cmd_verify(args) -> int:
     for mismatch in report.mismatches[:20]:
         print(f"  {mismatch['id']}: expected {mismatch['expected']}, "
               f"derived {mismatch['derived']}")
-    print("hop histogram:", json.dumps(report.to_dict()["hop_histogram"]))
+    summary = report.to_dict()
+    print("hop histogram:", json.dumps(summary["hop_histogram"]))
+    print("label distribution:", json.dumps(summary["label_distribution"]))
     return 1 if report.mismatches else 0
 
 

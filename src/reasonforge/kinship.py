@@ -252,6 +252,7 @@ class KinshipEngine:
     task = "kinship"
     labels = KINSHIP_LABELS
     default_growth = KINSHIP_LABELS
+    random_growth = True
 
     def __init__(self) -> None:
         self.genealogy = Genealogy()
@@ -275,6 +276,10 @@ class KinshipEngine:
 
     def chain_relation(self, labels: list[str]) -> Optional[str]:
         return chain_relation(labels)
+
+    def ground_truth(self, head: int, tail: int, labels: list[str]) -> Optional[str]:
+        """Answer of a head-to-tail walk: the genealogy's own relation."""
+        return self.derive(head, tail)
 
     # -- realization ----------------------------------------------------------
 

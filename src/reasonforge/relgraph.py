@@ -37,35 +37,17 @@ class Triple:
     object: int
 
 
-@dataclass(frozen=True)
-class GrowthConfig:
-    iterations: int
-    seed: int = 0
-    growth_set: Optional[Sequence[str]] = None
-
-    def __post_init__(self) -> None:
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.growth_set is not None and not self.growth_set:
-            raise ValueError("growth set must be nonempty")
-
-
 class RelationalGraph:
     """Nodes, directed relation-labeled edges, and the engine that owns the
     ground facts behind them."""
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.task: str = engine.task
         self.nodes: list[int] = []
         self.edges: dict[tuple[int, int], str] = {}
         self.incoming: dict[int, set[str]] = {}  # node -> labels of edges into it
         self.growth_log: list[tuple[int, str, str]] = []
         self._outgoing: Optional[dict[int, list[tuple[int, str]]]] = None
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def add_node(self, node: int) -> None:
         if node in self.incoming:
@@ -112,18 +94,23 @@ def _attach(graph: RelationalGraph, node: int) -> None:
             graph.add_edge(other, backward, node)
 
 
-def grow_graph(engine: Engine, config: GrowthConfig) -> RelationalGraph:
-    """Run the iterative construction and return the closed graph."""
-    rng = random.Random(config.seed)
-    graph = RelationalGraph(engine)
-    graph.add_node(engine.new_root(rng))
-
-    growth_set = tuple(config.growth_set or engine.default_growth)
+def grow_graph(engine: Engine, iterations: int, seed: int = 0,
+               growth_set: Optional[Sequence[str]] = None) -> RelationalGraph:
+    """Run `iterations` rounds of the construction and return the closed
+    graph; growth_set defaults to the engine's default growth labels."""
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    if growth_set is not None and not growth_set:
+        raise ValueError("growth set must be nonempty")
+    growth_set = tuple(growth_set or engine.default_growth)
     for label in growth_set:
         if label not in engine.labels:
             raise ValueError(f"{label!r} is not a {engine.task} relation")
 
-    for _ in range(config.iterations):
+    rng = random.Random(seed)
+    graph = RelationalGraph(engine)
+    graph.add_node(engine.new_root(rng))
+    for _ in range(iterations):
         snapshot = sorted(graph.nodes)
         for node in snapshot:
             for relation in growth_set:

@@ -12,7 +12,8 @@ admits a neighbor only while the head-to-current relation stays defined, so
 long chains whose steps entail their answer are reachable; blind walks
 almost never find them.  A node-expansion budget bounds the search.
 
-Sampled steps are never reversed; only direction flips make reversed steps.
+Step i of a sampled chain is the triple (walk[i], label, walk[i+1]); only a
+direction flip rewrites a step against the walk.
 """
 
 from __future__ import annotations
@@ -28,21 +29,10 @@ class SamplingExhausted(Exception):
     """No valid walk found within the search budget."""
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    """One hop: the stored edge plus its orientation along the walk.
-
-    reversed is True when the stored triple runs walk[i+1] -> walk[i].
-    """
-
-    triple: Triple
-    reversed: bool = False
-
-
 @dataclass
 class ReasoningChain:
     walk: list[int]
-    steps: list[ChainStep]
+    steps: list[Triple]
 
     @property
     def hop(self) -> int:
@@ -55,9 +45,6 @@ class ReasoningChain:
     @property
     def tail(self) -> int:
         return self.walk[-1]
-
-    def node_set(self) -> frozenset[int]:
-        return frozenset(self.walk)
 
 
 def sample_chain(graph: RelationalGraph, length: int, seed: int,
@@ -108,16 +95,7 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
         if len(walk) == length + 1:
             edges = graph.edges
             return ReasoningChain(walk=walk, steps=[
-                ChainStep(Triple(a, edges[(a, b)], b)) for a, b in zip(walk, walk[1:])])
+                Triple(a, edges[(a, b)], b) for a, b in zip(walk, walk[1:])])
         budget -= 1
         stack.append(frontier(node, acc))
     raise SamplingExhausted(f"no walk of length {length} within the search budget")
-
-
-def oriented_labels(chain: ReasoningChain, graph: RelationalGraph) -> list[str]:
-    """Per-step labels read in walk direction: element i is the relation of
-    walk[i] to walk[i+1], inverting steps stored against the walk."""
-    invert = graph.engine.invert_label
-    return [invert(step.triple.relation, chain.walk[i]) if step.reversed
-            else step.triple.relation
-            for i, step in enumerate(chain.steps)]

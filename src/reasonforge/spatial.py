@@ -84,6 +84,7 @@ class SpatialEngine:
     default_growth = tuple(r for r in SPATIAL_LABELS if r != "overlaps")
     genders = None  # letters carry no gender
     fold = None  # every chain of labels has a label: walks prune nothing
+    random_growth = False  # growth draws nothing: every seed grows one grid
 
     def __init__(self) -> None:
         self.pos: dict[int, tuple[int, int]] = {}
@@ -134,4 +135,8 @@ class SpatialEngine:
         return invert(relation)
 
     def chain_relation(self, labels: Sequence[str]) -> str:
+        return chain_relation(labels)
+
+    def ground_truth(self, head: int, tail: int, labels: Sequence[str]) -> str:
+        """The steps' unit-offset sum, as a reader computes it from the story."""
         return chain_relation(labels)

@@ -36,9 +36,8 @@ from .kinship import KinshipEngine
 from .oracle import (InconsistentWorld, coordinate_relation,
                      genealogy_relation, kinship_world_from_triples,
                      spatial_world_from_triples)
-from .relgraph import GrowthConfig, RelationalGraph, grow_graph
-from .sampler import (ReasoningChain, SamplingExhausted, oriented_labels,
-                      sample_chain)
+from .relgraph import RelationalGraph, grow_graph
+from .sampler import ReasoningChain, SamplingExhausted, sample_chain
 from .spatial import SpatialEngine
 from .verbalizer import (TemplatePool, assign_names, name_gender_lookup,
                          query_endpoints, render_query, verbalize_story)
@@ -84,13 +83,16 @@ class DatasetSpec:
     counts: tuple[tuple[int, int], ...]  # (hop, count) pairs
     seed: int = 0
     graph_iterations: Optional[int] = None
-    growth_set: Optional[tuple[str, ...]] = None
     augmentation_mix: tuple = DEFAULT_AUGMENTATION_MIX
     graphs_per_hop: int = 0  # 0 grows a fresh graph per example
 
     def __post_init__(self) -> None:
         if self.task not in ENGINES:
             raise ValueError(f"unknown task {self.task!r}")
+        if self.graph_iterations is not None and self.graph_iterations < 0:
+            raise ValueError("graph iterations must be >= 0")
+        if self.graphs_per_hop < 0:
+            raise ValueError("graphs per hop must be >= 0")
         for hop, count in self.counts:
             if hop < 1 or count < 0:
                 raise ValueError(f"bad bucket ({hop}, {count})")
@@ -148,21 +150,16 @@ class Example:
 # --------------------------------------------------------------------------
 
 def corrupt(chain: ReasoningChain, graph: RelationalGraph) -> Optional[str]:
-    """Withheld label: the relation of the chain head to the chain tail.
-
-    Spatial chains are resolved by summing per-step offsets; kinship chains
-    by ground-truth derivation.  None signals an out-of-vocabulary relation
-    and asks the caller to resample.
-    """
-    if graph.task == "spatial":
-        return graph.engine.chain_relation(oriented_labels(chain, graph))
-    return graph.engine.derive(chain.head, chain.tail)
+    """Withheld label of a sampled chain: the engine's ground truth for head
+    to tail, or None (out of vocabulary) to ask the caller to resample."""
+    labels = [step.relation for step in chain.steps]
+    return graph.engine.ground_truth(chain.head, chain.tail, labels)
 
 
 def entailed_relation(chain: ReasoningChain, graph: RelationalGraph) -> Optional[str]:
-    """Head-to-tail label forced by the step relations alone (the reader's
-    view), or None when the steps do not pin down a unique label."""
-    return graph.engine.chain_relation(oriented_labels(chain, graph))
+    """Head-to-tail label forced by a sampled chain's step relations alone
+    (the reader's view), or None when they do not pin down a unique label."""
+    return graph.engine.chain_relation([step.relation for step in chain.steps])
 
 
 # --------------------------------------------------------------------------
@@ -170,15 +167,13 @@ def entailed_relation(chain: ReasoningChain, graph: RelationalGraph) -> Optional
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def _cached_graph(task: str, iterations: int, growth_set: Optional[tuple[str, ...]],
-                  seed: int) -> RelationalGraph:
-    return grow_graph(ENGINES[task](), GrowthConfig(
-        iterations=iterations, seed=seed, growth_set=growth_set))
+def _cached_graph(task: str, iterations: int, seed: int) -> RelationalGraph:
+    return grow_graph(ENGINES[task](), iterations, seed)
 
 
 def _graph_for(spec: DatasetSpec, hop: int, index: int, attempt: int) -> RelationalGraph:
-    if spec.task == "spatial":
-        seed = 0  # spatial growth draws nothing from the rng
+    if not ENGINES[spec.task].random_growth:
+        seed = 0  # every seed grows the same graph; grow it once
     elif spec.graphs_per_hop > 0:
         seed = derive_seed(spec.seed, spec.task, "graph", hop,
                            index % spec.graphs_per_hop)
@@ -189,7 +184,7 @@ def _graph_for(spec: DatasetSpec, hop: int, index: int, attempt: int) -> Relatio
         # a few walk seeds share each grown graph.
         regrow = attempt if hop >= 9 else attempt // 3
         seed = derive_seed(spec.seed, spec.task, "graph", hop, index, regrow)
-    return _cached_graph(spec.task, spec.iterations, spec.growth_set, seed)
+    return _cached_graph(spec.task, spec.iterations, seed)
 
 
 def _apply_augmentation(
@@ -218,6 +213,11 @@ def generate_candidate(
                              budget=3500 if hop >= 10 else 800)
     except SamplingExhausted:
         return None
+    # every augmentation keeps the head-to-tail answer, so read it once here
+    answer = corrupt(chain, graph)
+    if answer is None or entailed_relation(chain, graph) != answer:
+        # out of vocabulary, or the story triples alone do not force it
+        return None
 
     mix = spec.augmentation_mix
     kind_rng = random.Random(derive_seed(*base, "kind"))
@@ -225,13 +225,6 @@ def generate_candidate(
     try:
         aug = _apply_augmentation(chain, graph, entry, derive_seed(*base, "augment"))
     except NoiseUnavailable:
-        return None
-
-    answer = corrupt(aug.chain, graph)
-    if answer is None:
-        return None
-    if entailed_relation(aug.chain, graph) != answer:
-        # story triples alone do not force the ground-truth label; resample
         return None
 
     walk = aug.chain.walk
@@ -253,7 +246,7 @@ def generate_candidate(
         story=story,
         query=render_query(names[walk[0]], names[walk[-1]], spec.task),
         answer=answer,
-        gold_triples=[named(s.triple) for s in aug.chain.steps],
+        gold_triples=[named(t) for t in aug.chain.steps],
         augmentation=aug.record,
         seed=[spec.seed, index],
     )

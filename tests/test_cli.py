@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from reasonforge import cli
 from reasonforge.cli import main, parse_aug, parse_counts, parse_hops
 from reasonforge.taskgen import read_jsonl
 
@@ -141,10 +143,15 @@ def test_verify_clean_and_corrupted(tmp_path, capsys):
     dataset = tmp_path / "d.jsonl"
     run(["gen", "--task", "clutrr", "--hops", "2:3", "--count", "4",
          "--seed", "6", "-o", str(dataset)])
+    capsys.readouterr()
     assert run(["verify", "--dataset", str(dataset)]) == 0
-    assert "0 mismatches" in capsys.readouterr().out
-
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "8 examples, 0 mismatches"
+    assert out[1] == 'hop histogram: {"2": 4, "3": 4}'
     lines = [json.loads(l) for l in dataset.read_text().splitlines()]
+    labels = dict(sorted(Counter(l["answer"] for l in lines).items()))
+    assert out[2] == "label distribution: " + json.dumps(labels)
+
     lines[0]["answer"] = "uncle" if lines[0]["answer"] != "uncle" else "aunt"
     corrupted = tmp_path / "bad.jsonl"
     corrupted.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
@@ -177,6 +184,11 @@ GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
       "--report", "{dir}/nodir/r.json"], "cannot write {dir}/nodir/r.json"),
     (["render", "--dataset", "{dir}/d.jsonl", "--style", "std-p", "-k", "-1",
       "-o", "{dir}/p.jsonl"], "-k must be >= 0"),
+    (["render", "--dataset", "{dir}/d.jsonl", "--style", "std-p", "-k", "1",
+      "--shots-file", "{dir}/d.jsonl", "-o", "{dir}/p.jsonl"],
+     "-k 1 exceeds the 0 shots {dir}/d.jsonl can give"),
+    (GEN + ["--graph-iters", "-1"], "graph iterations must be >= 0"),
+    (GEN + ["--graphs-per-hop", "-1"], "graphs per hop must be >= 0"),
 ])
 def test_bad_input_fails_fast(tmp_path, capsys, argv, message):
     dataset = tmp_path / "d.jsonl"
@@ -198,6 +210,23 @@ def test_bad_input_fails_fast(tmp_path, capsys, argv, message):
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert message.format(dir=tmp_path) in err
     assert not out.exists() and not (tmp_path / "p.jsonl").exists()
+
+
+def test_verify_reads_through_module_reader(tmp_path, monkeypatch):
+    # read_jsonl is looked up when called, so a wrapper installed on the
+    # module (as a tracer does) sees every dataset read
+    dataset = tmp_path / "d.jsonl"
+    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+         "--seed", "0", "-o", str(dataset)])
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return read_jsonl(path)
+
+    monkeypatch.setattr(cli, "read_jsonl", counting)
+    assert run(["verify", "--dataset", str(dataset)]) == 0
+    assert calls == [str(dataset)]
 
 
 def test_verify_empty(tmp_path):

@@ -8,7 +8,7 @@ from reasonforge.oracle import (InconsistentWorld, coordinate_relation,
                                 kinship_world_from_triples,
                                 spatial_world_from_coords,
                                 spatial_world_from_triples)
-from reasonforge.relgraph import GrowthConfig, grow_graph
+from reasonforge.relgraph import grow_graph
 
 
 # -- coordinate oracle -----------------------------------------------------------
@@ -133,7 +133,7 @@ def test_reconstruction_does_not_overreach():
 def test_oracle_matches_engine_everywhere():
     for seed in range(20):
         eng = KinshipEngine()
-        grow_graph(eng, GrowthConfig(iterations=1, seed=seed))
+        grow_graph(eng, 1, seed=seed)
         world = kinship_world_from_genealogy(eng.genealogy)
         people = eng.genealogy.persons()
         for u in people:

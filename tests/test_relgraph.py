@@ -7,39 +7,35 @@ from reasonforge.kinship import KinshipEngine
 from reasonforge.oracle import (coordinate_relation, genealogy_relation,
                                 kinship_world_from_genealogy,
                                 spatial_world_from_coords)
-from reasonforge.relgraph import GrowthConfig, RelationalGraph, grow_graph
+from reasonforge.relgraph import RelationalGraph, grow_graph
 from reasonforge.spatial import SpatialEngine
 
 
 def spatial_graph(iterations, seed=0, growth_set=None):
-    return grow_graph(SpatialEngine(),
-                      GrowthConfig(iterations=iterations, seed=seed,
-                                   growth_set=growth_set))
+    return grow_graph(SpatialEngine(), iterations, seed=seed, growth_set=growth_set)
 
 
 def kinship_graph(iterations, seed=0, growth_set=None):
-    return grow_graph(KinshipEngine(),
-                      GrowthConfig(iterations=iterations, seed=seed,
-                                   growth_set=growth_set))
+    return grow_graph(KinshipEngine(), iterations, seed=seed, growth_set=growth_set)
 
 
 def test_growth_config_validation():
     with pytest.raises(ValueError):
-        GrowthConfig(iterations=-1)
+        kinship_graph(-1)
     with pytest.raises(ValueError):
-        GrowthConfig(iterations=1, growth_set=())
+        spatial_graph(1, growth_set=())
 
 
 def test_zero_iterations_single_node():
     g = kinship_graph(0)
     assert len(g.nodes) == 1
-    assert g.edge_count == 0
+    assert len(g.edges) == 0
 
 
 def test_spatial_one_iteration_shape():
     g = spatial_graph(1)
     assert len(g.nodes) == 9
-    assert g.edge_count == 72
+    assert len(g.edges) == 72
     # every ordered pair related, labels match an independent coordinate check
     pos = g.engine.pos
     assert sorted(pos.values()) == sorted(
@@ -82,8 +78,7 @@ def test_relation_between():
 
 def test_relation_between_kinship_mother_of_sibling():
     eng = KinshipEngine()
-    g = grow_graph(eng, GrowthConfig(iterations=1, seed=5,
-                                     growth_set=("brother", "mother")))
+    g = grow_graph(eng, 1, seed=5, growth_set=("brother", "mother"))
     root = 0
     brothers = [n for n in g.nodes if g.edge_between(n, root) == "brother"]
     mothers = [n for n in g.nodes if g.edge_between(n, root) == "mother"]
@@ -99,8 +94,7 @@ def test_growth_monotonic_and_absence_sound():
         previous_nodes: set[int] = set()
         previous_edges: set = set()
         for iterations in range(3):
-            g = grow_graph(KinshipEngine(),
-                           GrowthConfig(iterations=iterations, seed=seed))
+            g = grow_graph(KinshipEngine(), iterations, seed=seed)
             nodes = set(g.nodes)
             edges = set(g.edges.items())
             assert previous_nodes <= nodes
@@ -119,7 +113,7 @@ def test_growth_monotonic_and_absence_sound():
 def test_deduction_consistency_kinship():
     for seed in range(30):
         eng = KinshipEngine()
-        g = grow_graph(eng, GrowthConfig(iterations=1, seed=seed))
+        g = grow_graph(eng, 1, seed=seed)
         world = kinship_world_from_genealogy(eng.genealogy)
         for (s, o), r in g.edges.items():
             assert genealogy_relation(world, s, o) == r
@@ -134,8 +128,7 @@ def test_deduction_consistency_deeper_growth():
     for iterations, growth_set in configs:
         for seed in range(seeds_per_config):
             eng = KinshipEngine()
-            g = grow_graph(eng, GrowthConfig(iterations=iterations, seed=seed,
-                                             growth_set=growth_set))
+            g = grow_graph(eng, iterations, seed=seed, growth_set=growth_set)
             world = kinship_world_from_genealogy(eng.genealogy)
             for (s, o), r in g.edges.items():
                 assert genealogy_relation(world, s, o) == r
@@ -144,7 +137,7 @@ def test_deduction_consistency_deeper_growth():
 def test_deduction_consistency_spatial():
     for iterations in (1, 2):
         eng = SpatialEngine()
-        g = grow_graph(eng, GrowthConfig(iterations=iterations))
+        g = grow_graph(eng, iterations)
         world = spatial_world_from_coords(eng.pos)
         for (s, o), r in g.edges.items():
             assert coordinate_relation(world, s, o) == r

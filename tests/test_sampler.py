@@ -4,9 +4,8 @@ import pytest
 
 from reasonforge.augment import flip_step
 from reasonforge.kinship import KinshipEngine, chain_relation
-from reasonforge.relgraph import GrowthConfig, RelationalGraph, grow_graph
-from reasonforge.sampler import (ReasoningChain, SamplingExhausted,
-                                 oriented_labels, sample_chain)
+from reasonforge.relgraph import RelationalGraph, Triple, grow_graph
+from reasonforge.sampler import SamplingExhausted, sample_chain
 from reasonforge.spatial import SpatialEngine
 
 
@@ -32,7 +31,7 @@ def path_graph(n):
 
 
 def spatial_l1():
-    return grow_graph(SpatialEngine(), GrowthConfig(iterations=1))
+    return grow_graph(SpatialEngine(), 1)
 
 
 def test_transition_point_mass():
@@ -68,7 +67,7 @@ def test_dead_end_backtracks():
 
 
 def test_fold_keeps_kinship_chains_entailed():
-    graphs = [grow_graph(KinshipEngine(), GrowthConfig(iterations=1, seed=s))
+    graphs = [grow_graph(KinshipEngine(), 1, seed=s)
               for s in range(3)]
     drawn = 0
     for seed in range(60):
@@ -77,7 +76,7 @@ def test_fold_keeps_kinship_chains_entailed():
             chain = sample_chain(g, 2 + seed % 5, seed)
         except SamplingExhausted:
             continue
-        assert chain_relation(oriented_labels(chain, g)) is not None
+        assert chain_relation([t.relation for t in chain.steps]) is not None
         drawn += 1
     assert drawn >= 50
 
@@ -85,10 +84,7 @@ def test_fold_keeps_kinship_chains_entailed():
 def test_sample_unique_edge():
     g = two_node_graph()
     chain = sample_chain(g, 1, 5)
-    assert chain.hop == 1
-    step = chain.steps[0]
-    assert (step.triple.subject, step.triple.relation, step.triple.object) == (
-        1, "above", 0)
+    assert chain.steps == [Triple(1, "above", 0)]
 
 
 def test_sample_needs_enough_nodes():
@@ -102,25 +98,24 @@ def test_sampled_chains_are_simple_and_edge_valid():
     for seed in range(300):
         chain = sample_chain(g, 2, seed)
         assert len(set(chain.walk)) == 3
-        for i, step in enumerate(chain.steps):
-            t = step.triple
+        for i, t in enumerate(chain.steps):
             assert g.edge_between(t.subject, t.object) == t.relation
             assert (t.subject, t.object) == (chain.walk[i], chain.walk[i + 1])
 
 
 def test_reverse_orientation_recorded():
-    # sampled steps follow stored edges; a flipped step stores the inverse
-    # triple, is marked reversed, and still reads head-first
+    # sampled steps read along the walk; a flip stores the inverse triple
+    # with swapped endpoints, and flipping it again restores the step
     g = spatial_l1()
     for seed in range(50):
         chain = sample_chain(g, 2, seed)
-        assert not any(step.reversed for step in chain.steps)
-        flipped = flip_step(chain.steps[0], g)
-        t = chain.steps[0].triple
-        assert flipped.reversed
-        assert (flipped.triple.subject, flipped.triple.object) == (t.object, t.subject)
-        again = ReasoningChain(walk=chain.walk, steps=[flipped, chain.steps[1]])
-        assert oriented_labels(again, g) == oriented_labels(chain, g)
+        assert [(t.subject, t.object) for t in chain.steps] == list(
+            zip(chain.walk, chain.walk[1:]))
+        t = chain.steps[0]
+        flipped = flip_step(t, g)
+        assert (flipped.subject, flipped.object) == (t.object, t.subject)
+        assert g.edge_between(flipped.subject, flipped.object) == flipped.relation
+        assert flip_step(flipped, g) == t
 
 
 def test_determinism():
@@ -137,22 +132,19 @@ def test_start_coverage():
     assert starts == set(g.nodes)
 
 
-def test_oriented_labels_kinship_inversion():
-    from reasonforge.relgraph import Triple
-    from reasonforge.sampler import ChainStep
-
-    eng = KinshipEngine()
-    root = eng.genealogy.new_person("f")
-    father = eng.genealogy.add_parent(root, "m")
-    g = RelationalGraph(eng)
-    g.add_node(root)
-    g.add_node(father)
-    g.add_edge(father, "father", root)
-    # only the father-direction edge is stored; walking root -> father must
-    # invert it by the walk node's gender
-    chain = ReasoningChain(walk=[root, father], steps=[
-        ChainStep(Triple(father, "father", root), reversed=True)])
-    assert oriented_labels(chain, g) == ["daughter"]
+def test_flip_inverts_by_counterpart_gender():
+    # only the father-direction edge is stored; reading it from the child
+    # inverts the label by the child's gender
+    for gender, inverse in (("f", "daughter"), ("m", "son")):
+        eng = KinshipEngine()
+        child = eng.genealogy.new_person(gender)
+        father = eng.genealogy.add_parent(child, "m")
+        g = RelationalGraph(eng)
+        g.add_node(child)
+        g.add_node(father)
+        g.add_edge(father, "father", child)
+        assert flip_step(Triple(father, "father", child), g) == Triple(
+            child, inverse, father)
 
 
 def test_config_validation():

@@ -5,8 +5,8 @@ import pytest
 
 from reasonforge.cli import main
 from reasonforge.kinship import KinshipEngine
-from reasonforge.relgraph import GrowthConfig, RelationalGraph, Triple, grow_graph
-from reasonforge.sampler import ChainStep, ReasoningChain
+from reasonforge.relgraph import RelationalGraph, Triple, grow_graph
+from reasonforge.sampler import ReasoningChain
 from reasonforge.spatial import SpatialEngine
 from reasonforge.taskgen import (JSONL_FIELDS, DatasetSpec, Example,
                                  GenerationExhausted, build_dataset, corrupt,
@@ -36,26 +36,24 @@ def test_corrupt_one_hop_degenerate():
     g.add_node(root)
     g.add_node(father)
     g.add_edge(father, "father", root)
-    chain = ReasoningChain(walk=[father, root],
-                           steps=[ChainStep(Triple(father, "father", root))])
+    chain = ReasoningChain(walk=[father, root], steps=[Triple(father, "father", root)])
     assert corrupt(chain, g) == "father"
 
 
 def test_corrupt_spatial_uses_offset_sum():
-    g = grow_graph(SpatialEngine(), GrowthConfig(iterations=1))
+    g = grow_graph(SpatialEngine(), 1)
     at = {xy: node for node, xy in g.engine.pos.items()}
     # walk right then up: (0,0) <- (1,0) <- (1,1) read head-first
     chain = ReasoningChain(
         walk=[at[(1, 1)], at[(1, 0)], at[(0, 0)]],
-        steps=[ChainStep(Triple(at[(1, 1)], "above", at[(1, 0)])),
-               ChainStep(Triple(at[(1, 0)], "right", at[(0, 0)]))])
+        steps=[Triple(at[(1, 1)], "above", at[(1, 0)]),
+               Triple(at[(1, 0)], "right", at[(0, 0)])])
     assert corrupt(chain, g) == "upper-right"
 
 
 def test_corrupt_kinship_daughter_sister_niece():
     eng = KinshipEngine()
-    g = grow_graph(eng, GrowthConfig(iterations=1, seed=0,
-                                     growth_set=("sister",)))
+    g = grow_graph(eng, 1, seed=0, growth_set=("sister",))
     root = 0
     assert eng.genealogy.gender[root] == "f"
     sister = next(n for n in g.nodes if g.edge_between(n, root) == "sister")
@@ -64,8 +62,7 @@ def test_corrupt_kinship_daughter_sister_niece():
     _attach(g, daughter)
     chain = ReasoningChain(
         walk=[daughter, sister, root],
-        steps=[ChainStep(Triple(daughter, "daughter", sister)),
-               ChainStep(Triple(sister, "sister", root))])
+        steps=[Triple(daughter, "daughter", sister), Triple(sister, "sister", root)])
     assert corrupt(chain, g) == "niece"
     assert entailed_relation(chain, g) == "niece"
 

@@ -2,8 +2,8 @@ import pytest
 
 from reasonforge.augment import add_edge_noise, no_augment, permute
 from reasonforge.kinship import KINSHIP_LABELS
-from reasonforge.relgraph import GrowthConfig, Triple, grow_graph
-from reasonforge.sampler import ChainStep, ReasoningChain, sample_chain
+from reasonforge.relgraph import Triple, grow_graph
+from reasonforge.sampler import ReasoningChain, sample_chain
 from reasonforge.spatial import SPATIAL_LABELS, SpatialEngine
 from reasonforge.verbalizer import (TemplatePool, assign_names,
                                     name_gender_lookup, render_answer,
@@ -82,7 +82,7 @@ def test_assign_names_spatial_letters():
 
 
 def test_story_one_sentence_per_triple_and_deterministic(spatial_pool):
-    g = grow_graph(SpatialEngine(), GrowthConfig(iterations=1))
+    g = grow_graph(SpatialEngine(), 1)
     chain = sample_chain(g, 3, 8)
     aug = add_edge_noise(chain, g, 1, seed=8)
     nodes = list(chain.walk) + [t.object for t, _ in aug.distractors]
@@ -97,7 +97,7 @@ def test_story_one_sentence_per_triple_and_deterministic(spatial_pool):
 
 
 def test_story_follows_permuted_order(spatial_pool):
-    g = grow_graph(SpatialEngine(), GrowthConfig(iterations=1))
+    g = grow_graph(SpatialEngine(), 1)
     chain = sample_chain(g, 3, 4)
     aug = permute(chain, seed=0)
     names = assign_names(chain.walk, "spatial", seed=4)
@@ -109,7 +109,7 @@ def test_story_follows_permuted_order(spatial_pool):
 
 
 def test_missing_name_is_an_error(spatial_pool):
-    chain = ReasoningChain(walk=[0, 1], steps=[ChainStep(Triple(0, "above", 1))])
+    chain = ReasoningChain(walk=[0, 1], steps=[Triple(0, "above", 1)])
     with pytest.raises(KeyError):
         verbalize_story(no_augment(chain), {0: "A"}, spatial_pool, seed=0)
 
