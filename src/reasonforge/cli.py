@@ -27,6 +27,9 @@ PRESET_FILES = {"kinship": "clutrr_{name}.json", "spatial": "stepgame_{name}.jso
 AUG_KINDS = {"permute": "permutation", "noise": "edge-noise",
              "flip": "direction-flip", "none": "none"}
 
+CONFIG_KEYS = frozenset({"aug", "counts", "graph_iters", "graphs_per_hop", "hops",
+                         "seed", "task"})
+
 
 class ConfigError(Exception):
     """Bad input: reported as one line on stderr with exit status 2."""
@@ -47,17 +50,18 @@ def parse_counts(text: str) -> dict[int, int]:
     return counts
 
 
-def parse_aug(text: str, noise_k: int, flip_count: int) -> tuple[dict, ...]:
-    """--aug values: none | permute | noise:k | flip:n | mix=kind:w,kind:w."""
+def parse_aug(text: str) -> tuple[dict, ...]:
+    """--aug values: none | permute | noise:k | flip:n | mix=kind:w,kind:w;
+    k and n default to 1."""
 
-    def entry(kind: str, weight: float = 1.0, param: int | None = None) -> dict:
+    def entry(kind: str, weight: float = 1.0, param: int = 1) -> dict:
         if kind not in AUG_KINDS:
             raise ConfigError(f"unknown augmentation kind {kind!r}")
         out: dict = {"kind": AUG_KINDS[kind], "weight": weight}
         if kind == "noise":
-            out["k"] = noise_k if param is None else param
+            out["k"] = param
         elif kind == "flip":
-            out["count"] = flip_count if param is None else param
+            out["count"] = param
         return out
 
     if text.startswith("mix="):
@@ -67,7 +71,7 @@ def parse_aug(text: str, noise_k: int, flip_count: int) -> tuple[dict, ...]:
             entries.append(entry(kind.strip(), float(weight) if weight else 1.0))
         return tuple(entries)
     kind, _, param = text.partition(":")
-    return (entry(kind, 1.0, int(param) if param else None),)
+    return (entry(kind, 1.0, int(param) if param else 1),)
 
 
 def load_preset(task: str, name: str) -> dict:
@@ -106,6 +110,12 @@ def build_spec(args) -> DatasetSpec:
     if args.config:
         config = read_input(
             args.config, lambda path: json.loads(Path(path).read_text(encoding="utf-8")))
+        if not isinstance(config, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object")
+        unknown = sorted(set(config) - CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(
+                f"{args.config}: unknown config keys: {', '.join(unknown)}")
 
     task_name = args.task or config.get("task")
     if not task_name or task_name not in TASK_ALIASES:
@@ -133,26 +143,19 @@ def build_spec(args) -> DatasetSpec:
     graph_iterations = (args.graph_iters if args.graph_iters is not None
                         else config.get("graph_iters",
                                         preset.get("graph_iterations")))
-    noise_k = args.noise_k if args.noise_k is not None else config.get("noise_k", 1)
-    flip_count = (args.flip_count if args.flip_count is not None
-                  else config.get("flip_count", 1))
-
     mix = preset.get("augmentation_mix")
     aug_text = args.aug or config.get("aug")
     if aug_text:
-        mix = parse_aug(aug_text, noise_k, flip_count)
-    kwargs = {}
-    if mix is not None:
-        kwargs["augmentation_mix"] = tuple(dict(e) for e in mix)
+        mix = parse_aug(aug_text)
 
     return DatasetSpec.make(
         task,
         counts,
         seed=seed,
         graph_iterations=graph_iterations,
+        augmentation_mix=mix,
         graphs_per_hop=(args.graphs_per_hop if args.graphs_per_hop is not None
                         else config.get("graphs_per_hop", 0)),
-        **kwargs,
     )
 
 
@@ -181,7 +184,14 @@ def cmd_render(args) -> int:
     if args.shots > 0 and not args.shots_file:
         raise ConfigError("--shots-file is required when -k > 0")
     examples = read_input(args.dataset)
-    shots_pool = read_input(args.shots_file) if args.shots > 0 else []
+    shots_pool = []
+    if args.shots > 0:
+        same_file = Path(args.shots_file).resolve() == Path(args.dataset).resolve()
+        shots_pool = examples if same_file else read_input(args.shots_file)
+        tasks = {e.task for e in examples} | {shot.task for shot in shots_pool}
+        if len(tasks) > 1:
+            raise ConfigError(f"{args.shots_file} and {args.dataset} mix tasks: "
+                              + ", ".join(sorted(tasks)))
     positions: dict[str, list[int]] = {}
     for position, shot in enumerate(shots_pool):
         positions.setdefault(shot.id, []).append(position)
@@ -261,8 +271,6 @@ def main(argv=None) -> int:
     gen.add_argument("--counts", help="explicit hop=count pairs, comma separated")
     gen.add_argument("--aug", help="none | permute | noise:k | flip:n | "
                                    "mix=kind:weight,...")
-    gen.add_argument("--noise-k", type=int, default=None)
-    gen.add_argument("--flip-count", type=int, default=None)
     gen.add_argument("--graph-iters", type=int, default=None)
     gen.add_argument("--graphs-per-hop", type=int, default=None,
                      help="reuse this many graphs per hop (0 = fresh each)")

@@ -137,17 +137,7 @@ class Genealogy:
         self.gender[person] = gender
         return person
 
-    def persons(self) -> list[int]:
-        return sorted(self.gender)
-
     # -- primitive queries ---------------------------------------------------
-
-    def parents_of(self, person: int) -> tuple[int, ...]:
-        uid = self.child_unit.get(person)
-        if uid is None:
-            return ()
-        unit = self.units[uid]
-        return tuple(p for p in (unit.father, unit.mother) if p is not None)
 
     def children_of(self, person: int) -> tuple[int, ...]:
         uid = self.parent_unit.get(person)
@@ -218,7 +208,7 @@ class Genealogy:
         self.child_unit[person] = self.parent_unit[parent]
         return person
 
-    def add_sibling(self, person: int, gender: str, rng) -> list[int]:
+    def add_sibling(self, person: int, gender: str) -> list[int]:
         """New co-child of person's unit; fills empty parent seats first so
         every sibling pair shares both parents."""
         created: list[int] = []
@@ -320,7 +310,7 @@ class KinshipEngine:
             return child
 
         def fresh_sibling() -> int:
-            news = g.add_sibling(target, rng.choice(("m", "f")), rng)
+            news = g.add_sibling(target, rng.choice(("m", "f")))
             created.extend(news)
             return news[-1]
 
@@ -347,7 +337,7 @@ class KinshipEngine:
             subject = g.add_child(target, LABEL_GENDER[relation])
             created.append(subject)
         elif relation in ("brother", "sister"):
-            news = g.add_sibling(target, LABEL_GENDER[relation], rng)
+            news = g.add_sibling(target, LABEL_GENDER[relation])
             created.extend(news)
             subject = news[-1]
         elif relation in ("grandfather", "grandmother"):
@@ -357,7 +347,7 @@ class KinshipEngine:
             subject = g.add_child(fresh_child(), LABEL_GENDER[relation])
             created.append(subject)
         elif relation in ("uncle", "aunt"):
-            news = g.add_sibling(pick_parent(), LABEL_GENDER[relation], rng)
+            news = g.add_sibling(pick_parent(), LABEL_GENDER[relation])
             created.extend(news)
             subject = news[-1]
         elif relation in ("nephew", "niece"):

@@ -6,15 +6,12 @@ constants, just the definitional rules evaluated by exhaustive
 quantification over primitive facts.  Constants that also exist in the
 engine modules are duplicated here on purpose.
 
-Two ways to obtain a ground world:
-
-* from the generating process itself (genealogy primitives / coordinates),
-  used to cross-check graph edges during tests;
-* reconstructed from the structured triples of a dataset example, which is
-  what a reader of the story could themselves establish.  Kinship labels
-  are expanded into parent/spouse facts (introducing placeholder persons
-  where a label implies one), siblings are grouped so that co-children
-  share all parents, and spatial triples place agents on a unit grid.
+A ground world is reconstructed from the structured triples of a dataset
+example, which is what a reader of the story could themselves establish.
+Kinship labels are expanded into parent/spouse facts (introducing
+placeholder persons where a label implies one), siblings are grouped so
+that co-children share all parents, and spatial triples place agents on a
+unit grid.
 """
 
 from __future__ import annotations
@@ -36,10 +33,6 @@ class InconsistentWorld(Exception):
 _MALE_LABELS = frozenset({
     "brother", "father", "father-in-law", "grandfather", "grandson",
     "nephew", "son", "son-in-law", "uncle",
-})
-_FEMALE_LABELS = frozenset({
-    "aunt", "daughter", "daughter-in-law", "granddaughter", "grandmother",
-    "mother", "mother-in-law", "niece", "sister",
 })
 
 
@@ -131,35 +124,6 @@ class KinshipWorld:
 
     def siblings(self, a: Person, b: Person) -> bool:
         return a != b and self._find(a) == self._find(b)
-
-
-def kinship_world_from_primitives(
-    gender: Mapping[Person, str],
-    parent_pairs: Iterable[tuple[Person, Person]],
-    spouse_pairs: Iterable[tuple[Person, Person]],
-) -> KinshipWorld:
-    world = KinshipWorld()
-    for person, g in gender.items():
-        world.touch(person, g)
-    for parent, child in parent_pairs:
-        world.add_parent_fact(parent, child)
-    for a, b in spouse_pairs:
-        world.add_spouse_fact(a, b)
-    world.close_sibling_groups()
-    return world
-
-
-def kinship_world_from_genealogy(genealogy) -> KinshipWorld:
-    """Lift a generator genealogy into oracle primitives (facts only; the
-    engine's deduction code is never consulted)."""
-    parent_pairs = []
-    for unit in genealogy.units:
-        for child in unit.children:
-            for parent in (unit.father, unit.mother):
-                if parent is not None:
-                    parent_pairs.append((parent, child))
-    spouse_pairs = [(a, b) for a, b in genealogy.spouse.items() if a < b]
-    return kinship_world_from_primitives(genealogy.gender, parent_pairs, spouse_pairs)
 
 
 def kinship_world_from_triples(
@@ -301,10 +265,6 @@ _LABEL_TO_STEP = {label: sign for sign, label in _SIGN_TO_LABEL.items()}
 class SpatialWorld:
     pos: dict[Person, tuple[int, int]] = field(default_factory=dict)
     consistent: bool = True
-
-
-def spatial_world_from_coords(pos: Mapping[Person, tuple[int, int]]) -> SpatialWorld:
-    return SpatialWorld(pos=dict(pos))
 
 
 def spatial_world_from_triples(

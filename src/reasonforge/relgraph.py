@@ -2,9 +2,9 @@
 
 A graph starts from a single root node.  Each growth iteration scans the
 nodes present at the start of the iteration; for every node v and every
-relation r in the growth set, if no edge (v', r, v) exists yet, the task
-engine attempts to realize a fresh node v_r (possibly with auxiliary
-nodes) so that "v_r is the r of v" holds.  Every new node is then related
+relation r in the engine's default growth labels, if no edge (v', r, v)
+exists yet, the task engine attempts to realize a fresh node v_r (possibly
+with auxiliary nodes) so that "v_r is the r of v" holds.  Every new node is then related
 to all existing nodes by the engine's deduction, so the edge set stays
 closed under deduction at all times.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .kinship import KinshipEngine
 from .spatial import SpatialEngine
@@ -46,7 +46,6 @@ class RelationalGraph:
         self.nodes: list[int] = []
         self.edges: dict[tuple[int, int], str] = {}
         self.incoming: dict[int, set[str]] = {}  # node -> labels of edges into it
-        self.growth_log: list[tuple[int, str, str]] = []
         self._outgoing: Optional[dict[int, list[tuple[int, str]]]] = None
 
     def add_node(self, node: int) -> None:
@@ -67,9 +66,6 @@ class RelationalGraph:
             return
         self.edges[key] = relation
         self.incoming[object].add(relation)
-
-    def edge_between(self, subject: int, object: int) -> Optional[str]:
-        return self.edges.get((subject, object))
 
     def outgoing(self) -> dict[int, list[tuple[int, str]]]:
         """node -> [(object, relation), ...], built once per graph."""
@@ -94,18 +90,11 @@ def _attach(graph: RelationalGraph, node: int) -> None:
             graph.add_edge(other, backward, node)
 
 
-def grow_graph(engine: Engine, iterations: int, seed: int = 0,
-               growth_set: Optional[Sequence[str]] = None) -> RelationalGraph:
-    """Run `iterations` rounds of the construction and return the closed
-    graph; growth_set defaults to the engine's default growth labels."""
+def grow_graph(engine: Engine, iterations: int, seed: int = 0) -> RelationalGraph:
+    """Run `iterations` rounds of the construction over the engine's
+    default growth labels and return the closed graph."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    if growth_set is not None and not growth_set:
-        raise ValueError("growth set must be nonempty")
-    growth_set = tuple(growth_set or engine.default_growth)
-    for label in growth_set:
-        if label not in engine.labels:
-            raise ValueError(f"{label!r} is not a {engine.task} relation")
 
     rng = random.Random(seed)
     graph = RelationalGraph(engine)
@@ -113,17 +102,16 @@ def grow_graph(engine: Engine, iterations: int, seed: int = 0,
     for _ in range(iterations):
         snapshot = sorted(graph.nodes)
         for node in snapshot:
-            for relation in growth_set:
+            for relation in engine.default_growth:
                 if relation in graph.incoming[node]:
                     continue
                 realized = engine.realize(node, relation, rng)
                 if realized is None:
-                    graph.growth_log.append((node, relation, "unrealizable"))
                     continue
                 subject, created = realized
                 for fresh in created:
                     _attach(graph, fresh)
-                if graph.edge_between(subject, node) != relation:
+                if graph.edges.get((subject, node)) != relation:
                     raise AssertionError(
                         f"realized {relation} edge missing for ({subject}, {node})")
     return graph

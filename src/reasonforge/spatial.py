@@ -43,11 +43,6 @@ def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
 
 
-def offset_of(relation: str) -> tuple[int, int]:
-    """Unit displacement (dx, dy) implied by a direction label."""
-    return _OFFSETS[relation]
-
-
 def relation_of_displacement(dx: int, dy: int) -> str:
     """Map an arbitrary displacement to its direction label via signs."""
     return _BY_SIGN[(_sign(dx), _sign(dy))]

@@ -4,11 +4,11 @@ from hypothesis import strategies as st
 
 from reasonforge.augment import (NoiseUnavailable, add_edge_noise, flip_edges,
                                  flip_step, permute)
+from worlds import kinship_world_from_genealogy
+
 from reasonforge.kinship import KinshipEngine
-from reasonforge.oracle import (coordinate_relation, genealogy_relation,
-                                kinship_world_from_genealogy,
-                                spatial_world_from_coords,
-                                spatial_world_from_triples)
+from reasonforge.oracle import (SpatialWorld, coordinate_relation,
+                                genealogy_relation, spatial_world_from_triples)
 from reasonforge.relgraph import RelationalGraph, Triple, grow_graph
 from reasonforge.sampler import ReasoningChain, sample_chain
 from reasonforge.spatial import SpatialEngine
@@ -59,7 +59,7 @@ def test_noise_zero_is_identity():
 
 def test_noise_structure_and_oracle_labels():
     g = spatial_l1()
-    world = spatial_world_from_coords(g.engine.pos)
+    world = SpatialWorld(pos=dict(g.engine.pos))
     for seed in range(40):
         chain = sample_chain(g, 2, seed)
         aug = add_edge_noise(chain, g, 2, seed=seed)
@@ -132,7 +132,7 @@ def test_flip_count_bounds():
 
 def test_flip_preserves_facts():
     g = spatial_l1()
-    world = spatial_world_from_coords(g.engine.pos)
+    world = SpatialWorld(pos=dict(g.engine.pos))
     for seed in range(40):
         chain = sample_chain(g, 3, seed)
         aug = flip_edges(chain, g, 2, seed=seed)

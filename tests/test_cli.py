@@ -18,11 +18,13 @@ def test_parse_helpers():
     assert parse_hops("2:5") == [2, 3, 4, 5]
     assert parse_hops("2,4,9") == [2, 4, 9]
     assert parse_counts("2=10,3=0") == {2: 10, 3: 0}
-    assert parse_aug("noise:3", 1, 1) == (
+    assert parse_aug("noise:3") == (
         {"kind": "edge-noise", "weight": 1.0, "k": 3},)
-    mix = parse_aug("mix=permute:2,flip:1", 1, 2)
+    assert parse_aug("flip") == (
+        {"kind": "direction-flip", "weight": 1.0, "count": 1},)
+    mix = parse_aug("mix=permute:2,flip:1")
     assert mix[0]["kind"] == "permutation" and mix[0]["weight"] == 2.0
-    assert mix[1] == {"kind": "direction-flip", "weight": 1.0, "count": 2}
+    assert mix[1] == {"kind": "direction-flip", "weight": 1.0, "count": 1}
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -189,13 +191,23 @@ GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
      "-k 1 exceeds the 0 shots {dir}/d.jsonl can give"),
     (GEN + ["--graph-iters", "-1"], "graph iterations must be >= 0"),
     (GEN + ["--graphs-per-hop", "-1"], "graphs per hop must be >= 0"),
+    (["render", "--dataset", "{dir}/k.jsonl", "--style", "eta-p", "-k", "1",
+      "--shots-file", "{dir}/d.jsonl", "-o", "{dir}/p.jsonl"],
+     "{dir}/d.jsonl and {dir}/k.jsonl mix tasks: kinship, spatial"),
+    (GEN + ["--config", "{dir}/stale.json"],
+     "{dir}/stale.json: unknown config keys: flip_count, noise_k"),
+    (GEN + ["--config", "{dir}/list.json"], "{dir}/list.json: expected a JSON object"),
 ])
 def test_bad_input_fails_fast(tmp_path, capsys, argv, message):
     dataset = tmp_path / "d.jsonl"
     run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "1",
          "--seed", "0", "-o", str(dataset)])
+    run(["gen", "--task", "clutrr", "--hops", "2:2", "--count", "1",
+         "--seed", "0", "-o", str(tmp_path / "k.jsonl")])
     (tmp_path / "bad.jsonl").write_text(dataset.read_text() + "{not json\n")
     (tmp_path / "fields.jsonl").write_text(json.dumps({"id": "x"}) + "\n")
+    (tmp_path / "stale.json").write_text(json.dumps({"noise_k": 3, "flip_count": 2}))
+    (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "preds.jsonl").write_text(
         json.dumps({"id": "spatial-2-0", "response": "x"}) + "\n[1, 2]\n")
     (tmp_path / "answers.jsonl").write_text(
@@ -227,6 +239,30 @@ def test_verify_reads_through_module_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "read_jsonl", counting)
     assert run(["verify", "--dataset", str(dataset)]) == 0
     assert calls == [str(dataset)]
+
+
+def test_render_reads_a_shared_shots_file_once(tmp_path, monkeypatch):
+    # a shots file that is the dataset itself is parsed once; another file
+    # is read on its own
+    dataset = tmp_path / "d.jsonl"
+    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "3",
+         "--seed", "0", "-o", str(dataset)])
+    other = tmp_path / "other.jsonl"
+    other.write_bytes(dataset.read_bytes())
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return read_jsonl(path)
+
+    monkeypatch.setattr(cli, "read_jsonl", counting)
+    render = ["render", "--dataset", str(dataset), "--style", "eta-p", "-k", "1",
+              "-o", str(tmp_path / "p.jsonl"), "--shots-file"]
+    assert run(render + [str(tmp_path / "." / "d.jsonl")]) == 0
+    assert calls == [str(dataset)]
+    calls.clear()
+    assert run(render + [str(other)]) == 0
+    assert calls == [str(dataset), str(other)]
 
 
 def test_verify_empty(tmp_path):

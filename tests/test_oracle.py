@@ -1,12 +1,11 @@
 import pytest
 
+from worlds import kinship_world_from_genealogy, kinship_world_from_primitives
+
 from reasonforge.kinship import KinshipEngine
-from reasonforge.oracle import (InconsistentWorld, coordinate_relation,
-                                genealogy_relation,
-                                kinship_world_from_genealogy,
-                                kinship_world_from_primitives,
+from reasonforge.oracle import (InconsistentWorld, SpatialWorld,
+                                coordinate_relation, genealogy_relation,
                                 kinship_world_from_triples,
-                                spatial_world_from_coords,
                                 spatial_world_from_triples)
 from reasonforge.relgraph import grow_graph
 
@@ -14,7 +13,7 @@ from reasonforge.relgraph import grow_graph
 # -- coordinate oracle -----------------------------------------------------------
 
 def test_coordinate_relation_cases():
-    world = spatial_world_from_coords({
+    world = SpatialWorld(pos={
         "a": (0, 0), "b": (0, 0), "c": (2, 5), "d": (2, 1), "e": (-3, -3)})
     assert coordinate_relation(world, "a", "b") == "overlaps"
     assert coordinate_relation(world, "c", "d") == "above"
@@ -135,7 +134,7 @@ def test_oracle_matches_engine_everywhere():
         eng = KinshipEngine()
         grow_graph(eng, 1, seed=seed)
         world = kinship_world_from_genealogy(eng.genealogy)
-        people = eng.genealogy.persons()
+        people = sorted(eng.genealogy.gender)
         for u in people:
             for v in people:
                 if u != v:

@@ -1,0 +1,50 @@
+"""`src/` holds production code only.
+
+Every module-level function, class and constant under `src/reasonforge/`
+must be read somewhere in `src/` besides its own definition, or be part of
+the public API in `reasonforge.__all__`.  A name that only tests reach
+belongs in the tests.  Methods are not covered.
+"""
+
+import ast
+from pathlib import Path
+
+import reasonforge
+
+SRC = Path(reasonforge.__file__).resolve().parent
+
+
+def module_level_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names.append(name.id)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names read as a variable or an attribute anywhere in the module."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_every_module_level_name_is_used_in_src():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    unused = [f"{path[:-3]}.{name}"
+              for path, tree in trees.items()
+              for name in module_level_names(tree)
+              if name not in read and name not in reasonforge.__all__]
+    assert not unused, unused

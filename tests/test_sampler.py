@@ -99,7 +99,7 @@ def test_sampled_chains_are_simple_and_edge_valid():
         chain = sample_chain(g, 2, seed)
         assert len(set(chain.walk)) == 3
         for i, t in enumerate(chain.steps):
-            assert g.edge_between(t.subject, t.object) == t.relation
+            assert g.edges.get((t.subject, t.object)) == t.relation
             assert (t.subject, t.object) == (chain.walk[i], chain.walk[i + 1])
 
 
@@ -114,7 +114,7 @@ def test_reverse_orientation_recorded():
         t = chain.steps[0]
         flipped = flip_step(t, g)
         assert (flipped.subject, flipped.object) == (t.object, t.subject)
-        assert g.edge_between(flipped.subject, flipped.object) == flipped.relation
+        assert g.edges.get((flipped.subject, flipped.object)) == flipped.relation
         assert flip_step(flipped, g) == t
 
 

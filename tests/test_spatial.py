@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reasonforge.spatial import (SPATIAL_LABELS, chain_relation, invert,
-                                 offset_of, relation_of_displacement)
+from reasonforge.spatial import (_OFFSETS, SPATIAL_LABELS, chain_relation,
+                                 invert, relation_of_displacement)
 
 # independent of the package: the test's own label geometry
 SIGNS = {
@@ -27,9 +27,7 @@ def simulate(labels):
 
 
 def test_offsets():
-    assert offset_of("overlaps") == (0, 0)
-    assert offset_of("upper-right") == (1, 1)
-    assert offset_of("left") == (-1, 0)
+    assert _OFFSETS == SIGNS
 
 
 def test_relation_of_displacement():
@@ -40,7 +38,7 @@ def test_relation_of_displacement():
 
 def test_bijection():
     for r in SPATIAL_LABELS:
-        assert relation_of_displacement(*offset_of(r)) == r
+        assert relation_of_displacement(*_OFFSETS[r]) == r
 
 
 def test_invert_fixed_point_and_involution():

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from reasonforge.cli import main
 from reasonforge.kinship import KinshipEngine
-from reasonforge.relgraph import RelationalGraph, Triple, grow_graph
+from reasonforge.relgraph import RelationalGraph, Triple, _attach, grow_graph
 from reasonforge.sampler import ReasoningChain
 from reasonforge.spatial import SpatialEngine
 from reasonforge.taskgen import (JSONL_FIELDS, DatasetSpec, Example,
@@ -53,12 +54,14 @@ def test_corrupt_spatial_uses_offset_sum():
 
 def test_corrupt_kinship_daughter_sister_niece():
     eng = KinshipEngine()
-    g = grow_graph(eng, 1, seed=0, growth_set=("sister",))
+    g = grow_graph(eng, 0, seed=0)
     root = 0
     assert eng.genealogy.gender[root] == "f"
-    sister = next(n for n in g.nodes if g.edge_between(n, root) == "sister")
+    sister, created = eng.realize(root, "sister", random.Random(0))
+    for node in created:
+        _attach(g, node)
+    assert g.edges.get((sister, root)) == "sister"
     daughter = eng.genealogy.add_child(sister, "f")
-    from reasonforge.relgraph import _attach
     _attach(g, daughter)
     chain = ReasoningChain(
         walk=[daughter, sister, root],
