@@ -1,9 +1,8 @@
 """Command-line entry point: gen, render, score, verify, stats.
 
 All randomness flows from --seed; identical invocations write byte-identical
-files.  Config files are plain JSON mirroring the flag names, with explicit
-flags taking precedence.  Template, prompt, and preset assets resolve
-through REASONFORGE_DATA_DIR when set.
+files.  A named preset holds per-hop counts only.  Template, prompt, and
+preset assets resolve through REASONFORGE_DATA_DIR when set.
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ PRESET_FILES = {"kinship": "clutrr_{name}.json", "spatial": "stepgame_{name}.jso
 
 AUG_KINDS = {"permute": "permutation", "noise": "edge-noise",
              "flip": "direction-flip", "none": "none"}
-
-CONFIG_KEYS = frozenset({"aug", "counts", "graph_iters", "graphs_per_hop", "hops",
-                         "seed", "task"})
 
 
 class ConfigError(Exception):
@@ -75,11 +71,20 @@ def parse_aug(text: str) -> tuple[dict, ...]:
 
 
 def load_preset(task: str, name: str) -> dict:
+    """Per-hop counts of a named preset, a JSON object {"counts": {hop: n}}."""
+    file = PRESET_FILES[task].format(name=name)
     try:
-        text = read_asset("presets/" + PRESET_FILES[task].format(name=name))
+        preset = json.loads(read_asset("presets/" + file))
     except FileNotFoundError:
         raise ConfigError(f"no preset {name!r} for task {task}") from None
-    return json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"preset {file}: {exc}") from None
+    if not (isinstance(preset, dict) and list(preset) == ["counts"]
+            and isinstance(preset["counts"], dict)
+            and all(isinstance(n, int) for n in preset["counts"].values())):
+        raise ConfigError(f"preset {file} must be a JSON object holding only "
+                          "\"counts\", a map of hop to count")
+    return preset["counts"]
 
 
 def read_input(path, reader=None) -> list:
@@ -106,57 +111,28 @@ def check_output(path) -> None:
 
 
 def build_spec(args) -> DatasetSpec:
-    config = {}
-    if args.config:
-        config = read_input(
-            args.config, lambda path: json.loads(Path(path).read_text(encoding="utf-8")))
-        if not isinstance(config, dict):
-            raise ConfigError(f"{args.config}: expected a JSON object")
-        unknown = sorted(set(config) - CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(
-                f"{args.config}: unknown config keys: {', '.join(unknown)}")
-
-    task_name = args.task or config.get("task")
-    if not task_name or task_name not in TASK_ALIASES:
+    if not args.task:
         raise ConfigError("choose a task: clutrr or stepgame")
-    task = TASK_ALIASES[task_name]
+    task = TASK_ALIASES[args.task]
+    if args.hops and args.count is None:
+        raise ConfigError("--hops needs --count")
+    if args.count is not None and args.counts:
+        raise ConfigError("give --count or --counts, not both")
 
-    preset = load_preset(task, args.preset) if args.preset else {}
-
-    counts: dict[int, int] | None = None
-    for source in (preset.get("counts"), config.get("counts")):
-        if source is not None:
-            counts = {int(h): int(n) for h, n in source.items()}
+    counts = load_preset(task, args.preset) if args.preset else None
     if args.counts:
         counts = parse_counts(args.counts)
     if args.count is not None:
-        hops = parse_hops(args.hops or config.get("hops", "2:10"))
-        counts = {h: args.count for h in hops}
+        counts = {h: args.count for h in parse_hops(args.hops or "2:10")}
     if counts is None:
         raise ConfigError("no per-hop counts given (use --preset, --counts, "
                           "or --hops with --count)")
     if not counts:
         raise ConfigError("no hop buckets to generate")
 
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    graph_iterations = (args.graph_iters if args.graph_iters is not None
-                        else config.get("graph_iters",
-                                        preset.get("graph_iterations")))
-    mix = preset.get("augmentation_mix")
-    aug_text = args.aug or config.get("aug")
-    if aug_text:
-        mix = parse_aug(aug_text)
-
-    return DatasetSpec.make(
-        task,
-        counts,
-        seed=seed,
-        graph_iterations=graph_iterations,
-        augmentation_mix=mix,
-        graphs_per_hop=(args.graphs_per_hop if args.graphs_per_hop is not None
-                        else config.get("graphs_per_hop", 0)),
-    )
+    return DatasetSpec.make(task, counts, seed=args.seed,
+                            augmentation_mix=parse_aug(args.aug) if args.aug else None,
+                            graphs_per_hop=args.graphs_per_hop)
 
 
 def cmd_gen(args) -> int:
@@ -263,16 +239,14 @@ def main(argv=None) -> int:
     gen = sub.add_parser("gen", help="generate a dataset JSONL")
     gen.add_argument("--task", choices=sorted(TASK_ALIASES))
     gen.add_argument("--preset", help="named preset, e.g. 'paper'")
-    gen.add_argument("--config", help="JSON config file (flags override)")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--hops", help="hop range lo:hi or comma list")
     gen.add_argument("--count", type=int, default=None,
                      help="examples per hop bucket")
     gen.add_argument("--counts", help="explicit hop=count pairs, comma separated")
     gen.add_argument("--aug", help="none | permute | noise:k | flip:n | "
                                    "mix=kind:weight,...")
-    gen.add_argument("--graph-iters", type=int, default=None)
-    gen.add_argument("--graphs-per-hop", type=int, default=None,
+    gen.add_argument("--graphs-per-hop", type=int, default=0,
                      help="reuse this many graphs per hop (0 = fresh each)")
     gen.add_argument("--workers", type=int, default=1)
     gen.add_argument("-o", "--output", required=True)

@@ -243,6 +243,7 @@ class KinshipEngine:
     labels = KINSHIP_LABELS
     default_growth = KINSHIP_LABELS
     random_growth = True
+    growth_iterations = 1
 
     def __init__(self) -> None:
         self.genealogy = Genealogy()

@@ -80,6 +80,7 @@ class SpatialEngine:
     genders = None  # letters carry no gender
     fold = None  # every chain of labels has a label: walks prune nothing
     random_growth = False  # growth draws nothing: every seed grows one grid
+    growth_iterations = 2  # a 5x5 grid
 
     def __init__(self) -> None:
         self.pos: dict[int, tuple[int, int]] = {}
@@ -110,15 +111,8 @@ class SpatialEngine:
         node = self._new_node(cell)
         return node, [node]
 
-    def derive(self, u: int, v: int) -> Optional[str]:
-        """Label of "u is <r> of v" from true coordinates."""
-        if u == v:
-            return None
-        ux, uy = self.pos[u]
-        vx, vy = self.pos[v]
-        return relation_of_displacement(ux - vx, uy - vy)
-
     def derive_pair(self, u: int, v: int) -> tuple[Optional[str], Optional[str]]:
+        """(label of u to v, label of v to u) from true coordinates."""
         if u == v:
             return None, None
         ux, uy = self.pos[u]

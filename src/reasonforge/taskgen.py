@@ -51,8 +51,6 @@ DEFAULT_AUGMENTATION_MIX = (
     {"kind": "direction-flip", "count": 1, "weight": 1},
 )
 
-DEFAULT_GRAPH_ITERATIONS = {"kinship": 1, "spatial": 2}
-
 ENGINES = {"kinship": KinshipEngine, "spatial": SpatialEngine}
 
 AUGMENTATION_KINDS = ("none", "permutation", "edge-noise", "direction-flip")
@@ -82,15 +80,12 @@ class DatasetSpec:
     task: str
     counts: tuple[tuple[int, int], ...]  # (hop, count) pairs
     seed: int = 0
-    graph_iterations: Optional[int] = None
     augmentation_mix: tuple = DEFAULT_AUGMENTATION_MIX
     graphs_per_hop: int = 0  # 0 grows a fresh graph per example
 
     def __post_init__(self) -> None:
         if self.task not in ENGINES:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.graph_iterations is not None and self.graph_iterations < 0:
-            raise ValueError("graph iterations must be >= 0")
         if self.graphs_per_hop < 0:
             raise ValueError("graphs per hop must be >= 0")
         for hop, count in self.counts:
@@ -116,12 +111,6 @@ class DatasetSpec:
             kwargs["augmentation_mix"] = tuple(dict(e) for e in mix)
         return cls(task=task, counts=ordered, **kwargs)
 
-    @property
-    def iterations(self) -> int:
-        if self.graph_iterations is not None:
-            return self.graph_iterations
-        return DEFAULT_GRAPH_ITERATIONS[self.task]
-
 
 @dataclass
 class Example:
@@ -142,7 +131,14 @@ class Example:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Example":
-        return cls(**{name: data[name] for name in JSONL_FIELDS})
+        """An example row; ValueError if its task, query or answer is unusable."""
+        example = cls(**{name: data[name] for name in JSONL_FIELDS})
+        if example.task not in ENGINES:
+            raise ValueError(f"unknown task {example.task!r}")
+        query_endpoints(example.query, example.task)
+        if example.answer not in ENGINES[example.task].labels:
+            raise ValueError(f"{example.answer!r} is not a {example.task} label")
+        return example
 
 
 # --------------------------------------------------------------------------
@@ -167,8 +163,8 @@ def entailed_relation(chain: ReasoningChain, graph: RelationalGraph) -> Optional
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def _cached_graph(task: str, iterations: int, seed: int) -> RelationalGraph:
-    return grow_graph(ENGINES[task](), iterations, seed)
+def _cached_graph(task: str, seed: int) -> RelationalGraph:
+    return grow_graph(ENGINES[task](), ENGINES[task].growth_iterations, seed)
 
 
 def _graph_for(spec: DatasetSpec, hop: int, index: int, attempt: int) -> RelationalGraph:
@@ -184,7 +180,7 @@ def _graph_for(spec: DatasetSpec, hop: int, index: int, attempt: int) -> Relatio
         # a few walk seeds share each grown graph.
         regrow = attempt if hop >= 9 else attempt // 3
         seed = derive_seed(spec.seed, spec.task, "graph", hop, index, regrow)
-    return _cached_graph(spec.task, spec.iterations, seed)
+    return _cached_graph(spec.task, seed)
 
 
 def _apply_augmentation(

@@ -1,13 +1,18 @@
+import io
 import json
+import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 
 from reasonforge import cli
 from reasonforge.cli import main, parse_aug, parse_counts, parse_hops
 from reasonforge.taskgen import read_jsonl
+from reasonforge.verbalizer import data_dir, read_asset
 
 
 def run(argv):
@@ -68,16 +73,23 @@ def test_gen_invalid_config(tmp_path):
     assert run(["gen", "--task", "clutrr", "-o", str(out)]) == 2
 
 
-def test_gen_config_file_with_flag_override(tmp_path):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps(
-        {"task": "stepgame", "counts": {"2": 3}, "seed": 4}))
-    out = tmp_path / "out.jsonl"
-    assert run(["gen", "--config", str(config), "--seed", "9",
-                "-o", str(out)]) == 0
-    data = read_jsonl(out)
-    assert len(data) == 3
-    assert data[0].seed == [9, 0]  # flag wins over config value
+@pytest.mark.parametrize("task, preset", [("clutrr", "clutrr_paper.json"),
+                                          ("stepgame", "stepgame_paper.json")])
+def test_preset_is_its_counts(monkeypatch, task, preset):
+    specs = []
+
+    def record(spec, workers):
+        specs.append(spec)
+        return []
+
+    monkeypatch.setattr(cli, "build_dataset", record)
+    counts = json.loads(read_asset("presets/" + preset))["counts"]
+    argv = ["gen", "--task", task, "--seed", "5", "-o", os.devnull]
+    spelled = ",".join(f"{hop}={n}" for hop, n in counts.items())
+    with redirect_stdout(io.StringIO()):
+        assert run(argv + ["--preset", "paper"]) == 0
+        assert run(argv + ["--counts", spelled]) == 0
+    assert specs[0] == specs[1]
 
 
 def test_render_and_score_round_trip(tmp_path):
@@ -171,7 +183,7 @@ GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
     (GEN + ["--aug", "noise:-2"], "edge-noise k must be >= 0"),
     (GEN + ["--aug", "flip:-1"], "direction-flip count must be >= 0"),
     (GEN + ["--workers", "0"], "--workers must be >= 1"),
-    (GEN + ["--config", "{dir}/missing.json"], "cannot read {dir}/missing.json"),
+    (GEN + ["--counts", "2=1"], "give --count or --counts, not both"),
     (["verify", "--dataset", "{dir}/missing.jsonl"],
      "cannot read {dir}/missing.jsonl"),
     (["verify", "--dataset", "{dir}/bad.jsonl"], "{dir}/bad.jsonl:2: "),
@@ -189,16 +201,22 @@ GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
     (["render", "--dataset", "{dir}/d.jsonl", "--style", "std-p", "-k", "1",
       "--shots-file", "{dir}/d.jsonl", "-o", "{dir}/p.jsonl"],
      "-k 1 exceeds the 0 shots {dir}/d.jsonl can give"),
-    (GEN + ["--graph-iters", "-1"], "graph iterations must be >= 0"),
+    (["gen", "--task", "stepgame", "--preset", "paper", "--hops", "2:2"],
+     "--hops needs --count"),
     (GEN + ["--graphs-per-hop", "-1"], "graphs per hop must be >= 0"),
     (["render", "--dataset", "{dir}/k.jsonl", "--style", "eta-p", "-k", "1",
       "--shots-file", "{dir}/d.jsonl", "-o", "{dir}/p.jsonl"],
      "{dir}/d.jsonl and {dir}/k.jsonl mix tasks: kinship, spatial"),
-    (GEN + ["--config", "{dir}/stale.json"],
-     "{dir}/stale.json: unknown config keys: flip_count, noise_k"),
-    (GEN + ["--config", "{dir}/list.json"], "{dir}/list.json: expected a JSON object"),
+    (["gen", "--task", "stepgame", "--preset", "stale"],
+     'preset stepgame_stale.json must be a JSON object holding only "counts"'),
+    (["render", "--dataset", "{dir}/query.jsonl", "--style", "std-p",
+      "-o", "{dir}/kept.jsonl"], "{dir}/query.jsonl:1: unparseable query"),
+    (["stats", "--dataset", "{dir}/task.jsonl"],
+     "{dir}/task.jsonl:1: unknown task 'chess'"),
+    (["score", "--predictions", "{dir}/answers.jsonl", "--gold", "{dir}/answer.jsonl"],
+     "{dir}/answer.jsonl:1: 'north' is not a spatial label"),
 ])
-def test_bad_input_fails_fast(tmp_path, capsys, argv, message):
+def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
     dataset = tmp_path / "d.jsonl"
     run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "1",
          "--seed", "0", "-o", str(dataset)])
@@ -206,12 +224,21 @@ def test_bad_input_fails_fast(tmp_path, capsys, argv, message):
          "--seed", "0", "-o", str(tmp_path / "k.jsonl")])
     (tmp_path / "bad.jsonl").write_text(dataset.read_text() + "{not json\n")
     (tmp_path / "fields.jsonl").write_text(json.dumps({"id": "x"}) + "\n")
-    (tmp_path / "stale.json").write_text(json.dumps({"noise_k": 3, "flip_count": 2}))
-    (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "preds.jsonl").write_text(
         json.dumps({"id": "spatial-2-0", "response": "x"}) + "\n[1, 2]\n")
     (tmp_path / "answers.jsonl").write_text(
         json.dumps({"id": "spatial-2-0", "response": "x"}) + "\n")
+    row = json.loads(dataset.read_text())
+    for key, value in [("query", "Where is A?"), ("task", "chess"), ("answer", "north")]:
+        (tmp_path / f"{key}.jsonl").write_text(json.dumps({**row, key: value}) + "\n")
+    (tmp_path / "kept.jsonl").write_text("kept\n")
+    # every row runs against a user data directory that also holds a preset
+    # with a key besides counts
+    data = tmp_path / "data"
+    shutil.copytree(data_dir(), data)
+    (data / "presets" / "stepgame_stale.json").write_text(
+        json.dumps({"counts": {"2": 1}, "graph_iterations": 2}))
+    monkeypatch.setenv("REASONFORGE_DATA_DIR", str(data))
     capsys.readouterr()
     out = tmp_path / "out.jsonl"
     argv = [a.format(dir=tmp_path) for a in argv]
@@ -222,6 +249,7 @@ def test_bad_input_fails_fast(tmp_path, capsys, argv, message):
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert message.format(dir=tmp_path) in err
     assert not out.exists() and not (tmp_path / "p.jsonl").exists()
+    assert (tmp_path / "kept.jsonl").read_text() == "kept\n"
 
 
 def test_verify_reads_through_module_reader(tmp_path, monkeypatch):

@@ -1,9 +1,14 @@
 """`src/` holds production code only.
 
-Every module-level function, class and constant under `src/reasonforge/`
-must be read somewhere in `src/` besides its own definition, or be part of
-the public API in `reasonforge.__all__`.  A name that only tests reach
-belongs in the tests.  Methods are not covered.
+Every module-level function, class and constant under `src/reasonforge/`,
+and every method, property and class attribute of a class there, must be
+read somewhere in `src/` besides its own definition, or be part of the
+public API in `reasonforge.__all__`.  A name that only tests reach belongs
+in the tests.
+
+The rule works on names, not on what a name is bound to: a member whose
+name is read anywhere in `src/` counts as used, so a method that shares its
+name with a used method of another class is not caught.
 """
 
 import ast
@@ -14,9 +19,10 @@ import reasonforge
 SRC = Path(reasonforge.__file__).resolve().parent
 
 
-def module_level_names(tree: ast.Module) -> list[str]:
+def assigned_names(body: list[ast.stmt]) -> list[str]:
+    """Functions, classes and assignment targets defined directly in body."""
     names = []
-    for node in tree.body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -26,6 +32,15 @@ def module_level_names(tree: ast.Module) -> list[str]:
                     if isinstance(name, ast.Name):
                         names.append(name.id)
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def defined_names(tree: ast.Module) -> list[str]:
+    """Module-level names, then `Class.member` for every class body."""
+    names = assigned_names(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{m}" for m in assigned_names(node.body)]
+    return names
 
 
 def read_names(tree: ast.Module) -> set[str]:
@@ -42,9 +57,9 @@ def read_names(tree: ast.Module) -> set[str]:
 def test_every_module_level_name_is_used_in_src():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
-    read = set().union(*(read_names(tree) for tree in trees.values()))
+    used = set(reasonforge.__all__).union(*(read_names(t) for t in trees.values()))
     unused = [f"{path[:-3]}.{name}"
               for path, tree in trees.items()
-              for name in module_level_names(tree)
-              if name not in read and name not in reasonforge.__all__]
+              for name in defined_names(tree)
+              if name.rpartition(".")[2] not in used]
     assert not unused, unused

@@ -97,10 +97,10 @@ def test_relation_between():
     g = spatial_graph(1)
     pos = g.engine.pos
     at = {xy: node for node, xy in pos.items()}
-    assert g.engine.derive(at[(1, 1)], at[(0, 0)]) == "upper-right"
+    assert g.engine.derive_pair(at[(1, 1)], at[(0, 0)])[0] == "upper-right"
     assert g.edges.get((at[(1, 1)], at[(0, 0)])) == "upper-right"
     with pytest.raises(KeyError):
-        g.engine.derive(0, 999)
+        g.engine.derive_pair(0, 999)
 
 
 def test_relation_between_kinship_mother_of_sibling():

@@ -200,11 +200,11 @@ def test_verify_empty():
 
 
 def test_generation_exhausted_names_hop():
-    # a 10-hop walk cannot exist in a 9-node spatial graph
-    spec = DatasetSpec.make("spatial", {10: 1}, seed=0, graph_iterations=1)
+    # a 25-hop walk cannot exist in the 25-node spatial grid
+    spec = DatasetSpec.make("spatial", {25: 1}, seed=0)
     with pytest.raises(GenerationExhausted) as err:
         build_dataset(spec)
-    assert err.value.hop == 10
+    assert err.value.hop == 25
 
 
 def test_diversity_within_bucket():
