@@ -1,8 +1,8 @@
 """Command-line entry point: gen, render, score, verify, stats.
 
 All randomness flows from --seed; identical invocations write byte-identical
-files.  A named preset holds per-hop counts only.  Template, prompt, and
-preset assets resolve through REASONFORGE_DATA_DIR when set.
+files.  A named preset holds per-hop counts only.  Data assets resolve
+through REASONFORGE_DATA_DIR when set; each command reads its own first.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ import sys
 from pathlib import Path
 
 from .evalkit import read_predictions, score, stats_table
-from .promptkit import draw_shots, render_prompt, render_target
+from .promptkit import (draw_shots, load_prompt_asset, render_prompt,
+                        render_target)
 from .taskgen import (DatasetSpec, GenerationExhausted, build_dataset,
                       derive_seed, read_jsonl, verify_dataset, write_jsonl)
-from .verbalizer import read_asset
+from .verbalizer import AssetError, TemplatePool, load_name_pools, read_asset
 
 TASK_ALIASES = {"clutrr": "kinship", "stepgame": "spatial",
                 "kinship": "kinship", "spatial": "spatial"}
@@ -73,12 +74,7 @@ def parse_aug(text: str) -> tuple[dict, ...]:
 def load_preset(task: str, name: str) -> dict:
     """Per-hop counts of a named preset, a JSON object {"counts": {hop: n}}."""
     file = PRESET_FILES[task].format(name=name)
-    try:
-        preset = json.loads(read_asset("presets/" + file))
-    except FileNotFoundError:
-        raise ConfigError(f"no preset {name!r} for task {task}") from None
-    except ValueError as exc:
-        raise ConfigError(f"preset {file}: {exc}") from None
+    preset = read_asset("presets/" + file, json.loads)
     if not (isinstance(preset, dict) and list(preset) == ["counts"]
             and isinstance(preset["counts"], dict)
             and all(isinstance(n, int) for n in preset["counts"].values())):
@@ -142,6 +138,8 @@ def cmd_gen(args) -> int:
         spec = build_spec(args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    load_name_pools()
+    TemplatePool.for_task(spec.task)
     check_output(args.output)
     try:
         examples = build_dataset(spec, workers=args.workers)
@@ -168,6 +166,10 @@ def cmd_render(args) -> int:
         if len(tasks) > 1:
             raise ConfigError(f"{args.shots_file} and {args.dataset} mix tasks: "
                               + ", ".join(sorted(tasks)))
+    for task in {e.task for e in examples}:
+        load_prompt_asset(task, args.style)
+        if args.style == "eta-p":  # eta-p targets list the triples
+            TemplatePool.for_task(task)
     positions: dict[str, list[int]] = {}
     for position, shot in enumerate(shots_pool):
         positions.setdefault(shot.id, []).append(position)
@@ -198,6 +200,9 @@ def cmd_render(args) -> int:
 def cmd_score(args) -> int:
     gold = read_input(args.gold)
     predictions = read_input(args.predictions, read_predictions)
+    if args.style == "eta-p":  # eta-p parsing extracts the triples
+        for task in {e.task for e in gold}:
+            TemplatePool.for_task(task)
     report_path = args.report or f"{args.predictions}.report.json"
     check_output(report_path)
     try:
@@ -280,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (AssetError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,28 +49,6 @@ KINSHIP_LABELS = (
     "uncle",
 )
 
-# Gender of the subject implied by each label.
-LABEL_GENDER = {
-    "aunt": "f",
-    "brother": "m",
-    "daughter": "f",
-    "daughter-in-law": "f",
-    "father": "m",
-    "father-in-law": "m",
-    "granddaughter": "f",
-    "grandfather": "m",
-    "grandmother": "f",
-    "grandson": "m",
-    "mother": "f",
-    "mother-in-law": "f",
-    "nephew": "m",
-    "niece": "f",
-    "sister": "f",
-    "son": "m",
-    "son-in-law": "m",
-    "uncle": "m",
-}
-
 # invert(r)[g]: label of "B is ? of A" given "A is r of B" and B's gender g.
 _INVERSE = {
     "father": {"m": "son", "f": "daughter"},
@@ -92,6 +70,10 @@ _INVERSE = {
     "son-in-law": {"m": "father-in-law", "f": "mother-in-law"},
     "daughter-in-law": {"m": "father-in-law", "f": "mother-in-law"},
 }
+
+# Gender of the subject implied by each label, read off the inverses.
+LABEL_GENDER = {label: gender for inverses in _INVERSE.values()
+                for gender, label in inverses.items()}
 
 
 def invert(relation: str, counterpart_gender: str) -> str:

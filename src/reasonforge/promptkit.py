@@ -1,16 +1,16 @@
 """Prompt rendering and response parsing for the two prompting styles.
 
 std-p instructs the model to answer directly; eta-p asks it to list the
-ordered structured triples before answering.  The instruction blocks live
-in versioned text assets (one per task and style) with [STORY], [QUERY],
-[TRIPLES], and [ANSWER] placeholders; rendering fills the placeholders and
-few-shot contexts repeat the completed block for each shot.
+ordered structured triples before answering.  The instruction text lives in
+versioned text assets (one per task and style); the story, query and
+output layout is built here, and a few-shot context completes each shot's
+block with that shot's gold target.
 
 Parsing prefers the text after the last "Therefore"; failing that it scans
-the final sentence.  Relation mentions match longest-first, so a diagonal
-like "lower-left" is never mistaken for its axis substring, and responses
-with no vocabulary mention at all are flagged unparseable rather than
-guessed at.
+the final sentence.  Relation mentions match longest-first and whole words
+only, so a diagonal like "lower-left" is never mistaken for its axis
+substring nor "upright" for "right", and responses with no vocabulary
+mention at all are flagged unparseable rather than guessed at.
 """
 
 from __future__ import annotations
@@ -22,18 +22,23 @@ from typing import Optional, Sequence
 
 from .kinship import KINSHIP_LABELS
 from .taskgen import Example
-from .verbalizer import (TemplatePool, query_endpoints, read_asset,
-                         render_answer)
+from .verbalizer import TemplatePool, read_asset, render_answer
 
 STYLES = ("std-p", "eta-p")
 
-_TRIPLES_LEAD_IN = "The ordered structured triples are:"
+
+def _instruction(text: str) -> str:
+    if "### Story:" in text:
+        raise ValueError("a prompt asset holds only the instruction text; "
+                         "the story block is built in code")
+    return text
 
 
 def load_prompt_asset(task: str, style: str) -> str:
+    """The instruction text of a task and style."""
     if style not in STYLES:
         raise ValueError(f"unknown prompt style {style!r}")
-    return read_asset(f"prompts/{task}_{style}.txt")
+    return read_asset(f"prompts/{task}_{style}.txt", _instruction)
 
 
 def draw_shots(
@@ -55,53 +60,40 @@ def draw_shots(
     return shots
 
 
-def _answer_sentence(example: Example) -> str:
-    head, tail = query_endpoints(example.query, example.task)
-    return render_answer(head, tail, example.answer, example.task)
-
-
-def _triples_block(example: Example) -> str:
-    pool = TemplatePool.for_task(example.task)
-    return "\n".join(
-        pool.canonical(r, a, b) for a, r, b in example.gold_triples)
-
-
 def render_target(example: Example, style: str) -> str:
     """Gold completion: the answer sentence, preceded under eta-p by the
     ordered gold triples."""
-    answer = _answer_sentence(example)
+    head, tail = example.endpoints
+    answer = render_answer(head, tail, example.answer, example.task)
     if style == "std-p":
         return answer
     if style == "eta-p":
-        return (f"{_TRIPLES_LEAD_IN}\n{_triples_block(example)}\n"
-                f"Therefore, {answer}")
+        pool = TemplatePool.for_task(example.task)
+        triples = "\n".join(pool.canonical(r, a, b)
+                            for a, r, b in example.gold_triples)
+        return f"The ordered structured triples are:\n{triples}\nTherefore, {answer}"
     raise ValueError(f"unknown prompt style {style!r}")
+
+
+def _open_block(example: Example) -> str:
+    return (f"### Story:\n{example.story}\n### Query:\n{example.query}\n\n"
+            "### Output:\n")
 
 
 def render_prompt(
     example: Example, style: str, shots: Sequence[Example] = ()
 ) -> str:
-    """Instruction block, completed shot blocks, then the open query block."""
+    """Instruction, each shot's block completed with its gold target, then
+    the open query block."""
     for shot in shots:
         if shot.id == example.id:
             raise ValueError(f"shot {shot.id} is the query example")
         if shot.task != example.task:
             raise ValueError("shots must come from the same task")
-    asset = load_prompt_asset(example.task, style)
-    cut = asset.index("### Story:")
-    instruction = asset[:cut]
-    block = asset[cut:]
-
-    def filled(e: Example, completed: bool) -> str:
-        text = block.replace("[STORY]", e.story).replace("[QUERY]", e.query)
-        if completed:
-            return (text.replace("[TRIPLES]", _triples_block(e))
-                        .replace("[ANSWER]", _answer_sentence(e)))
-        return text[:text.index("### Output:") + len("### Output:")] + "\n"
-
-    parts = [instruction]
-    parts.extend(filled(shot, completed=True) + "\n" for shot in shots)
-    parts.append(filled(example, completed=False))
+    parts = [load_prompt_asset(example.task, style)]
+    parts.extend(f"{_open_block(shot)}{render_target(shot, style)}\n\n"
+                 for shot in shots)
+    parts.append(_open_block(example))
     return "".join(parts)
 
 
@@ -109,12 +101,7 @@ def render_prompt(
 # response parsing
 # --------------------------------------------------------------------------
 
-def _kinship_matcher() -> re.Pattern:
-    labels = sorted(KINSHIP_LABELS, key=len, reverse=True)
-    return re.compile(r"\b(" + "|".join(re.escape(l) for l in labels) + r")\b")
-
-
-# Spoken forms per spatial label, matched longest-first across all labels.
+# Spoken forms per spatial label; a kinship label is spoken as itself.
 _SPATIAL_PHRASES = [
     ("overlaps", ["overlaps with", "overlaps", "overlapping"]),
     ("above", ["directly above", "above"]),
@@ -126,20 +113,18 @@ _SPATIAL_PHRASES = [
     ("lower-left", ["to the lower-left", "lower-left", "lower left"]),
     ("lower-right", ["to the lower-right", "lower-right", "lower right"]),
 ]
-
-
-def _spatial_matcher() -> tuple[re.Pattern, dict[str, str]]:
-    phrase_to_label = {}
-    for label, phrases in _SPATIAL_PHRASES:
-        for phrase in phrases:
-            phrase_to_label[phrase] = label
-    ordered = sorted(phrase_to_label, key=len, reverse=True)
-    pattern = re.compile(
-        r"(" + "|".join(re.escape(p) for p in ordered) + r")")
-    return pattern, phrase_to_label
-
-_KINSHIP_RE = _kinship_matcher()
-_SPATIAL_RE, _SPATIAL_MAP = _spatial_matcher()
+_PHRASE_LABELS = {
+    "kinship": {label: label for label in KINSHIP_LABELS},
+    "spatial": {phrase: label for label, phrases in _SPATIAL_PHRASES
+                for phrase in phrases},
+}
+# Per task: every phrase, whole words only, longest first, so a phrase is
+# never read as one of its substrings.
+_MATCHERS = {
+    task: re.compile(r"\b(" + "|".join(
+        re.escape(p) for p in sorted(table, key=len, reverse=True)) + r")\b")
+    for task, table in _PHRASE_LABELS.items()
+}
 
 
 @dataclass
@@ -158,11 +143,8 @@ def _final_segment(text: str) -> str:
 
 
 def _last_relation(segment: str, task: str) -> Optional[str]:
-    if task == "kinship":
-        matches = _KINSHIP_RE.findall(segment)
-        return matches[-1] if matches else None
-    matches = _SPATIAL_RE.findall(segment)
-    return _SPATIAL_MAP[matches[-1]] if matches else None
+    matches = _MATCHERS[task].findall(segment)
+    return _PHRASE_LABELS[task][matches[-1]] if matches else None
 
 
 def _extract_triples(text: str, pool: TemplatePool) -> Optional[list[list[str]]]:

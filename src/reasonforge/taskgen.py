@@ -114,6 +114,8 @@ class DatasetSpec:
 
 @dataclass
 class Example:
+    """A dataset row; ValueError if its task, query or answer is unusable."""
+
     id: str
     task: str
     hop: int
@@ -125,20 +127,22 @@ class Example:
     gold_triples: list[list[str]]
     augmentation: dict
     seed: list[int]
+    # (head, tail) names of the query, parsed once
+    endpoints: tuple[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.task not in ENGINES:
+            raise ValueError(f"unknown task {self.task!r}")
+        self.endpoints = query_endpoints(self.query, self.task)
+        if self.answer not in ENGINES[self.task].labels:
+            raise ValueError(f"{self.answer!r} is not a {self.task} label")
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in JSONL_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Example":
-        """An example row; ValueError if its task, query or answer is unusable."""
-        example = cls(**{name: data[name] for name in JSONL_FIELDS})
-        if example.task not in ENGINES:
-            raise ValueError(f"unknown task {example.task!r}")
-        query_endpoints(example.query, example.task)
-        if example.answer not in ENGINES[example.task].labels:
-            raise ValueError(f"{example.answer!r} is not a {example.task} label")
-        return example
+        return cls(**{name: data[name] for name in JSONL_FIELDS})
 
 
 # --------------------------------------------------------------------------
@@ -225,8 +229,8 @@ def generate_candidate(
 
     walk = aug.chain.walk
     named_nodes = list(walk) + [t.object for t, _ in aug.distractors]
-    names = assign_names(named_nodes, spec.task, derive_seed(*base, "names"),
-                         genders=graph.engine.genders)
+    names = assign_names(named_nodes, derive_seed(*base, "names"),
+                         graph.engine.genders)
     story = verbalize_story(aug, names, TemplatePool.for_task(spec.task),
                             derive_seed(*base, "story"))
 
@@ -376,7 +380,7 @@ def verify_dataset(examples: Iterable[Example]) -> VerificationReport:
         report.hop_histogram[example.hop] = report.hop_histogram.get(example.hop, 0) + 1
         report.label_distribution[example.answer] = (
             report.label_distribution.get(example.answer, 0) + 1)
-        head, tail = query_endpoints(example.query, example.task)
+        head, tail = example.endpoints
         triples = [tuple(t) for t in example.triples + example.distractors]
         derived: Optional[str]
         if example.task == "kinship":

@@ -6,8 +6,8 @@ own extraction regexes, which is what the round-trip checks and response
 parsing rely on.  The first template of each relation is the canonical form
 used for gold triple listings and answers.
 
-Kinship nodes get gender-consistent first names from fixed curated pools;
-spatial nodes get single capital letters.
+Nodes with a gender (kinship) get gender-consistent first names from fixed
+curated pools; nodes without one (spatial) get single capital letters.
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ import re
 import string
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .augment import AugmentedChain
+
+T = TypeVar("T")
 
 # Answer phrasing per spatial label; axis directions read "directly ...",
 # diagonals read "to the ...".
@@ -51,14 +53,26 @@ def data_dir() -> Path:
     return Path(override).absolute() if override else _PACKAGED_DATA
 
 
+class AssetError(ValueError):
+    """A data asset that is missing, unreadable or malformed."""
+
+
 @lru_cache(maxsize=None)
 def _read_text(path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def read_asset(name: str) -> str:
-    """Text of a data asset, read from disk once per process and path."""
-    return _read_text(data_dir() / name)
+def read_asset(name: str, parse: Callable[[str], T]) -> T:
+    """parse(text) of a data asset, whose text is read from disk once per
+    process and path; AssetError names the file when it is missing,
+    unreadable or malformed."""
+    path = data_dir() / name
+    try:
+        return parse(_read_text(path))
+    except OSError as exc:
+        raise AssetError(f"cannot read {path}: {exc.strerror}") from None
+    except (TypeError, ValueError) as exc:
+        raise AssetError(f"{path}: {exc}") from None
 
 
 class TemplatePool:
@@ -72,7 +86,6 @@ class TemplatePool:
                 if "{A}" not in form or "{B}" not in form:
                     raise ValueError(f"{relation}: template missing slots: {form}")
         self.templates = templates
-        self.name_pattern = name_pattern
         self._matchers = [
             (relation, re.compile(
                 re.escape(form)
@@ -104,43 +117,32 @@ class TemplatePool:
 
 @lru_cache(maxsize=None)
 def _task_pool(task: str, directory: Path) -> TemplatePool:
-    data = json.loads(_read_text(directory / f"templates_{task}.json"))
-    return TemplatePool(data["templates"], data["name_pattern"])
+    # directory keys the cache; read_asset reads from that same data_dir()
+    return read_asset(f"templates_{task}.json",
+                      lambda text: TemplatePool(**json.loads(text)))
 
 
 def load_name_pools() -> dict[str, list[str]]:
-    return json.loads(read_asset("names.json"))
+    return read_asset("names.json", json.loads)
 
 
 def name_gender_lookup() -> dict[str, str]:
-    pools = load_name_pools()
-    lookup: dict[str, str] = {}
-    for gender, names in pools.items():
-        for name in names:
-            lookup[name] = gender
-    return lookup
+    return {name: gender for gender, names in load_name_pools().items()
+            for name in names}
 
 
 def assign_names(
-    nodes: Sequence[int],
-    task: str,
-    seed: int,
-    genders: Optional[dict[int, str]] = None,
+    nodes: Sequence[int], seed: int, genders: Optional[dict[int, str]]
 ) -> dict[int, str]:
-    """Injective node -> name table; kinship names match node gender."""
+    """Injective node -> name table: capital letters when the engine's nodes
+    carry no gender (genders is None), else names of each node's gender."""
     rng = random.Random(seed)
-    table: dict[int, str] = {}
-    if task == "spatial":
-        letters = rng.sample(string.ascii_uppercase, len(nodes))
-        for node, letter in zip(nodes, letters):
-            table[node] = letter
-        return table
+    if genders is None:
+        return dict(zip(nodes, rng.sample(string.ascii_uppercase, len(nodes))))
     pools = load_name_pools()
     needed = {g: sum(1 for n in nodes if genders[n] == g) for g in pools}
     drawn = {g: rng.sample(pools[g], needed[g]) for g in sorted(pools)}
-    for node in nodes:
-        table[node] = drawn[genders[node]].pop()
-    return table
+    return {node: drawn[genders[node]].pop() for node in nodes}
 
 
 def verbalize_story(

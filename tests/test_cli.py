@@ -83,7 +83,7 @@ def test_preset_is_its_counts(monkeypatch, task, preset):
         return []
 
     monkeypatch.setattr(cli, "build_dataset", record)
-    counts = json.loads(read_asset("presets/" + preset))["counts"]
+    counts = read_asset("presets/" + preset, json.loads)["counts"]
     argv = ["gen", "--task", task, "--seed", "5", "-o", os.devnull]
     spelled = ",".join(f"{hop}={n}" for hop, n in counts.items())
     with redirect_stdout(io.StringIO()):
@@ -249,6 +249,62 @@ def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
     assert err.count("\n") == 1 and err.startswith("error: "), err
     assert message.format(dir=tmp_path) in err
     assert not out.exists() and not (tmp_path / "p.jsonl").exists()
+    assert (tmp_path / "kept.jsonl").read_text() == "kept\n"
+
+
+STALE_PROMPT = "Answer the question.\n\n### Story:\n[STORY]\n### Output:\n[ANSWER]\n"
+
+
+@pytest.mark.parametrize("asset, content, argv, message", [
+    ("templates_kinship.json", None,
+     ["gen", "--task", "clutrr", "--counts", "2=5", "-o", "{dir}/kept.jsonl"],
+     "cannot read {data}/templates_kinship.json: No such file or directory"),
+    ("templates_spatial.json", "{not json",
+     ["gen", "--task", "stepgame", "--counts", "2=5", "-o", "{dir}/kept.jsonl"],
+     "{data}/templates_spatial.json: Expecting property name"),
+    ("names.json", None,
+     ["gen", "--task", "clutrr", "--counts", "2=5", "-o", "{dir}/kept.jsonl"],
+     "cannot read {data}/names.json"),
+    ("names.json", None, ["verify", "--dataset", "{dir}/d.jsonl"],
+     "cannot read {data}/names.json"),
+    ("prompts/spatial_std-p.txt", None,
+     ["render", "--dataset", "{dir}/d.jsonl", "--style", "std-p",
+      "-o", "{dir}/kept.jsonl"], "cannot read {data}/prompts/spatial_std-p.txt"),
+    ("prompts/spatial_eta-p.txt", STALE_PROMPT,
+     ["render", "--dataset", "{dir}/d.jsonl", "--style", "eta-p",
+      "-o", "{dir}/kept.jsonl"],
+     "{data}/prompts/spatial_eta-p.txt: a prompt asset holds only the instruction"),
+    ("templates_spatial.json", None,
+     ["render", "--dataset", "{dir}/d.jsonl", "--style", "eta-p",
+      "-o", "{dir}/kept.jsonl"], "cannot read {data}/templates_spatial.json"),
+    ("templates_spatial.json", '{"templates": {}}',
+     ["score", "--predictions", "{dir}/answers.jsonl", "--gold", "{dir}/d.jsonl",
+      "--style", "eta-p", "--report", "{dir}/kept.jsonl"],
+     "{data}/templates_spatial.json: "),
+    ("presets/stepgame_paper.json", None,
+     ["gen", "--task", "stepgame", "--preset", "paper", "-o", "{dir}/kept.jsonl"],
+     "cannot read {data}/presets/stepgame_paper.json"),
+])
+def test_missing_or_stale_asset_fails_fast(tmp_path, capsys, monkeypatch, asset,
+                                           content, argv, message):
+    dataset = tmp_path / "d.jsonl"
+    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "1",
+         "--seed", "0", "-o", str(dataset)])
+    (tmp_path / "answers.jsonl").write_text(
+        json.dumps({"id": "spatial-2-0", "response": "x"}) + "\n")
+    (tmp_path / "kept.jsonl").write_text("kept\n")
+    data = tmp_path / "data"
+    shutil.copytree(data_dir(), data)
+    if content is None:
+        (data / asset).unlink()
+    else:
+        (data / asset).write_text(content)
+    monkeypatch.setenv("REASONFORGE_DATA_DIR", str(data))
+    capsys.readouterr()
+    assert run([a.format(dir=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert message.format(data=data) in err
     assert (tmp_path / "kept.jsonl").read_text() == "kept\n"
 
 

@@ -5,7 +5,10 @@ import pytest
 from reasonforge.promptkit import (draw_shots,
                                    load_prompt_asset, parse_response,
                                    render_prompt, render_target)
-from reasonforge.taskgen import DatasetSpec, build_dataset
+from reasonforge import taskgen
+from reasonforge.taskgen import (DatasetSpec, build_dataset, read_jsonl,
+                                 verify_dataset, write_jsonl)
+from reasonforge.verbalizer import query_endpoints
 
 KINSHIP_OPENING = ("You are given a narrative describing the familial "
                    "relationships between several individuals.")
@@ -114,6 +117,26 @@ def test_render_target_styles(spatial_examples):
     assert eta.endswith(std)
 
 
+def test_each_query_parsed_once(tmp_path, monkeypatch, kinship_examples):
+    # reading a row parses its query; verifying and rendering reuse it
+    path = tmp_path / "d.jsonl"
+    write_jsonl(kinship_examples, path)
+    parsed = []
+
+    def counting(query, task):
+        parsed.append(query)
+        return query_endpoints(query, task)
+
+    monkeypatch.setattr(taskgen, "query_endpoints", counting)
+    examples = read_jsonl(path)
+    assert verify_dataset(examples).mismatch_count == 0
+    for position, e in enumerate(examples):
+        render_prompt(e, "eta-p", draw_shots(examples, 3, position, [position]))
+        render_target(e, "std-p")
+        render_target(e, "eta-p")
+    assert parsed == [e.query for e in examples]
+
+
 # -- parsing -------------------------------------------------------------------
 
 CASE_RESPONSES = [
@@ -126,6 +149,11 @@ CASE_RESPONSES = [
     ("eta-p", "spatial", "Therefore,\nM is directly to the left of O.", "left"),
     ("eta-p", "spatial", "Therefore, M is to the lower-left of O.", "lower-left"),
     ("eta-p", "spatial", "Therefore,\nS is to the upper-left of T.", "upper-left"),
+    # phrases match whole words only
+    ("std-p", "spatial", "Therefore, A is directly above B. Upright answer.",
+     "above"),
+    ("eta-p", "spatial", "Therefore, K is directly below L, no leftover doubt.",
+     "below"),
 ]
 
 

@@ -121,29 +121,34 @@ def test_determinism_byte_identical(tmp_path, small_kinship):
     assert a.read_bytes() == b.read_bytes()
 
 
-# Content hashes of two small fixed specs: the dataset, its std-p prompts and
-# its eta-p 5-shot prompts drawn from itself.  A change that is meant to keep
-# the output bytes must keep these; one that changes them on purpose updates
-# them and says why.
+# Content hashes of two small fixed specs: the dataset, then its prompts in
+# each RENDERS style and shot count, shots drawn from the dataset itself.
+# A change that is meant to keep the output bytes must keep these; one that
+# changes them on purpose updates them and says why.
+RENDERS = (("std-p", 0), ("eta-p", 5), ("std-p", 5), ("eta-p", 0))
 PINNED = {
     "kinship": ({2: 10, 6: 10, 10: 3}, "a54b9f29610c6ffd199fdd4ec988fb13",
-                "9d6b283d423a9227fec5acb9af1aedd1", "c0cc728cfd9896c70a413a399068c336"),
+                "9d6b283d423a9227fec5acb9af1aedd1", "c0cc728cfd9896c70a413a399068c336",
+                "70497b5035ea6f87e9e13e37fc4861c3", "9852b7ac04c7ec7618fc5d96d001be79"),
     "spatial": ({2: 10, 10: 10}, "bdbde84454cffa7d62d473244249aeef",
-                "71f0865af94712e8a5afdfc1d1250711", "4ff6739479908c00936459bf4040fbd2"),
+                "71f0865af94712e8a5afdfc1d1250711", "4ff6739479908c00936459bf4040fbd2",
+                "422092a9117c6345b98fe66e6de87bc4", "2c7dedf50da34975f1664ae584004ceb"),
 }
 
 
 @pytest.mark.parametrize("task", sorted(PINNED))
 def test_pinned_content_hash(tmp_path, task):
     counts, *digests = PINNED[task]
-    data, std, eta = (tmp_path / n for n in ("d.jsonl", "std.jsonl", "eta.jsonl"))
+    data = tmp_path / "d.jsonl"
     write_jsonl(build_dataset(DatasetSpec.make(task, counts, seed=0)), data)
-    render = ["render", "--dataset", str(data), "--seed", "0", "-o"]
-    assert main(render + [str(std), "--style", "std-p"]) == 0
-    assert main(render + [str(eta), "--style", "eta-p", "-k", "5",
-                          "--shots-file", str(data)]) == 0
+    outputs = [data]
+    for style, shots in RENDERS:
+        outputs.append(tmp_path / f"{style}-{shots}.jsonl")
+        assert main(["render", "--dataset", str(data), "--seed", "0",
+                     "-o", str(outputs[-1]), "--style", style, "-k", str(shots),
+                     "--shots-file", str(data)]) == 0
     assert [hashlib.blake2b(p.read_bytes(), digest_size=16).hexdigest()
-            for p in (data, std, eta)] == digests
+            for p in outputs] == digests
 
 
 def test_different_seed_changes_data():

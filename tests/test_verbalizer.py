@@ -69,14 +69,14 @@ def test_assign_names_gender_consistent():
     genders = {0: "f", 1: "m", 2: "f", 3: "m", 4: "m"}
     lookup = name_gender_lookup()
     for seed in range(20):
-        names = assign_names([0, 1, 2, 3, 4], "kinship", seed, genders=genders)
+        names = assign_names([0, 1, 2, 3, 4], seed, genders)
         assert len(set(names.values())) == 5
         for node, name in names.items():
             assert lookup[name] == genders[node]
 
 
 def test_assign_names_spatial_letters():
-    names = assign_names(list(range(12)), "spatial", seed=3)
+    names = assign_names(list(range(12)), 3, SpatialEngine.genders)
     assert len(set(names.values())) == 12
     assert all(len(n) == 1 and n.isupper() for n in names.values())
 
@@ -86,7 +86,7 @@ def test_story_one_sentence_per_triple_and_deterministic(spatial_pool):
     chain = sample_chain(g, 3, 8)
     aug = add_edge_noise(chain, g, 1, seed=8)
     nodes = list(chain.walk) + [t.object for t, _ in aug.distractors]
-    names = assign_names(nodes, "spatial", seed=8)
+    names = assign_names(nodes, 8, SpatialEngine.genders)
     story = verbalize_story(aug, names, spatial_pool, seed=8)
     assert story == verbalize_story(aug, names, spatial_pool, seed=8)
     assert story.count(".") == 4
@@ -100,7 +100,7 @@ def test_story_follows_permuted_order(spatial_pool):
     g = grow_graph(SpatialEngine(), 1)
     chain = sample_chain(g, 3, 4)
     aug = permute(chain, seed=0)
-    names = assign_names(chain.walk, "spatial", seed=4)
+    names = assign_names(chain.walk, 4, SpatialEngine.genders)
     story = verbalize_story(aug, names, spatial_pool, seed=4)
     recovered = spatial_pool.extract(story)
     expected = [(names[t.subject], t.relation, names[t.object])
