@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .evalkit import read_predictions, score, stats_table
@@ -106,6 +107,33 @@ def check_output(path) -> None:
         os.remove(path)
 
 
+def staging_path(path) -> str:
+    """Where an output is written before it replaces `path`: a temporary file
+    beside a new path or a regular file, else `path` itself, so a device, a
+    pipe or a symlink is written through, not replaced."""
+    if not os.path.lexists(path) or (os.path.isfile(path)
+                                     and not os.path.islink(path)):
+        return f"{path}.{os.getpid()}.tmp"
+    return path
+
+
+@contextmanager
+def replaced_on_success(path):
+    """Yield staging_path(path) to write the output to; a temporary file is
+    renamed onto `path` only when the block completes, so a failure leaves
+    no partial file and an earlier `path` as it was."""
+    temp = staging_path(path)
+    if temp == path:
+        yield path
+        return
+    try:
+        yield temp
+        os.replace(temp, path)
+    finally:
+        if os.path.exists(temp):
+            os.remove(temp)
+
+
 def build_spec(args) -> DatasetSpec:
     if not args.task:
         raise ConfigError("choose a task: clutrr or stepgame")
@@ -141,12 +169,14 @@ def cmd_gen(args) -> int:
     load_name_pools()
     TemplatePool.for_task(spec.task)
     check_output(args.output)
+    check_output(staging_path(args.output))
     try:
         examples = build_dataset(spec, workers=args.workers)
     except GenerationExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_jsonl(examples, args.output)
+    with replaced_on_success(args.output) as temp:
+        write_jsonl(examples, temp)
     print(f"wrote {len(examples)} examples to {args.output}")
     print(stats_table(examples))
     return 0
@@ -180,7 +210,9 @@ def cmd_render(args) -> int:
             raise ConfigError(f"-k {args.shots} exceeds the {usable} shots "
                               f"{args.shots_file} can give")
     check_output(args.output)
-    with open(args.output, "w", encoding="utf-8") as handle:
+    check_output(staging_path(args.output))
+    with replaced_on_success(args.output) as temp, \
+            open(temp, "w", encoding="utf-8") as handle:
         for example in examples:
             shots = []
             if args.shots:
@@ -205,14 +237,16 @@ def cmd_score(args) -> int:
             TemplatePool.for_task(task)
     report_path = args.report or f"{args.predictions}.report.json"
     check_output(report_path)
+    check_output(staging_path(report_path))
     try:
         report = score(predictions, gold, args.style)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(report.to_text())
-    Path(report_path).write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    with replaced_on_success(report_path) as temp:
+        Path(temp).write_text(
+            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"report written to {report_path}")
     return 0
 

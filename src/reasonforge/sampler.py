@@ -10,7 +10,13 @@ dead-ends and this is a uniform random walk.
 An engine's fold (acc -> step label -> acc, kinship's composition table)
 admits a neighbor only while the head-to-current relation stays defined, so
 long chains whose steps entail their answer are reachable; blind walks
-almost never find them.  A node-expansion budget bounds the search.
+almost never find them.  With a fold, the last step admits only tails whose
+accumulator is the engine's ground truth for (head, tail), so every chain
+returned is answerable, and a memo of dead states skips subtrees already
+searched in full: a subtree is fixed by (head, node, accumulator, visited
+set), so skipping one that held no chain loses no walk.  A node-expansion
+budget bounds the search; a skipped dead state costs none.  Without a fold
+(spatial) the search keeps no memo and checks no answer.
 
 Step i of a sampled chain is the triple (walk[i], label, walk[i+1]); only a
 direction flip rewrites a step against the walk.
@@ -64,10 +70,17 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
     rng = random.Random(seed)
     randrange = rng.randrange
     outgoing = graph.outgoing()
+    edges = graph.edges
     fold = graph.engine.fold
+    ground_truth = graph.engine.ground_truth
     empty: dict[str, str] = {}
     walk: list[int] = []
     on_walk: set[int] = set()
+    # fold only: on_walk as a bitmask, the (head, node, acc, mask) key of
+    # each walk level, and the keys whose whole subtree held no chain
+    mask = 0
+    keys: list[tuple] = []
+    dead: set[tuple] = set()
 
     def frontier(node: int, acc: Optional[str]) -> list[tuple[int, Optional[str]]]:
         if acc is None or fold is None:
@@ -84,18 +97,33 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
         if not top:
             stack.pop()
             if walk:
-                on_walk.discard(walk.pop())
+                node = walk.pop()
+                on_walk.discard(node)
+                if fold is not None:
+                    mask ^= 1 << node
+                    dead.add(keys.pop())
             continue
         i = randrange(len(top))
         node, acc = top[i]
         top[i] = top[-1]
         top.pop()
+        if fold is not None:
+            key = (walk[0] if walk else node, node, acc, mask | 1 << node)
+            if key in dead:
+                continue
+            mask = key[3]
+            keys.append(key)
         walk.append(node)
         on_walk.add(node)
         if len(walk) == length + 1:
-            edges = graph.edges
             return ReasoningChain(walk=walk, steps=[
                 Triple(a, edges[(a, b)], b) for a, b in zip(walk, walk[1:])])
         budget -= 1
-        stack.append(frontier(node, acc))
+        choices = frontier(node, acc)
+        if fold is not None and len(walk) == length:
+            # last step: keep only tails whose fold is the true answer
+            labels = [edges[step] for step in zip(walk, walk[1:])]
+            choices = [(nb, a) for nb, a in choices
+                       if ground_truth(walk[0], nb, labels + [edges[(node, nb)]]) == a]
+        stack.append(choices)
     raise SamplingExhausted(f"no walk of length {length} within the search budget")

@@ -208,7 +208,7 @@ def generate_candidate(
     graph = _graph_for(spec, hop, index, attempt)
     base = (spec.seed, spec.task, hop, index, attempt)
     try:
-        # ten-hop entailed kinship walks are scarce; deep search beats regrowing
+        # ten-hop entailed kinship walks are scarce and get a deeper search
         chain = sample_chain(graph, hop, derive_seed(*base, "walk"),
                              budget=3500 if hop >= 10 else 800)
     except SamplingExhausted:
@@ -216,7 +216,8 @@ def generate_candidate(
     # every augmentation keeps the head-to-tail answer, so read it once here
     answer = corrupt(chain, graph)
     if answer is None or entailed_relation(chain, graph) != answer:
-        # out of vocabulary, or the story triples alone do not force it
+        # out of vocabulary, or the story triples alone do not force it; a
+        # guard, since sample_chain already checks kinship answers
         return None
 
     mix = spec.augmentation_mix

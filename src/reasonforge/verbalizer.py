@@ -123,6 +123,14 @@ def _task_pool(task: str, directory: Path) -> TemplatePool:
 
 
 def load_name_pools() -> dict[str, list[str]]:
+    """Gender -> names, parsed once per process and data directory; every
+    caller shares the result, so none may change it."""
+    return _name_pools(data_dir())
+
+
+@lru_cache(maxsize=None)
+def _name_pools(directory: Path) -> dict[str, list[str]]:
+    # directory keys the cache; read_asset reads from that same data_dir()
     return read_asset("names.json", json.loads)
 
 

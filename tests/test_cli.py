@@ -2,6 +2,7 @@ import io
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -130,6 +131,43 @@ def test_render_with_shots(tmp_path):
     assert record["prompt"].count("### Story:") == 6
 
 
+def test_render_failing_midway_keeps_earlier_output(tmp_path, monkeypatch):
+    dataset = tmp_path / "d.jsonl"
+    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "4",
+         "--seed", "3", "-o", str(dataset)])
+    prompts = tmp_path / "p.jsonl"
+    prompts.write_text("earlier\n")
+    rendered = []
+
+    def failing_target(example, style):
+        if rendered:
+            raise RuntimeError("render failed")
+        rendered.append(example.id)
+        return "target"
+
+    monkeypatch.setattr(cli, "render_target", failing_target)
+    with pytest.raises(RuntimeError):
+        run(["render", "--dataset", str(dataset), "--style", "std-p",
+             "-o", str(prompts)])
+    assert rendered
+    assert prompts.read_text() == "earlier\n"
+    assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "p.jsonl"]
+
+
+def test_outputs_write_through_devices_and_symlinks(tmp_path):
+    # only a new path or a regular file is replaced by a renamed temporary
+    target = tmp_path / "target.jsonl"
+    target.write_text("earlier\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    gen = ["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2", "--seed", "3"]
+    run(gen + ["-o", os.devnull])
+    run(gen + ["-o", str(link)])
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert link.is_symlink() and len(target.read_text().splitlines()) == 2
+    assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "target.jsonl"]
+
+
 def test_render_missing_shot_pool(tmp_path):
     dataset = tmp_path / "d.jsonl"
     run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
@@ -215,6 +253,12 @@ GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
      "{dir}/task.jsonl:1: unknown task 'chess'"),
     (["score", "--predictions", "{dir}/answers.jsonl", "--gold", "{dir}/answer.jsonl"],
      "{dir}/answer.jsonl:1: 'north' is not a spatial label"),
+    # held.jsonl is writable, but the temporary file beside it is not
+    (GEN + ["-o", "{dir}/held.jsonl"], "cannot write {dir}/held.jsonl."),
+    (["render", "--dataset", "{dir}/d.jsonl", "--style", "std-p",
+      "-o", "{dir}/held.jsonl"], "cannot write {dir}/held.jsonl."),
+    (["score", "--predictions", "{dir}/answers.jsonl", "--gold", "{dir}/d.jsonl",
+      "--report", "{dir}/held.jsonl"], "cannot write {dir}/held.jsonl."),
 ])
 def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
     dataset = tmp_path / "d.jsonl"
@@ -232,6 +276,8 @@ def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
     for key, value in [("query", "Where is A?"), ("task", "chess"), ("answer", "north")]:
         (tmp_path / f"{key}.jsonl").write_text(json.dumps({**row, key: value}) + "\n")
     (tmp_path / "kept.jsonl").write_text("kept\n")
+    (tmp_path / "held.jsonl").write_text("held\n")
+    (tmp_path / f"held.jsonl.{os.getpid()}.tmp").mkdir()
     # every row runs against a user data directory that also holds a preset
     # with a key besides counts
     data = tmp_path / "data"
@@ -250,6 +296,7 @@ def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
     assert message.format(dir=tmp_path) in err
     assert not out.exists() and not (tmp_path / "p.jsonl").exists()
     assert (tmp_path / "kept.jsonl").read_text() == "kept\n"
+    assert (tmp_path / "held.jsonl").read_text() == "held\n"
 
 
 STALE_PROMPT = "Answer the question.\n\n### Story:\n[STORY]\n### Output:\n[ANSWER]\n"

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -79,6 +80,60 @@ def test_fold_keeps_kinship_chains_entailed():
         assert chain_relation([t.relation for t in chain.steps]) is not None
         drawn += 1
     assert drawn >= 50
+
+
+def answerable_walk_exists(graph, length):
+    """Brute force: some simple walk of `length` steps keeps the fold alive
+    and ends on the engine's ground truth for its head and tail."""
+    outgoing = graph.outgoing()
+    engine = graph.engine
+
+    def extend(walk, labels):
+        if len(labels) == length:
+            return chain_relation(labels) == engine.ground_truth(
+                walk[0], walk[-1], labels)
+        return any(extend(walk + [nb], labels + [label])
+                   for nb, label in outgoing[walk[-1]]
+                   if nb not in walk and chain_relation(labels + [label]) is not None)
+
+    return any(extend([node], []) for node in sorted(graph.nodes))
+
+
+def induced(graph, keep):
+    sub = RelationalGraph(graph.engine)
+    for node in keep:
+        sub.add_node(node)
+    for (a, b), label in graph.edges.items():
+        if a in keep and b in keep:
+            sub.add_edge(a, label, b)
+    return sub
+
+
+def test_kinship_search_finds_a_chain_exactly_when_one_exists():
+    # the dead-state memo is exact and the last step keeps only true
+    # answers: given budget, the search fails only where no answerable
+    # walk exists, and what it returns is answerable.  Ten-node induced
+    # subgraphs give both outcomes and walks rare enough that a search must
+    # cover most of the graph to find one.
+    outcomes = Counter()
+    for s in range(30):
+        full = grow_graph(KinshipEngine(), 1, seed=s)
+        sub = induced(full, set(random.Random(s).sample(full.nodes, 10)))
+        for g, hops in ((full, range(2, 6)), (sub, range(2, 8))):
+            for hop in hops:
+                exists = answerable_walk_exists(g, hop)
+                outcomes[exists] += 1
+                for seed in range(4):
+                    try:
+                        chain = sample_chain(g, hop, seed, budget=10**6)
+                    except SamplingExhausted:
+                        chain = None
+                    assert (chain is not None) == exists, (s, hop, seed)
+                    if chain is not None:
+                        labels = [t.relation for t in chain.steps]
+                        assert chain_relation(labels) == g.engine.ground_truth(
+                            chain.head, chain.tail, labels) is not None
+    assert outcomes[True] >= 150 and outcomes[False] >= 50
 
 
 def test_sample_unique_edge():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from reasonforge import taskgen
 from reasonforge.cli import main
 from reasonforge.kinship import KinshipEngine
 from reasonforge.relgraph import RelationalGraph, Triple, _attach, grow_graph
@@ -11,8 +12,9 @@ from reasonforge.sampler import ReasoningChain
 from reasonforge.spatial import SpatialEngine
 from reasonforge.taskgen import (JSONL_FIELDS, DatasetSpec, Example,
                                  GenerationExhausted, build_dataset, corrupt,
-                                 entailed_relation, query_endpoints,
-                                 read_jsonl, verify_dataset, write_jsonl)
+                                 entailed_relation, generate_candidate,
+                                 query_endpoints, read_jsonl, verify_dataset,
+                                 write_jsonl)
 
 SMALL = {h: 12 for h in (2, 3, 4)}
 
@@ -72,6 +74,25 @@ def test_corrupt_kinship_daughter_sister_niece():
 
 # -- build_dataset ----------------------------------------------------------------
 
+def test_deep_kinship_walks_agree_with_their_answer(monkeypatch):
+    # the sampler checks each kinship answer in its search, so the
+    # corrupt/entailed_relation guard in generate_candidate never fires
+    seen = []
+
+    def recording_corrupt(chain, graph):
+        answer = corrupt(chain, graph)
+        seen.append((answer, entailed_relation(chain, graph)))
+        return answer
+
+    monkeypatch.setattr(taskgen, "corrupt", recording_corrupt)
+    spec = DatasetSpec.make("kinship", {9: 1, 10: 1}, seed=0)
+    for hop in (9, 10):
+        for attempt in range(150):
+            generate_candidate(spec, hop, attempt % 5, attempt)
+    assert len(seen) >= 100
+    assert all(answer is not None and answer == entailed for answer, entailed in seen)
+
+
 def test_counts_met_exactly(small_kinship, small_spatial):
     for dataset in (small_kinship, small_spatial):
         per_hop = {}
@@ -127,9 +148,9 @@ def test_determinism_byte_identical(tmp_path, small_kinship):
 # changes them on purpose updates them and says why.
 RENDERS = (("std-p", 0), ("eta-p", 5), ("std-p", 5), ("eta-p", 0))
 PINNED = {
-    "kinship": ({2: 10, 6: 10, 10: 3}, "a54b9f29610c6ffd199fdd4ec988fb13",
-                "9d6b283d423a9227fec5acb9af1aedd1", "c0cc728cfd9896c70a413a399068c336",
-                "70497b5035ea6f87e9e13e37fc4861c3", "9852b7ac04c7ec7618fc5d96d001be79"),
+    "kinship": ({2: 10, 6: 10, 10: 3}, "bc7bfa2a0b5cb33a174397b308e88ced",
+                "e271f1d300f4ab52970c1e0697cda745", "23df4ef460a430f6f9a801bfa20b6059",
+                "2e06205ce8842afbd692dcd140b8364d", "cebba658f6ba49e515ed5e4266d1323b"),
     "spatial": ({2: 10, 10: 10}, "bdbde84454cffa7d62d473244249aeef",
                 "71f0865af94712e8a5afdfc1d1250711", "4ff6739479908c00936459bf4040fbd2",
                 "422092a9117c6345b98fe66e6de87bc4", "2c7dedf50da34975f1664ae584004ceb"),

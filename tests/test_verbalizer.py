@@ -161,3 +161,20 @@ def test_assets_read_once_per_path():
     for _ in range(5):
         load_name_pools()
     assert _read_text.cache_info().misses == misses
+
+
+def test_name_pools_parsed_once_per_data_dir(tmp_path, monkeypatch):
+    import json
+    import shutil
+
+    from reasonforge.verbalizer import data_dir, load_name_pools
+
+    packaged = load_name_pools()
+    assert load_name_pools() is packaged
+    custom = tmp_path / "assets"
+    shutil.copytree(data_dir(), custom)
+    (custom / "names.json").write_text(json.dumps({"m": ["Al"], "f": ["Bo"]}))
+    monkeypatch.setenv("REASONFORGE_DATA_DIR", str(custom))
+    assert load_name_pools() == {"m": ["Al"], "f": ["Bo"]}
+    monkeypatch.delenv("REASONFORGE_DATA_DIR")
+    assert load_name_pools() is packaged
