@@ -318,10 +318,21 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (AssetError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`... | head`): stop quietly, and
+        # send what is still buffered to devnull so the exit flush cannot fail
+        try:
+            stdout = sys.stdout.fileno()
+        except (OSError, ValueError):  # not backed by a file descriptor
+            return 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        return 1
 
 
 if __name__ == "__main__":

@@ -20,12 +20,15 @@ being a son hold in every world this engine builds).
 
 Children are grouped into family units (father slot, mother slot, children),
 which is what guarantees full siblings: adding a parent to one child adds it
-to every co-child of the unit.
+to every co-child of the unit.  Deduction reads a person's labelled
+relatives straight off the units: growth links a new person to them, and
+derive(u, v) looks v up among u's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 KINSHIP_LABELS = (
@@ -121,11 +124,19 @@ class Genealogy:
 
     # -- primitive queries ---------------------------------------------------
 
-    def children_of(self, person: int) -> tuple[int, ...]:
+    def children_of(self, person: int) -> list[int]:
         uid = self.parent_unit.get(person)
+        return self.units[uid].children if uid is not None else []
+
+    def parents_of(self, person: int) -> tuple[int, ...]:
+        uid = self.child_unit.get(person)
+        return self.units[uid].parent_pair() if uid is not None else ()
+
+    def siblings_of(self, person: int) -> list[int]:
+        uid = self.child_unit.get(person)
         if uid is None:
-            return ()
-        return tuple(self.units[uid].children)
+            return []
+        return [c for c in self.units[uid].children if c != person]
 
     # -- unit plumbing -------------------------------------------------------
 
@@ -353,57 +364,64 @@ class KinshipEngine:
 
     # -- deduction -------------------------------------------------------------
 
+    def _relatives(self, person: int) -> list[tuple[int, str, str]]:
+        """(relative, label of person to relative, label of relative to
+        person) for every labelled relative, read off the family units.
+
+        One rule per label pair; in the worlds this engine builds no two
+        rules relate the same two people.
+        """
+        g = self.genealogy
+        gender, spouse = g.gender, g.spouse
+        children_of, parents_of, siblings_of = g.children_of, g.parents_of, g.siblings_of
+        children = children_of(person)
+        parents = parents_of(person)
+        siblings = siblings_of(person)
+        partner = spouse.get(person)
+        rules = (
+            (children, _PARENT, _CHILD),
+            (parents, _CHILD, _PARENT),
+            (siblings, _SIBLING, _SIBLING),
+            ([x for c in children for x in children_of(c)], _GRANDPARENT, _GRANDCHILD),
+            ([x for s in siblings for x in children_of(s)], _UNCLE, _NEPHEW),
+            ([x for p in parents for x in parents_of(p)], _GRANDCHILD, _GRANDPARENT),
+            ([x for p in parents for x in siblings_of(p)], _NEPHEW, _UNCLE),
+            ([spouse[c] for c in children if c in spouse], _PARENT_IN_LAW, _CHILD_IN_LAW),
+            (parents_of(partner) if partner is not None else (),
+             _CHILD_IN_LAW, _PARENT_IN_LAW),
+        )
+        own = gender[person] != "m"
+        return [(other, mine[own], theirs[gender[other] != "m"])
+                for others, mine, theirs in rules for other in others]
+
     def derive(self, u: int, v: int) -> Optional[str]:
         """Vocabulary label of "u is <r> of v", or None."""
-        g = self.genealogy
-        if u == v:
-            return None
-        male = g.gender[u] == "m"
-        child_unit = g.child_unit
-        units = g.units
-        unit_u = child_unit.get(u)
-        unit_v = child_unit.get(v)
-        parents_v = units[unit_v].parent_pair() if unit_v is not None else ()
-        if u in parents_v:
-            return "father" if male else "mother"
-        parents_u = units[unit_u].parent_pair() if unit_u is not None else ()
-        if v in parents_u:
-            return "son" if male else "daughter"
-        if unit_u is not None and unit_u == unit_v:
-            return "brother" if male else "sister"
-        for p in parents_v:
-            up = child_unit.get(p)
-            if up is not None:
-                if u in units[up].parent_pair():
-                    return "grandfather" if male else "grandmother"
-                if up == unit_u:
-                    return "uncle" if male else "aunt"
-        for p in parents_u:
-            up = child_unit.get(p)
-            if up is not None:
-                if v in units[up].parent_pair():
-                    return "grandson" if male else "granddaughter"
-                if up == unit_v:
-                    return "nephew" if male else "niece"
-        spouse_v = g.spouse.get(v)
-        if spouse_v is not None:
-            us = child_unit.get(spouse_v)
-            if us is not None and u in units[us].parent_pair():
-                return "father-in-law" if male else "mother-in-law"
-        spouse_u = g.spouse.get(u)
-        if spouse_u is not None:
-            us = child_unit.get(spouse_u)
-            if us is not None and v in units[us].parent_pair():
-                return "son-in-law" if male else "daughter-in-law"
+        for other, label, _ in self._relatives(u):
+            if other == v:
+                return label
         return None
 
-    def derive_pair(self, u: int, v: int) -> tuple[Optional[str], Optional[str]]:
-        """(label of u to v, label of v to u) with one derivation: the
-        reverse direction follows from inversion."""
-        r = self.derive(u, v)
-        if r is None:
-            return None, None
-        return r, self.invert_label(r, v)
+    def links(self, node: int, graph) -> list[tuple[int, str, str]]:
+        """(other, label of node to other, label of other to node) for every
+        relative of node already in the graph, in graph order."""
+        present = graph.incoming
+        links = [link for link in self._relatives(node) if link[0] in present]
+        # persons join the graph in the order they are created, so ids
+        # ascend in graph order
+        links.sort(key=itemgetter(0))
+        return links
+
+
+# (label of a male subject, label of a female subject) per rule
+_PARENT = ("father", "mother")
+_CHILD = ("son", "daughter")
+_SIBLING = ("brother", "sister")
+_GRANDPARENT = ("grandfather", "grandmother")
+_GRANDCHILD = ("grandson", "granddaughter")
+_UNCLE = ("uncle", "aunt")
+_NEPHEW = ("nephew", "niece")
+_PARENT_IN_LAW = ("father-in-law", "mother-in-law")
+_CHILD_IN_LAW = ("son-in-law", "daughter-in-law")
 
 
 # Pairwise composition: COMPOSE[(r1, r2)] = r3 means "A is r1 of B" and

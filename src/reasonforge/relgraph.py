@@ -4,9 +4,11 @@ A graph starts from a single root node.  Each growth iteration scans the
 nodes present at the start of the iteration; for every node v and every
 relation r in the engine's default growth labels, if no edge (v', r, v)
 exists yet, the task engine attempts to realize a fresh node v_r (possibly
-with auxiliary nodes) so that "v_r is the r of v" holds.  Every new node is then related
-to all existing nodes by the engine's deduction, so the edge set stays
-closed under deduction at all times.
+with auxiliary nodes) so that "v_r is the r of v" holds.  Each new node
+then gets an edge in both directions to every related node already in the
+graph, as the engine lists them (`engine.links`, in graph order: kinship
+reads the relatives off its family units, spatial relates every pair), so
+the edge set stays closed under deduction at all times.
 
 Absence checks run against the live graph, not a frozen snapshot: a node
 realized earlier in the same iteration already satisfies later checks,
@@ -78,16 +80,12 @@ class RelationalGraph:
 
 
 def _attach(graph: RelationalGraph, node: int) -> None:
-    """Add a node and every deducible edge between it and existing nodes."""
-    derive_pair = graph.engine.derive_pair
-    existing = [n for n in graph.nodes]
+    """Add a node and its edges to every related node already in the graph."""
+    links = graph.engine.links(node, graph)
     graph.add_node(node)
-    for other in existing:
-        forward, backward = derive_pair(node, other)
-        if forward is not None:
-            graph.add_edge(node, forward, other)
-        if backward is not None:
-            graph.add_edge(other, backward, node)
+    for other, forward, backward in links:
+        graph.add_edge(node, forward, other)
+        graph.add_edge(other, backward, node)
 
 
 def grow_graph(engine: Engine, iterations: int, seed: int = 0) -> RelationalGraph:

@@ -15,8 +15,11 @@ accumulator is the engine's ground truth for (head, tail), so every chain
 returned is answerable, and a memo of dead states skips subtrees already
 searched in full: a subtree is fixed by (head, node, accumulator, visited
 set), so skipping one that held no chain loses no walk.  A node-expansion
-budget bounds the search; a skipped dead state costs none.  Without a fold
-(spatial) the search keeps no memo and checks no answer.
+budget bounds the search; a skipped dead state costs none.  The moves each
+(node, accumulator) admits are filtered through the fold once per search
+and kept in a table local to it; the walk is a bitmask, so an untried move
+is one that is not on it.  Without a fold (spatial) the moves are the
+node's edges, and the search keeps no memo and checks no answer.
 
 Step i of a sampled chain is the triple (walk[i], label, walk[i+1]); only a
 direction flip rewrites a step against the walk.
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .relgraph import RelationalGraph, Triple
 
@@ -73,21 +75,14 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
     edges = graph.edges
     fold = graph.engine.fold
     ground_truth = graph.engine.ground_truth
-    empty: dict[str, str] = {}
     walk: list[int] = []
-    on_walk: set[int] = set()
-    # fold only: on_walk as a bitmask, the (head, node, acc, mask) key of
-    # each walk level, and the keys whose whole subtree held no chain
-    mask = 0
+    mask = 0  # the nodes on the walk, one bit each
+    # fold only: the moves each (node, acc) admits, the (head, node, acc,
+    # mask) key of each walk level, and the keys whose whole subtree held
+    # no chain
+    moves: dict[tuple, list[tuple[int, str]]] = {}
     keys: list[tuple] = []
     dead: set[tuple] = set()
-
-    def frontier(node: int, acc: Optional[str]) -> list[tuple[int, Optional[str]]]:
-        if acc is None or fold is None:
-            return [(nb, label) for nb, label in outgoing[node] if nb not in on_walk]
-        row = fold.get(acc, empty)
-        return [(nb, row[label]) for nb, label in outgoing[node]
-                if label in row and nb not in on_walk]
 
     # stack[i] holds the untried (node, acc) choices for walk[i]; the
     # bottom level is the start nodes
@@ -97,29 +92,35 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
         if not top:
             stack.pop()
             if walk:
-                node = walk.pop()
-                on_walk.discard(node)
+                mask ^= 1 << walk.pop()
                 if fold is not None:
-                    mask ^= 1 << node
                     dead.add(keys.pop())
             continue
         i = randrange(len(top))
         node, acc = top[i]
         top[i] = top[-1]
         top.pop()
+        bit = 1 << node
         if fold is not None:
-            key = (walk[0] if walk else node, node, acc, mask | 1 << node)
+            key = (walk[0] if walk else node, node, acc, mask | bit)
             if key in dead:
                 continue
-            mask = key[3]
             keys.append(key)
+        mask |= bit
         walk.append(node)
-        on_walk.add(node)
         if len(walk) == length + 1:
             return ReasoningChain(walk=walk, steps=[
                 Triple(a, edges[(a, b)], b) for a, b in zip(walk, walk[1:])])
         budget -= 1
-        choices = frontier(node, acc)
+        if fold is None or acc is None:
+            admitted = outgoing[node]
+        else:
+            admitted = moves.get((node, acc))
+            if admitted is None:
+                row = fold.get(acc, {})
+                admitted = moves[node, acc] = [
+                    (nb, row[label]) for nb, label in outgoing[node] if label in row]
+        choices = [move for move in admitted if not mask >> move[0] & 1]
         if fold is not None and len(walk) == length:
             # last step: keep only tails whose fold is the true answer
             labels = [edges[step] for step in zip(walk, walk[1:])]

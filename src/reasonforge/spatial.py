@@ -120,6 +120,12 @@ class SpatialEngine:
         dx, dy = _sign(ux - vx), _sign(uy - vy)
         return _BY_SIGN[(dx, dy)], _BY_SIGN[(-dx, -dy)]
 
+    def links(self, node: int, graph) -> list[tuple[int, str, str]]:
+        """(other, label of node to other, label of other to node) for every
+        node already in the graph, in graph order: on a grid every pair is
+        related."""
+        return [(other, *self.derive_pair(node, other)) for other in graph.nodes]
+
     def invert_label(self, relation: str, subject: int) -> str:
         return invert(relation)
 

@@ -212,6 +212,40 @@ def test_verify_clean_and_corrupted(tmp_path, capsys):
     assert lines[0]["id"] in out
 
 
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_closed_stdout_ends_quietly(tmp_path, capsys, monkeypatch, command):
+    dataset = tmp_path / "d.jsonl"
+    run(["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2",
+         "--seed", "6", "-o", str(dataset)])
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run([command, "--dataset", str(dataset)]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_ends_without_traceback(tmp_path):
+    # `reasonforge verify ... | true`: the output fits the stdout buffer, so
+    # the write fails only when it is flushed
+    dataset = tmp_path / "d.jsonl"
+    run(["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2",
+         "--seed", "6", "-o", str(dataset)])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reasonforge.cli", "verify", "--dataset", str(dataset)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == ""
+
+
 GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
 
 

@@ -144,14 +144,36 @@ def test_deduction_consistency_kinship():
 
 
 def test_deduction_consistency_deeper_growth():
-    # full vocabulary at two iterations: ~3,600 edges per graph.  Three
-    # iterations take seconds per graph, too slow for the suite.
-    for seed in range(25):
+    # full vocabulary at two iterations: ~3,600 edges per graph.  Closure
+    # reads each new person's relatives off the family units, so three
+    # iterations (~2,800 people, ~38,000 edges) grow in under 0.1 s a graph.
+    for iterations, seeds in ((2, range(25)), (3, range(3))):
+        for seed in seeds:
+            eng = KinshipEngine()
+            g = grow_graph(eng, iterations, seed=seed)
+            world = kinship_world_from_genealogy(eng.genealogy)
+            for (s, o), r in g.edges.items():
+                assert genealogy_relation(world, s, o) == r
+
+
+@pytest.mark.parametrize("iterations,seeds", [(1, range(30)), (2, range(8))])
+def test_kinship_closure_complete_in_scan_order(iterations, seeds):
+    # the edges are exactly the ordered pairs the brute-force oracle
+    # relates, in the order of an all-pairs scan: each node in graph order
+    # against every earlier node, the edge from it before the edge to it.
+    # A two-iteration graph has ~270 people, ~0.7 s of oracle calls each.
+    for seed in seeds:
         eng = KinshipEngine()
-        g = grow_graph(eng, 2, seed=seed)
+        g = grow_graph(eng, iterations, seed=seed)
         world = kinship_world_from_genealogy(eng.genealogy)
-        for (s, o), r in g.edges.items():
-            assert genealogy_relation(world, s, o) == r
+        scan = []
+        for i, node in enumerate(g.nodes):
+            for other in g.nodes[:i]:
+                for pair in ((node, other), (other, node)):
+                    relation = genealogy_relation(world, *pair)
+                    if relation is not None:
+                        scan.append((pair, relation))
+        assert list(g.edges.items()) == scan
 
 
 def test_deduction_consistency_spatial():
