@@ -3,7 +3,8 @@
 Predictions arrive as JSONL records {id, response} so any inference stack
 can produce them.  A response whose parse yields no vocabulary relation is
 counted incorrect and tallied separately, keeping parser failures visible
-next to genuinely wrong answers.
+next to genuinely wrong answers.  Under eta-p the report also counts the
+responses whose extracted triple list is exactly the gold one.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ class ScoreReport:
     total: int = 0
     correct: int = 0
     unparseable: int = 0
+    triples_exact: int = 0
 
     @property
     def overall_accuracy(self) -> float:
@@ -34,6 +36,7 @@ class ScoreReport:
             "total": self.total,
             "correct": self.correct,
             "unparseable": self.unparseable,
+            "triples_exact": self.triples_exact,
             "overall_accuracy": self.overall_accuracy,
         }
 
@@ -46,6 +49,7 @@ class ScoreReport:
         lines.append(f"{'Total':<6}{self.total:>6}{self.correct:>9}"
                      f"{self.overall_accuracy:>10.3f}")
         lines.append(f"unparseable: {self.unparseable}")
+        lines.append(f"triples exact: {self.triples_exact}")
         return "\n".join(lines)
 
 
@@ -64,7 +68,8 @@ def score(
     gold: Sequence[Example],
     style: str,
 ) -> ScoreReport:
-    """Exact label match per prediction, aggregated by hop.
+    """Exact label match per prediction, aggregated by hop, and under
+    eta-p the count of exactly extracted gold triple lists.
 
     Every prediction id must name a unique gold example; unknown or
     duplicate ids are errors, not skips.
@@ -81,16 +86,19 @@ def score(
         example = by_id.get(pid)
         if example is None:
             raise KeyError(f"prediction id {pid} not in gold dataset")
-        parsed = parse_response(item["response"], style, example.task).relation
+        parsed = parse_response(item["response"], style, example.task)
         row = report.per_hop.setdefault(
-            example.hop, {"n": 0, "correct": 0, "accuracy": 0.0})
+            example.hop, {"n": 0, "correct": 0, "accuracy": 0.0, "triples_exact": 0})
         row["n"] += 1
         report.total += 1
-        if parsed is None:
+        if parsed.relation is None:
             report.unparseable += 1
-        elif parsed == example.answer:
+        elif parsed.relation == example.answer:
             row["correct"] += 1
             report.correct += 1
+        if parsed.triples == example.gold_triples:
+            row["triples_exact"] += 1
+            report.triples_exact += 1
     for row in report.per_hop.values():
         row["accuracy"] = row["correct"] / row["n"] if row["n"] else 0.0
     return report

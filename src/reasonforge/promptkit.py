@@ -147,16 +147,20 @@ def _last_relation(segment: str, task: str) -> Optional[str]:
     return _PHRASE_LABELS[task][matches[-1]] if matches else None
 
 
+_LIST_MARKER = re.compile(r"^\s*(?:[-*]|\d+[.)])\s*")
+
+
 def _extract_triples(text: str, pool: TemplatePool) -> Optional[list[list[str]]]:
-    lowered = text.lower()
-    marker = lowered.rfind("triples")
+    # the last "triples" in any case; "\u0130" (İ) is the one character
+    # whose lower case is two long, so it is blanked to keep text's indices
+    marker = text.replace("\u0130", " ").lower().rfind("triples")
     if marker < 0:
         return None
-    start = text.index(":", marker) + 1 if ":" in text[marker:] else marker
+    colon = text.find(":", marker)
+    start = colon + 1 if colon >= 0 else marker
     stop = text.find("Therefore", start)
     section = text[start:stop if stop >= 0 else len(text)]
-    lines = [re.sub(r"^\s*(?:[-*]|\d+[.)])\s*", "", line)
-             for line in section.splitlines()]
+    lines = [_LIST_MARKER.sub("", line) for line in section.splitlines()]
     found = pool.extract("\n".join(lines))
     if not found:
         return None

@@ -1,10 +1,13 @@
-"""Spatial deduction engine over 2-D integer coordinates.
+"""Spatial engine: a grid of nodes at 2-D integer coordinates.
 
 Nine direction labels, one per sign pair of a displacement vector
-(x grows to the right, y grows upward).  Relations between placed nodes
-are always deduced from full integer displacements, never by composing
-labels pairwise: label composition is lossy and the chain examples in
-the tests demonstrate why.
+(x grows to the right, y grows upward).  The grid supplies the labels of
+its edges, so it shapes which label sequences get drawn.  Answers follow
+StepGame's reading, where each story sentence is one unit step: the
+answer is the sign of the summed unit offsets of a chain's labels
+(`chain_relation`), not the grid's own head-to-tail relation, because
+chain steps may join cells that are not adjacent.  The sum keeps whole
+offsets, never composing labels pairwise, which is lossy.
 """
 
 from __future__ import annotations
@@ -133,5 +136,6 @@ class SpatialEngine:
         return chain_relation(labels)
 
     def ground_truth(self, head: int, tail: int, labels: Sequence[str]) -> str:
-        """The steps' unit-offset sum, as a reader computes it from the story."""
+        """The steps' unit-offset sum, as a reader computes it from the story;
+        not derive_pair(head, tail), the grid's relation of the two nodes."""
         return chain_relation(labels)

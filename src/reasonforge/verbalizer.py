@@ -79,21 +79,35 @@ class TemplatePool:
     """Relation -> sentence templates with {A}/{B} slots, plus extraction."""
 
     def __init__(self, templates: dict[str, list[str]], name_pattern: str) -> None:
+        if not templates:
+            raise ValueError("no templates")
         for relation, forms in templates.items():
             if len(forms) < 2:
                 raise ValueError(f"{relation}: need at least 2 templates")
             for form in forms:
-                if "{A}" not in form or "{B}" not in form:
-                    raise ValueError(f"{relation}: template missing slots: {form}")
+                if form.count("{A}") != 1 or form.count("{B}") != 1:
+                    raise ValueError(f"{relation}: template needs one {{A}} and "
+                                     f"one {{B}}: {form}")
+                if not form.startswith("{A}"):
+                    raise ValueError(f"{relation}: template must start with "
+                                     f"{{A}}: {form}")
         self.templates = templates
-        self._matchers = [
-            (relation, re.compile(
-                re.escape(form)
-                .replace(r"\{A\}", f"(?P<A>{name_pattern})")
-                .replace(r"\{B\}", f"(?P<B>{name_pattern})")))
-            for relation, forms in templates.items()
-            for form in forms
-        ]
+        # One alternation of every template in listed order, each in its own
+        # group, behind a guard that rejects a position where no name starts.
+        # A slot is a group plus the name pattern's own groups; a match's
+        # lastindex is its template's group, and the A and B slots follow it.
+        slot_size = re.compile(name_pattern).groups + 1
+        alternatives = []
+        self._slots: dict[int, tuple[str, int, int]] = {}
+        group = slot_size  # the guard holds the name pattern's groups
+        for relation, forms in templates.items():
+            for form in forms:
+                alternatives.append("(" + re.escape(form)
+                                    .replace(r"\{A\}", f"({name_pattern})")
+                                    .replace(r"\{B\}", f"({name_pattern})") + ")")
+                self._slots[group] = (relation, group + 1, group + 1 + slot_size)
+                group += 1 + 2 * slot_size
+        self._matcher = re.compile(f"(?={name_pattern})(?:{'|'.join(alternatives)})")
 
     @classmethod
     def for_task(cls, task: str) -> "TemplatePool":
@@ -107,12 +121,14 @@ class TemplatePool:
         return rng.choice(self.templates[relation]).format(A=a, B=b)
 
     def extract(self, text: str) -> list[tuple[str, str, str]]:
-        """Recover (subject, relation, object) triples in order of mention."""
-        found: dict[int, tuple[str, str, str]] = {}
-        for relation, matcher in self._matchers:
-            for m in matcher.finditer(text):
-                found.setdefault(m.start(), (m.group("A"), relation, m.group("B")))
-        return [found[pos] for pos in sorted(found)]
+        """Recover (subject, relation, object) triples in order of mention,
+        in one scan; where two templates match at one position, the first
+        listed wins, and the scan resumes after each match."""
+        triples = []
+        for m in self._matcher.finditer(text):
+            relation, a, b = self._slots[m.lastindex]
+            triples.append((m.group(a), relation, m.group(b)))
+        return triples
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ import pytest
 
 from reasonforge.evalkit import score, stats_table
 from reasonforge.promptkit import render_target
+from reasonforge.verbalizer import TemplatePool
 from reasonforge.taskgen import DatasetSpec, build_dataset
 
 
@@ -89,3 +90,28 @@ def test_report_text_and_dict(gold):
     data = report.to_dict()
     assert data["overall_accuracy"] == 1.0
     assert set(data["per_hop"]) == {"2", "3"}
+
+
+def test_triples_exact_counts_gold_triple_lists(gold):
+    preds = predictions_from(gold, lambda e: render_target(e, "eta-p"))
+    report = score(preds, gold, "eta-p")
+    assert report.triples_exact == report.total == len(gold)
+    assert all(row["triples_exact"] == row["n"] for row in report.per_hop.values())
+    assert report.to_dict()["triples_exact"] == len(gold)
+    assert f"triples exact: {len(gold)}" in report.to_text()
+
+    example = gold[0]
+    a, relation, b = example.gold_triples[0]
+    other = next(r for r in ("above", "below") if r != relation)
+    pool = TemplatePool.for_task(example.task)
+    preds[0]["response"] = preds[0]["response"].replace(
+        pool.canonical(relation, a, b), pool.canonical(other, a, b), 1)
+    changed = score(preds, gold, "eta-p")
+    assert changed.triples_exact == len(gold) - 1
+    assert changed.per_hop[example.hop]["triples_exact"] == \
+        report.per_hop[example.hop]["n"] - 1
+    assert changed.correct == report.correct
+
+    std = score(predictions_from(gold, lambda e: render_target(e, "std-p")),
+                gold, "std-p")
+    assert std.triples_exact == 0 and std.correct == len(gold)

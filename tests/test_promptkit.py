@@ -192,6 +192,18 @@ def test_parse_extracts_triples_under_eta_p():
                               ["Sean", "brother", "Pennie"]]
 
 
+def test_triples_marker_found_after_dotted_capital_i():
+    # "İ".lower() is two characters long; the marker is found in the text
+    response = ("İ" * 40 + "The ordered structured triples are:\n"
+                "Evelyn is the mother of Sean.\n"
+                "Sean is the brother of Pennie.\n"
+                "Therefore, Evelyn is the mother of Pennie")
+    assert parse_response(response, "eta-p", "kinship").triples == \
+        [["Evelyn", "mother", "Sean"], ["Sean", "brother", "Pennie"]]
+    assert parse_response("TRİPLES: Evelyn is the mother of Sean.",
+                          "eta-p", "kinship").triples is None
+
+
 def test_round_trip_parse_of_targets(kinship_examples, spatial_examples):
     for dataset in (kinship_examples, spatial_examples):
         for e in dataset:

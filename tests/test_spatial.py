@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reasonforge.spatial import (_OFFSETS, SPATIAL_LABELS, chain_relation,
-                                 invert, relation_of_displacement)
+from reasonforge.relgraph import grow_graph
+from reasonforge.sampler import sample_chain
+from reasonforge.spatial import (_OFFSETS, SPATIAL_LABELS, SpatialEngine,
+                                 chain_relation, invert, relation_of_displacement)
 
 # independent of the package: the test's own label geometry
 SIGNS = {
@@ -81,3 +83,20 @@ def test_exhaustive_up_to_three():
     for n in (1, 2, 3):
         for labels in itertools.product(SPATIAL_LABELS, repeat=n):
             assert chain_relation(labels) == simulate(labels)
+
+
+def test_answer_is_unit_offset_sum_not_grid_relation():
+    # StepGame's reading: each story sentence is one unit step.  Chain steps
+    # join grid cells that need not be adjacent, so the grid's own
+    # head-to-tail relation is not the answer.
+    graph = grow_graph(SpatialEngine(), SpatialEngine.growth_iterations)
+    engine = graph.engine
+    differs = 0
+    for hop in range(2, 11):
+        for seed in range(30):
+            chain = sample_chain(graph, hop, seed)
+            labels = [step.relation for step in chain.steps]
+            answer = engine.ground_truth(chain.head, chain.tail, labels)
+            assert answer == chain_relation(labels) == simulate(labels)
+            differs += answer != engine.derive_pair(chain.head, chain.tail)[0]
+    assert differs > 0

@@ -1,11 +1,16 @@
+import json
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reasonforge.augment import add_edge_noise, no_augment, permute
 from reasonforge.kinship import KINSHIP_LABELS
 from reasonforge.relgraph import Triple, grow_graph
 from reasonforge.sampler import ReasoningChain, sample_chain
 from reasonforge.spatial import SPATIAL_LABELS, SpatialEngine
-from reasonforge.verbalizer import (TemplatePool, assign_names,
+from reasonforge.verbalizer import (TemplatePool, assign_names, data_dir,
                                     name_gender_lookup, render_answer,
                                     render_query, verbalize_story)
 
@@ -128,6 +133,71 @@ def test_template_validation():
         TemplatePool({"father": ["{A} only one template {B}."]}, "[A-Z]")
     with pytest.raises(ValueError):
         TemplatePool({"father": ["no slots here.", "{A} and {B}."]}, "[A-Z]")
+    with pytest.raises(ValueError):
+        TemplatePool({}, "[A-Z]")
+
+
+@pytest.mark.parametrize("forms", [
+    ["{B} is fathered by {A}.", "{A} is {B}'s father."],
+    ["{A} is the father of {B}.", "The father of {B} is {A}."],
+    ["{A} is the father of {B}.", "{A} and {A} are fathers of {B}."],
+])
+def test_template_must_start_with_its_one_a_slot(forms):
+    with pytest.raises(ValueError):
+        TemplatePool({"father": forms}, "[A-Z]")
+
+
+def test_name_pattern_groups_keep_slots_apart():
+    pool = TemplatePool({"r": ["{A} r {B}.", "{A} is r to {B}."],
+                         "s": ["{A} s {B}.", "{A} is s to {B}."]}, "([A-Z])([a-z]*)")
+    assert pool.extract("Ann s Bo. Cy is r to D.") == [
+        ("Ann", "s", "Bo"), ("Cy", "r", "D")]
+
+
+def reference_extract(templates, name_pattern, text):
+    """One finditer per template; the first listed template wins at a start
+    position; triples in position order."""
+    found = {}
+    for relation, forms in templates.items():
+        for form in forms:
+            matcher = re.compile(re.escape(form)
+                                 .replace(r"\{A\}", f"(?P<A>{name_pattern})")
+                                 .replace(r"\{B\}", f"(?P<B>{name_pattern})"))
+            for m in matcher.finditer(text):
+                found.setdefault(m.start(), (m.group("A"), relation, m.group("B")))
+    return [found[pos] for pos in sorted(found)]
+
+
+def spliced_texts(templates, names):
+    """Texts spliced from whole sentences, template fragments (whole and
+    cut), names, non-names and separators."""
+    forms = [form for group in templates.values() for form in group]
+    fragments = sorted({piece[i:j] for form in forms
+                        for piece in re.split(r"\{[AB]\}", form) if piece
+                        for i, j in ((0, len(piece)), (0, len(piece) // 2),
+                                     (len(piece) // 2, len(piece)))})
+    sentence = st.builds(lambda form, a, b: form.format(A=a, B=b),
+                         st.sampled_from(forms), st.sampled_from(names),
+                         st.sampled_from(names))
+    part = st.one_of(sentence, st.sampled_from(fragments), st.sampled_from(names),
+                     st.sampled_from(["", " ", "\n", "'s "]))
+    return st.lists(part, max_size=24).map("".join)
+
+
+POOL_NAMES = {
+    "kinship": ["Ann", "Sean", "Pennie", "Mc", "McDo", "AB", "ann", "A"],
+    "spatial": ["A", "Q", "Z", "AB", "McDo", "a"],
+}
+
+
+@pytest.mark.parametrize("task", ["kinship", "spatial"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_extract_equals_per_template_scan(task, data):
+    asset = json.loads((data_dir() / f"templates_{task}.json").read_text())
+    text = data.draw(spliced_texts(asset["templates"], POOL_NAMES[task]))
+    assert TemplatePool.for_task(task).extract(text) == \
+        reference_extract(asset["templates"], asset["name_pattern"], text)
 
 
 def test_data_dir_env_override(tmp_path, monkeypatch):
