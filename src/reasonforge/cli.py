@@ -15,8 +15,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .evalkit import read_predictions, score, stats_table
-from .promptkit import (draw_shots, load_prompt_asset, render_prompt,
-                        render_target)
+from .promptkit import PromptRenderer, draw_shots
 from .taskgen import (DatasetSpec, GenerationExhausted, build_dataset,
                       derive_seed, read_jsonl, verify_dataset, write_jsonl)
 from .verbalizer import AssetError, TemplatePool, load_name_pools, read_asset
@@ -196,8 +195,11 @@ def cmd_render(args) -> int:
         if len(tasks) > 1:
             raise ConfigError(f"{args.shots_file} and {args.dataset} mix tasks: "
                               + ", ".join(sorted(tasks)))
+    # one renderer per command: it builds each example's target and shot
+    # block once, and is freed when the command returns
+    renderer = PromptRenderer(args.style)
     for task in {e.task for e in examples}:
-        load_prompt_asset(task, args.style)
+        renderer.instruction(task)
         if args.style == "eta-p":  # eta-p targets list the triples
             TemplatePool.for_task(task)
     positions: dict[str, list[int]] = {}
@@ -221,8 +223,8 @@ def cmd_render(args) -> int:
                                    positions.get(example.id, ()))
             record = {
                 "id": example.id,
-                "prompt": render_prompt(example, args.style, shots),
-                "target": render_target(example, args.style),
+                "prompt": renderer.prompt(example, shots),
+                "target": renderer.target(example),
             }
             handle.write(json.dumps(record) + "\n")
     print(f"wrote {len(examples)} prompts to {args.output}")

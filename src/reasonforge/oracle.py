@@ -318,3 +318,34 @@ def coordinate_relation(world: SpatialWorld, u: Person, v: Person) -> Optional[s
     vx, vy = world.pos[v]
     dx, dy = ux - vx, uy - vy
     return _SIGN_TO_LABEL[((dx > 0) - (dx < 0), (dy > 0) - (dy < 0))]
+
+
+# --------------------------------------------------------------------------
+# dispatch
+# --------------------------------------------------------------------------
+
+def _kinship_answer(
+    triples: Iterable[tuple[Person, str, Person]], head: Person, tail: Person,
+    gender_of: Mapping[Person, str],
+) -> Optional[str]:
+    try:
+        world = kinship_world_from_triples(triples, gender_of)
+        return genealogy_relation(world, head, tail)
+    except InconsistentWorld as exc:
+        return f"<inconsistent: {exc}>"
+
+
+def _spatial_answer(
+    triples: Iterable[tuple[Person, str, Person]], head: Person, tail: Person,
+    gender_of: Mapping[Person, str],
+) -> Optional[str]:
+    world = spatial_world_from_triples(triples)
+    derived = coordinate_relation(world, head, tail)
+    return derived if world.consistent else "<inconsistent placement>"
+
+
+# Task -> verifier(triples, head, tail, gender_of): the label of head to
+# tail that the story triples establish, None when they establish none, or
+# "<inconsistent ...>" when they contradict each other.  Spatial triples
+# carry no gender cue, so the spatial verifier ignores gender_of.
+VERIFIERS = {"kinship": _kinship_answer, "spatial": _spatial_answer}

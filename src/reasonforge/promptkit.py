@@ -85,16 +85,59 @@ def render_prompt(
 ) -> str:
     """Instruction, each shot's block completed with its gold target, then
     the open query block."""
-    for shot in shots:
-        if shot.id == example.id:
-            raise ValueError(f"shot {shot.id} is the query example")
-        if shot.task != example.task:
-            raise ValueError("shots must come from the same task")
-    parts = [load_prompt_asset(example.task, style)]
-    parts.extend(f"{_open_block(shot)}{render_target(shot, style)}\n\n"
-                 for shot in shots)
-    parts.append(_open_block(example))
-    return "".join(parts)
+    return PromptRenderer(style).prompt(example, shots)
+
+
+class PromptRenderer:
+    """Prompts and targets of one style, for one run over a dataset.
+
+    Each example's target and completed shot block is built at most once,
+    so a shot drawn for many prompts, or a query that is also drawn as a
+    shot, is rendered once; each task's instruction is read once.  The
+    built text is keyed by the example object and lives as long as the
+    renderer, so the examples must not change while it is in use.
+    """
+
+    def __init__(self, style: str) -> None:
+        if style not in STYLES:
+            raise ValueError(f"unknown prompt style {style!r}")
+        self.style = style
+        self._instructions: dict[str, str] = {}
+        # id(example) -> (example, target); holding the example keeps its
+        # id from passing to another object while the renderer lives
+        self._targets: dict[int, tuple[Example, str]] = {}
+        self._blocks: dict[int, str] = {}
+
+    def instruction(self, task: str) -> str:
+        text = self._instructions.get(task)
+        if text is None:
+            text = self._instructions[task] = load_prompt_asset(task, self.style)
+        return text
+
+    def target(self, example: Example) -> str:
+        entry = self._targets.get(id(example))
+        if entry is None:
+            entry = self._targets[id(example)] = (
+                example, render_target(example, self.style))
+        return entry[1]
+
+    def prompt(self, example: Example, shots: Sequence[Example] = ()) -> str:
+        """render_prompt(example, style, shots), from the built blocks."""
+        for shot in shots:
+            if shot.id == example.id:
+                raise ValueError(f"shot {shot.id} is the query example")
+            if shot.task != example.task:
+                raise ValueError("shots must come from the same task")
+        parts = [self.instruction(example.task)]
+        for shot in shots:
+            block = self._blocks.get(id(shot))
+            if block is None:
+                # self.target holds the shot, so its id stays its own
+                block = self._blocks[id(shot)] = (
+                    f"{_open_block(shot)}{self.target(shot)}\n\n")
+            parts.append(block)
+        parts.append(_open_block(example))
+        return "".join(parts)
 
 
 # --------------------------------------------------------------------------
@@ -151,14 +194,16 @@ _LIST_MARKER = re.compile(r"^\s*(?:[-*]|\d+[.)])\s*")
 
 
 def _extract_triples(text: str, pool: TemplatePool) -> Optional[list[list[str]]]:
-    # the last "triples" in any case; "\u0130" (İ) is the one character
-    # whose lower case is two long, so it is blanked to keep text's indices
-    marker = text.replace("\u0130", " ").lower().rfind("triples")
+    # the last "triples" and the first "therefore" after it, in any case;
+    # "\u0130" (İ) is the one character whose lower case is two long,
+    # so it is blanked to keep text's indices
+    lowered = text.replace("\u0130", " ").lower()
+    marker = lowered.rfind("triples")
     if marker < 0:
         return None
     colon = text.find(":", marker)
     start = colon + 1 if colon >= 0 else marker
-    stop = text.find("Therefore", start)
+    stop = lowered.find("therefore", start)
     section = text[start:stop if stop >= 0 else len(text)]
     lines = [_LIST_MARKER.sub("", line) for line in section.splitlines()]
     found = pool.extract("\n".join(lines))

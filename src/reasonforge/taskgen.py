@@ -33,9 +33,7 @@ from typing import Callable, Iterable, Optional
 from .augment import (AugmentedChain, NoiseUnavailable, add_edge_noise,
                       flip_edges, no_augment, permute)
 from .kinship import KinshipEngine
-from .oracle import (InconsistentWorld, coordinate_relation,
-                     genealogy_relation, kinship_world_from_triples,
-                     spatial_world_from_triples)
+from .oracle import VERIFIERS
 from .relgraph import RelationalGraph, grow_graph
 from .sampler import ReasoningChain, SamplingExhausted, sample_chain
 from .spatial import SpatialEngine
@@ -383,18 +381,7 @@ def verify_dataset(examples: Iterable[Example]) -> VerificationReport:
             report.label_distribution.get(example.answer, 0) + 1)
         head, tail = example.endpoints
         triples = [tuple(t) for t in example.triples + example.distractors]
-        derived: Optional[str]
-        if example.task == "kinship":
-            try:
-                world = kinship_world_from_triples(triples, genders)
-                derived = genealogy_relation(world, head, tail)
-            except InconsistentWorld as exc:
-                derived = f"<inconsistent: {exc}>"
-        else:
-            sworld = spatial_world_from_triples(triples)
-            derived = coordinate_relation(sworld, head, tail)
-            if not sworld.consistent:
-                derived = "<inconsistent placement>"
+        derived = VERIFIERS[example.task](triples, head, tail, genders)
         if derived != example.answer:
             report.mismatches.append(
                 {"id": example.id, "expected": example.answer, "derived": derived})

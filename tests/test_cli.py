@@ -10,7 +10,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from reasonforge import cli
+from reasonforge import cli, promptkit
 from reasonforge.cli import main, parse_aug, parse_counts, parse_hops
 from reasonforge.taskgen import read_jsonl
 from reasonforge.verbalizer import data_dir, read_asset
@@ -145,7 +145,7 @@ def test_render_failing_midway_keeps_earlier_output(tmp_path, monkeypatch):
         rendered.append(example.id)
         return "target"
 
-    monkeypatch.setattr(cli, "render_target", failing_target)
+    monkeypatch.setattr(promptkit, "render_target", failing_target)
     with pytest.raises(RuntimeError):
         run(["render", "--dataset", str(dataset), "--style", "std-p",
              "-o", str(prompts)])

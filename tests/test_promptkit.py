@@ -1,13 +1,15 @@
+import json
 import random
 
 import pytest
 
+from reasonforge.cli import main
 from reasonforge.promptkit import (draw_shots,
                                    load_prompt_asset, parse_response,
                                    render_prompt, render_target)
-from reasonforge import taskgen
-from reasonforge.taskgen import (DatasetSpec, build_dataset, read_jsonl,
-                                 verify_dataset, write_jsonl)
+from reasonforge import promptkit, taskgen
+from reasonforge.taskgen import (DatasetSpec, build_dataset, derive_seed,
+                                 read_jsonl, verify_dataset, write_jsonl)
 from reasonforge.verbalizer import query_endpoints
 
 KINSHIP_OPENING = ("You are given a narrative describing the familial "
@@ -137,6 +139,53 @@ def test_each_query_parsed_once(tmp_path, monkeypatch, kinship_examples):
     assert parsed == [e.query for e in examples]
 
 
+def render_file(path, out, style):
+    # `render -k 5 --seed 7` with shots drawn from the dataset itself
+    assert main(["render", "--dataset", str(path), "--style", style, "-k", "5",
+                 "--shots-file", str(path), "--seed", "7", "-o", str(out)]) == 0
+    return [json.loads(line) for line in out.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("style", ["std-p", "eta-p"])
+@pytest.mark.parametrize("task", ["kinship", "spatial"])
+def test_render_command_equals_public_path(tmp_path, request, task, style):
+    # every record equals the one built per example from the public
+    # functions, with no target or block shared between prompts
+    path = tmp_path / "d.jsonl"
+    write_jsonl(request.getfixturevalue(f"{task}_examples"), path)
+    written = render_file(path, tmp_path / "p.jsonl", style)
+    pool = read_jsonl(path)
+    expected = []
+    for e in pool:
+        skip = [i for i, shot in enumerate(pool) if shot.id == e.id]
+        shots = draw_shots(pool, 5, derive_seed(7, e.id), skip)
+        expected.append({"id": e.id, "prompt": render_prompt(e, style, shots),
+                         "target": render_target(e, style)})
+    assert written == expected
+
+
+def test_render_builds_each_target_once(tmp_path, monkeypatch, kinship_examples):
+    # one `render` call builds each example's target once, however often it
+    # is drawn as a shot, and reads the instruction once per task
+    path = tmp_path / "d.jsonl"
+    write_jsonl(kinship_examples, path)
+    built, read = [], []
+
+    def counting_target(example, style):
+        built.append(example.id)
+        return render_target(example, style)
+
+    def counting_asset(task, style):
+        read.append((task, style))
+        return load_prompt_asset(task, style)
+
+    monkeypatch.setattr(promptkit, "render_target", counting_target)
+    monkeypatch.setattr(promptkit, "load_prompt_asset", counting_asset)
+    render_file(path, tmp_path / "p.jsonl", "eta-p")
+    assert sorted(built) == sorted(e.id for e in kinship_examples)
+    assert read == [("kinship", "eta-p")]
+
+
 # -- parsing -------------------------------------------------------------------
 
 CASE_RESPONSES = [
@@ -202,6 +251,15 @@ def test_triples_marker_found_after_dotted_capital_i():
         [["Evelyn", "mother", "Sean"], ["Sean", "brother", "Pennie"]]
     assert parse_response("TRİPLES: Evelyn is the mother of Sean.",
                           "eta-p", "kinship").triples is None
+
+
+def test_lowercase_therefore_ends_the_triples(kinship_examples, spatial_examples):
+    # the answer sentence after a lowercase "therefore" is not one more triple
+    for e in kinship_examples + spatial_examples:
+        target = render_target(e, "eta-p")
+        assert "\nTherefore, " in target
+        lowered = target.replace("\nTherefore, ", "\ntherefore, ")
+        assert parse_response(lowered, "eta-p", e.task).triples == e.gold_triples
 
 
 def test_round_trip_parse_of_targets(kinship_examples, spatial_examples):

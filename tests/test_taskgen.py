@@ -7,6 +7,7 @@ import pytest
 from reasonforge import taskgen
 from reasonforge.cli import main
 from reasonforge.kinship import KinshipEngine
+from reasonforge.oracle import VERIFIERS
 from reasonforge.relgraph import RelationalGraph, Triple, _attach, grow_graph
 from reasonforge.sampler import ReasoningChain
 from reasonforge.spatial import SpatialEngine
@@ -15,6 +16,7 @@ from reasonforge.taskgen import (JSONL_FIELDS, DatasetSpec, Example,
                                  entailed_relation, generate_candidate,
                                  query_endpoints, read_jsonl, verify_dataset,
                                  write_jsonl)
+from reasonforge.verbalizer import name_gender_lookup
 
 SMALL = {h: 12 for h in (2, 3, 4)}
 
@@ -217,6 +219,24 @@ def test_verify_dataset_clean_and_faulty(small_kinship):
     faulty = verify_dataset(broken)
     assert faulty.mismatch_count == 1
     assert faulty.mismatches[0]["id"] == broken[0].id
+
+
+def test_verify_dataset_reports_inconsistent_triples(small_kinship, small_spatial):
+    # each task's verifier reports story triples that contradict each other
+    kinship, spatial = (Example.from_dict(e.to_dict())
+                        for e in (small_kinship[0], small_spatial[0]))
+    head, tail = kinship.endpoints
+    parent = "mother" if name_gender_lookup()[head] == "f" else "father"
+    kinship.triples = kinship.triples + [[head, parent, tail],
+                                         [head, "grand" + parent, tail]]
+    head, tail = spatial.endpoints
+    spatial.triples = spatial.triples + [[head, "above", tail],
+                                         [head, "below", tail]]
+    report = verify_dataset([kinship, spatial])
+    assert [m["id"] for m in report.mismatches] == [kinship.id, spatial.id]
+    assert report.mismatches[0]["derived"].startswith("<inconsistent: ")
+    assert report.mismatches[1]["derived"] == "<inconsistent placement>"
+    assert set(VERIFIERS) == set(taskgen.ENGINES)
 
 
 def test_verify_empty():
