@@ -94,43 +94,32 @@ def read_input(path, reader=None) -> list:
         raise ConfigError(str(exc)) from None
 
 
-def check_output(path) -> None:
-    """An output path that cannot be opened for writing, as a ConfigError
-    raised before any work; the probe leaves no file behind."""
-    existed = os.path.exists(path)
-    try:
-        open(path, "a").close()
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-    if not existed:
-        os.remove(path)
-
-
-def staging_path(path) -> str:
-    """Where an output is written before it replaces `path`: a temporary file
-    beside a new path or a regular file, else `path` itself, so a device, a
-    pipe or a symlink is written through, not replaced."""
-    if not os.path.lexists(path) or (os.path.isfile(path)
-                                     and not os.path.islink(path)):
-        return f"{path}.{os.getpid()}.tmp"
-    return path
-
-
 @contextmanager
-def replaced_on_success(path):
-    """Yield staging_path(path) to write the output to; a temporary file is
-    renamed onto `path` only when the block completes, so a failure leaves
-    no partial file and an earlier `path` as it was."""
-    temp = staging_path(path)
-    if temp == path:
-        yield path
-        return
+def staged_output(path):
+    """Yield the file to write output `path` to, created before any work so
+    that creating it is the probe: a ConfigError if it, or an existing
+    `path`, cannot be opened for writing.  A new path or a regular file is
+    staged in a temporary file beside it, renamed onto `path` only when the
+    block completes, so a failure leaves no partial file and an earlier
+    `path` as it was; a device, a pipe or a symlink is written through."""
+    replace = not os.path.lexists(path) or (os.path.isfile(path)
+                                            and not os.path.islink(path))
+    staged = f"{path}.{os.getpid()}.tmp" if replace else path
     try:
-        yield temp
-        os.replace(temp, path)
-    finally:
-        if os.path.exists(temp):
-            os.remove(temp)
+        if replace and os.path.exists(path):
+            open(path, "a").close()
+        probe = open(staged, "a")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from None
+    with probe:  # kept open, so a pipe's reader sees no end before the output
+        try:
+            yield staged
+        except BaseException:
+            if replace:
+                os.remove(staged)
+            raise
+    if replace:
+        os.replace(staged, path)
 
 
 def build_spec(args) -> DatasetSpec:
@@ -167,15 +156,13 @@ def cmd_gen(args) -> int:
         raise ConfigError(str(exc)) from None
     load_name_pools()
     TemplatePool.for_task(spec.task)
-    check_output(args.output)
-    check_output(staging_path(args.output))
     try:
-        examples = build_dataset(spec, workers=args.workers)
+        with staged_output(args.output) as staged:
+            examples = build_dataset(spec, workers=args.workers)
+            write_jsonl(examples, staged)
     except GenerationExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with replaced_on_success(args.output) as temp:
-        write_jsonl(examples, temp)
     print(f"wrote {len(examples)} examples to {args.output}")
     print(stats_table(examples))
     return 0
@@ -211,10 +198,8 @@ def cmd_render(args) -> int:
         if usable < args.shots:
             raise ConfigError(f"-k {args.shots} exceeds the {usable} shots "
                               f"{args.shots_file} can give")
-    check_output(args.output)
-    check_output(staging_path(args.output))
-    with replaced_on_success(args.output) as temp, \
-            open(temp, "w", encoding="utf-8") as handle:
+    with staged_output(args.output) as staged, \
+            open(staged, "w", encoding="utf-8") as handle:
         for example in examples:
             shots = []
             if args.shots:
@@ -238,17 +223,15 @@ def cmd_score(args) -> int:
         for task in {e.task for e in gold}:
             TemplatePool.for_task(task)
     report_path = args.report or f"{args.predictions}.report.json"
-    check_output(report_path)
-    check_output(staging_path(report_path))
     try:
-        report = score(predictions, gold, args.style)
+        with staged_output(report_path) as staged:
+            report = score(predictions, gold, args.style)
+            Path(staged).write_text(
+                json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(report.to_text())
-    with replaced_on_success(report_path) as temp:
-        Path(temp).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"report written to {report_path}")
     return 0
 

@@ -52,31 +52,30 @@ KINSHIP_LABELS = (
     "uncle",
 )
 
-# invert(r)[g]: label of "B is ? of A" given "A is r of B" and B's gender g.
-_INVERSE = {
-    "father": {"m": "son", "f": "daughter"},
-    "mother": {"m": "son", "f": "daughter"},
-    "son": {"m": "father", "f": "mother"},
-    "daughter": {"m": "father", "f": "mother"},
-    "brother": {"m": "brother", "f": "sister"},
-    "sister": {"m": "brother", "f": "sister"},
-    "grandfather": {"m": "grandson", "f": "granddaughter"},
-    "grandmother": {"m": "grandson", "f": "granddaughter"},
-    "grandson": {"m": "grandfather", "f": "grandmother"},
-    "granddaughter": {"m": "grandfather", "f": "grandmother"},
-    "uncle": {"m": "nephew", "f": "niece"},
-    "aunt": {"m": "nephew", "f": "niece"},
-    "nephew": {"m": "uncle", "f": "aunt"},
-    "niece": {"m": "uncle", "f": "aunt"},
-    "father-in-law": {"m": "son-in-law", "f": "daughter-in-law"},
-    "mother-in-law": {"m": "son-in-law", "f": "daughter-in-law"},
-    "son-in-law": {"m": "father-in-law", "f": "mother-in-law"},
-    "daughter-in-law": {"m": "father-in-law", "f": "mother-in-law"},
-}
+# (label of a male subject, label of a female subject) per rule
+_PARENT = ("father", "mother")
+_CHILD = ("son", "daughter")
+_SIBLING = ("brother", "sister")
+_GRANDPARENT = ("grandfather", "grandmother")
+_GRANDCHILD = ("grandson", "granddaughter")
+_UNCLE = ("uncle", "aunt")
+_NEPHEW = ("nephew", "niece")
+_PARENT_IN_LAW = ("father-in-law", "mother-in-law")
+_CHILD_IN_LAW = ("son-in-law", "daughter-in-law")
 
-# Gender of the subject implied by each label, read off the inverses.
-LABEL_GENDER = {label: gender for inverses in _INVERSE.values()
-                for gender, label in inverses.items()}
+# Converse rules: "A is <rule> of B" iff "B is <converse> of A".
+_CONVERSE = {_PARENT: _CHILD, _SIBLING: _SIBLING, _GRANDPARENT: _GRANDCHILD,
+             _UNCLE: _NEPHEW, _PARENT_IN_LAW: _CHILD_IN_LAW}
+
+# invert(r)[g]: label of "B is ? of A" given "A is r of B" and B's gender g.
+_INVERSE = {label: dict(zip("mf", converse))
+            for rule, other in _CONVERSE.items()
+            for pair, converse in ((rule, other), (other, rule))
+            for label in pair}
+
+# Gender of the subject each label implies.
+LABEL_GENDER = {label: gender for pair in _INVERSE.values()
+                for gender, label in pair.items()}
 
 
 def invert(relation: str, counterpart_gender: str) -> str:
@@ -410,18 +409,6 @@ class KinshipEngine:
         # ascend in graph order
         links.sort(key=itemgetter(0))
         return links
-
-
-# (label of a male subject, label of a female subject) per rule
-_PARENT = ("father", "mother")
-_CHILD = ("son", "daughter")
-_SIBLING = ("brother", "sister")
-_GRANDPARENT = ("grandfather", "grandmother")
-_GRANDCHILD = ("grandson", "granddaughter")
-_UNCLE = ("uncle", "aunt")
-_NEPHEW = ("nephew", "niece")
-_PARENT_IN_LAW = ("father-in-law", "mother-in-law")
-_CHILD_IN_LAW = ("son-in-law", "daughter-in-law")
 
 
 # Pairwise composition: COMPOSE[(r1, r2)] = r3 means "A is r1 of B" and

@@ -174,72 +174,41 @@ def kinship_world_from_triples(
 
 
 def genealogy_relation(world: KinshipWorld, u: Person, v: Person) -> Optional[str]:
-    """Evaluate all 18 definitional rules for "u is <r> of v".
+    """Evaluate the nine definitional rules for "u is <r> of v"; each names a
+    (male, female) label pair, and u's gender picks the label.
 
     Returns the unique matching label, None when no rule matches, and raises
     InconsistentWorld when several distinct labels match (an engine bug or a
     corrupt world).
     """
-    if u == v:
-        return None
     gu = world.gender.get(u)
-    matches: list[str] = []
-
+    if u == v or gu not in ("m", "f"):
+        return None
     parents_u = world.parents_of(u)
     parents_v = world.parents_of(v)
-
-    if u in parents_v:
-        if gu == "m":
-            matches.append("father")
-        elif gu == "f":
-            matches.append("mother")
-    if v in parents_u:
-        if gu == "m":
-            matches.append("son")
-        elif gu == "f":
-            matches.append("daughter")
-    if world.siblings(u, v):
-        if gu == "m":
-            matches.append("brother")
-        elif gu == "f":
-            matches.append("sister")
-    if any(u in world.parents_of(p) for p in parents_v):
-        if gu == "m":
-            matches.append("grandfather")
-        elif gu == "f":
-            matches.append("grandmother")
-    if any(v in world.parents_of(p) for p in parents_u):
-        if gu == "m":
-            matches.append("grandson")
-        elif gu == "f":
-            matches.append("granddaughter")
-    if any(world.siblings(u, p) for p in parents_v):
-        if gu == "m":
-            matches.append("uncle")
-        elif gu == "f":
-            matches.append("aunt")
-    if any(world.siblings(p, v) for p in parents_u):
-        if gu == "m":
-            matches.append("nephew")
-        elif gu == "f":
-            matches.append("niece")
-    spouse_v = world.spouse.get(v)
-    if spouse_v is not None and u in world.parents_of(spouse_v):
-        if gu == "m":
-            matches.append("father-in-law")
-        elif gu == "f":
-            matches.append("mother-in-law")
     spouse_u = world.spouse.get(u)
-    if spouse_u is not None and v in world.parents_of(spouse_u):
-        if gu == "m":
-            matches.append("son-in-law")
-        elif gu == "f":
-            matches.append("daughter-in-law")
-
-    unique = sorted(set(matches))
-    if len(unique) > 1:
-        raise InconsistentWorld(f"{u!r} vs {v!r}: rules match {unique}")
-    return unique[0] if unique else None
+    spouse_v = world.spouse.get(v)
+    # (rule holds, (label of a male u, label of a female u))
+    rules = (
+        (u in parents_v, ("father", "mother")),
+        (v in parents_u, ("son", "daughter")),
+        (world.siblings(u, v), ("brother", "sister")),
+        (any(u in world.parents_of(p) for p in parents_v),
+         ("grandfather", "grandmother")),
+        (any(v in world.parents_of(p) for p in parents_u),
+         ("grandson", "granddaughter")),
+        (any(world.siblings(u, p) for p in parents_v), ("uncle", "aunt")),
+        (any(world.siblings(p, v) for p in parents_u), ("nephew", "niece")),
+        (spouse_v is not None and u in world.parents_of(spouse_v),
+         ("father-in-law", "mother-in-law")),
+        (spouse_u is not None and v in world.parents_of(spouse_u),
+         ("son-in-law", "daughter-in-law")),
+    )
+    # no label belongs to two rules, so the matches are distinct
+    matches = sorted(labels[gu == "f"] for holds, labels in rules if holds)
+    if len(matches) > 1:
+        raise InconsistentWorld(f"{u!r} vs {v!r}: rules match {matches}")
+    return matches[0] if matches else None
 
 
 # --------------------------------------------------------------------------

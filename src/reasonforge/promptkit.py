@@ -6,11 +6,11 @@ versioned text assets (one per task and style); the story, query and
 output layout is built here, and a few-shot context completes each shot's
 block with that shot's gold target.
 
-Parsing prefers the text after the last "Therefore"; failing that it scans
-the final sentence.  Relation mentions match longest-first and whole words
-only, so a diagonal like "lower-left" is never mistaken for its axis
-substring nor "upright" for "right", and responses with no vocabulary
-mention at all are flagged unparseable rather than guessed at.
+Parsing prefers the text after the last "therefore", in any case; failing
+that it scans the final sentence.  Relation mentions match longest-first
+and whole words only, so a diagonal like "lower-left" is never mistaken for
+its axis substring nor "upright" for "right", and responses with no
+vocabulary mention at all are flagged unparseable rather than guessed at.
 """
 
 from __future__ import annotations
@@ -176,8 +176,8 @@ class ParsedResponse:
     triples: Optional[list[list[str]]] = None
 
 
-def _final_segment(text: str) -> str:
-    idx = text.rfind("Therefore")
+def _final_segment(text: str, lowered: str) -> str:
+    idx = lowered.rfind("therefore")
     if idx >= 0:
         return text[idx:]
     # fall back to the last sentence that says anything
@@ -193,11 +193,9 @@ def _last_relation(segment: str, task: str) -> Optional[str]:
 _LIST_MARKER = re.compile(r"^\s*(?:[-*]|\d+[.)])\s*")
 
 
-def _extract_triples(text: str, pool: TemplatePool) -> Optional[list[list[str]]]:
-    # the last "triples" and the first "therefore" after it, in any case;
-    # "\u0130" (İ) is the one character whose lower case is two long,
-    # so it is blanked to keep text's indices
-    lowered = text.replace("\u0130", " ").lower()
+def _extract_triples(text: str, lowered: str,
+                     pool: TemplatePool) -> Optional[list[list[str]]]:
+    # the last "triples" and the first "therefore" after it, in any case
     marker = lowered.rfind("triples")
     if marker < 0:
         return None
@@ -215,8 +213,12 @@ def _extract_triples(text: str, pool: TemplatePool) -> Optional[list[list[str]]]
 def parse_response(text: str, style: str, task: str) -> ParsedResponse:
     """Pull the predicted relation (and, under eta-p, the extracted triples)
     out of a free-form model response."""
-    relation = _last_relation(_final_segment(text), task)
+    # `text` in lower case, for "therefore" and "triples" in any case;
+    # "\u0130" (İ) is the one character whose lower case is two long, so
+    # it is blanked to keep text's indices
+    lowered = text.replace("\u0130", " ").lower()
+    relation = _last_relation(_final_segment(text, lowered), task)
     triples = None
     if style == "eta-p":
-        triples = _extract_triples(text, TemplatePool.for_task(task))
+        triples = _extract_triples(text, lowered, TemplatePool.for_task(task))
     return ParsedResponse(relation=relation, triples=triples)

@@ -5,14 +5,15 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
 from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
 
-from reasonforge import cli, promptkit
+from reasonforge import cli, promptkit, taskgen
 from reasonforge.cli import main, parse_aug, parse_counts, parse_hops
-from reasonforge.taskgen import read_jsonl
+from reasonforge.taskgen import GenerationExhausted, read_jsonl
 from reasonforge.verbalizer import data_dir, read_asset
 
 
@@ -168,6 +169,78 @@ def test_outputs_write_through_devices_and_symlinks(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "target.jsonl"]
 
 
+def test_output_pipe_gets_the_whole_output(tmp_path):
+    # a reader that stops at the first end of file, as `cat` does, must not
+    # see one before the output is written
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo) as handle:
+            received.append(handle.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    proc = subprocess.run(
+        [sys.executable, "-m", "reasonforge.cli", "gen", "--task", "stepgame",
+         "--hops", "2:2", "--count", "2", "--seed", "0", "-o", str(fifo)],
+        capture_output=True, text=True, timeout=60)
+    reader.join(timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert len(received) == 1 and len(received[0].splitlines()) == 2
+
+
+def test_gen_exhausted_keeps_earlier_output(tmp_path, capsys, monkeypatch):
+    # a bucket that runs out of attempts inside the writer: the earlier
+    # output, a regular file or a symlink's target, stays as it was
+    def exhausted(spec, hop, count):
+        raise GenerationExhausted(hop, 0, 5)
+
+    monkeypatch.setattr(taskgen, "_build_bucket", exhausted)
+    target = tmp_path / "target.jsonl"
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    for out in (tmp_path / "d.jsonl", link):
+        out.write_bytes(b"earlier\n")
+        capsys.readouterr()
+        assert run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+                    "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: hop 2: "), err
+        assert out.read_bytes() == b"earlier\n"
+    assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "link.jsonl", "target.jsonl"]
+
+
+def test_existing_output_that_cannot_be_written_is_refused(tmp_path, capsys,
+                                                          monkeypatch):
+    # a regular file is replaced by renaming, yet one that cannot be opened
+    # for writing is refused before any work, as a directory is
+    dataset = tmp_path / "d.jsonl"
+    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+         "--seed", "3", "-o", str(dataset)])
+    held = tmp_path / "held.jsonl"
+    held.write_text("held\n")
+    (tmp_path / "dir.jsonl").mkdir()
+
+    def read_only(file, mode="r", *args, **kwargs):
+        # permission bits do not bind the superuser, so refuse here
+        if os.fspath(file) == str(held) and mode != "r":
+            raise PermissionError(13, "Permission denied", os.fspath(file))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", read_only, raising=False)
+    for out in (held, tmp_path / "dir.jsonl"):
+        capsys.readouterr()
+        assert run(["render", "--dataset", str(dataset), "--style", "std-p",
+                    "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: " + (
+            "Permission denied\n" if out == held else "Is a directory\n")
+    assert held.read_text() == "held\n"
+    assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "dir.jsonl", "held.jsonl"]
+
+
 def test_render_missing_shot_pool(tmp_path):
     dataset = tmp_path / "d.jsonl"
     run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
@@ -189,6 +262,23 @@ def test_score_unknown_id(tmp_path):
     predictions.write_text(json.dumps({"id": "spatial-9-9", "response": "x"}) + "\n")
     assert run(["score", "--predictions", str(predictions), "--gold",
                 str(dataset)]) == 1
+
+
+def test_score_unknown_id_keeps_earlier_report(tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+         "--seed", "3", "-o", str(dataset)])
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text(json.dumps({"id": "spatial-9-9", "response": "x"}) + "\n")
+    report = tmp_path / "r.json"
+    report.write_bytes(b"earlier\n")
+    capsys.readouterr()
+    assert run(["score", "--predictions", str(predictions), "--gold",
+                str(dataset), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert report.read_bytes() == b"earlier\n"
+    assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "preds.jsonl", "r.json"]
 
 
 def test_verify_clean_and_corrupted(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from worlds import kinship_world_from_genealogy, kinship_world_from_primitives
 
-from reasonforge.kinship import KinshipEngine
+from reasonforge.kinship import KINSHIP_LABELS, KinshipEngine, invert
 from reasonforge.oracle import (InconsistentWorld, SpatialWorld,
                                 coordinate_relation, genealogy_relation,
                                 kinship_world_from_triples,
@@ -139,3 +139,12 @@ def test_oracle_matches_engine_everywhere():
             for v in people:
                 if u != v:
                     assert genealogy_relation(world, u, v) == eng.derive(u, v)
+
+
+@pytest.mark.parametrize("relation", KINSHIP_LABELS)
+def test_oracle_agrees_with_invert(relation):
+    # the oracle, which knows no converse table, reads B's relation to A in
+    # the one-triple world "A is <relation> of B" as the engine's invert
+    for gender in "mf":
+        world = kinship_world_from_triples([("A", relation, "B")], {"B": gender})
+        assert genealogy_relation(world, "B", "A") == invert(relation, gender)

@@ -203,6 +203,11 @@ CASE_RESPONSES = [
      "above"),
     ("eta-p", "spatial", "Therefore, K is directly below L, no leftover doubt.",
      "below"),
+    # "therefore" in any case opens the answer, even before a closing remark
+    ("eta-p", "spatial", "A is directly above B.\ntherefore, A is to the "
+     "upper-left of C. Hope that helps.", "upper-left"),
+    ("std-p", "kinship", "therefore, Alice is the mother of Bob. Hope that helps.",
+     "mother"),
 ]
 
 
