@@ -98,15 +98,17 @@ def read_input(path, reader=None) -> list:
 def staged_output(path):
     """Yield the file to write output `path` to, created before any work so
     that creating it is the probe: a ConfigError if it, or an existing
-    `path`, cannot be opened for writing.  A new path or a regular file is
-    staged in a temporary file beside it, renamed onto `path` only when the
-    block completes, so a failure leaves no partial file and an earlier
-    `path` as it was; a device, a pipe or a symlink is written through."""
-    replace = not os.path.lexists(path) or (os.path.isfile(path)
-                                            and not os.path.islink(path))
-    staged = f"{path}.{os.getpid()}.tmp" if replace else path
+    `path`, cannot be opened for writing.  A new path or a regular file,
+    also one reached through a symlink, is staged in a temporary file beside
+    the symlink's resolved target and renamed onto that target only when the
+    block completes, so a failure leaves no partial file, an earlier target
+    as it was and the symlink in place; a device or a pipe is written
+    through."""
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    replace = not os.path.exists(target) or os.path.isfile(target)
+    staged = f"{target}.{os.getpid()}.tmp" if replace else path
     try:
-        if replace and os.path.exists(path):
+        if replace and os.path.exists(target):
             open(path, "a").close()
         probe = open(staged, "a")
     except OSError as exc:
@@ -119,7 +121,7 @@ def staged_output(path):
                 os.remove(staged)
             raise
     if replace:
-        os.replace(staged, path)
+        os.replace(staged, target)
 
 
 def build_spec(args) -> DatasetSpec:

@@ -15,7 +15,10 @@ realized earlier in the same iteration already satisfies later checks,
 which both avoids duplicate attachments and keeps spatial growth free of
 coincident placements.
 
-Completed graphs are immutable and safe to share across threads.
+A completed graph's nodes and edges never change.  Two lazily filled
+caches ride on it: the adjacency table of `outgoing()` and the heads that
+chain sampling has proven dead (`dead_heads`).  Neither changes what any
+call returns, so a graph is still safe to share across threads.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ class RelationalGraph:
         self.edges: dict[tuple[int, int], str] = {}
         self.incoming: dict[int, set[str]] = {}  # node -> labels of edges into it
         self._outgoing: Optional[dict[int, list[tuple[int, str]]]] = None
+        self._dead_heads: dict[int, set[int]] = {}
 
     def add_node(self, node: int) -> None:
         if node in self.incoming:
@@ -77,6 +81,11 @@ class RelationalGraph:
                 table[s].append((o, r))
             self._outgoing = table
         return self._outgoing
+
+    def dead_heads(self, length: int) -> set[int]:
+        """The start nodes from which chain sampling searched every walk of
+        `length` steps and found no chain; filled by `sample_chain`."""
+        return self._dead_heads.setdefault(length, set())
 
 
 def _attach(graph: RelationalGraph, node: int) -> None:

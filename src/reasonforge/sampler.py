@@ -2,10 +2,11 @@
 
 A chain is a walk of l+1 distinct nodes plus the l stored graph edges
 between consecutive nodes (grown graphs store both directions of every
-related pair).  The search starts at a uniformly drawn node and moves to a
-uniformly drawn untried, unvisited neighbor; a dead end backtracks, and an
-exhausted start gives way to another.  Where every pair is related nothing
-dead-ends and this is a uniform random walk.
+related pair).  The search starts at a uniformly drawn node (the head) and
+moves to a uniformly drawn untried, unvisited neighbor; a dead end
+backtracks, and a head whose every walk was tried gives way to another.
+Where every pair is related nothing dead-ends and this is a uniform random
+walk.
 
 An engine's fold (acc -> step label -> acc, kinship's composition table)
 admits a neighbor only while the head-to-current relation stays defined, so
@@ -13,13 +14,23 @@ long chains whose steps entail their answer are reachable; blind walks
 almost never find them.  With a fold, the last step admits only tails whose
 accumulator is the engine's ground truth for (head, tail), so every chain
 returned is answerable, and a memo of dead states skips subtrees already
-searched in full: a subtree is fixed by (head, node, accumulator, visited
-set), so skipping one that held no chain loses no walk.  A node-expansion
-budget bounds the search; a skipped dead state costs none.  The moves each
-(node, accumulator) admits are filtered through the fold once per search
-and kept in a table local to it; the walk is a bitmask, so an untried move
-is one that is not on it.  Without a fold (spatial) the moves are the
-node's edges, and the search keeps no memo and checks no answer.
+searched in full: a subtree is fixed by (node, accumulator, visited set)
+under its head, so skipping one that held no chain loses no walk.  The
+moves each (node, accumulator) admits are filtered through the fold once
+per call and kept in a table local to it; the walk is a bitmask, so an
+untried move is one that is not on it.  Without a fold (spatial) the moves
+are the node's edges, and the search keeps no state memo and checks no
+answer.
+
+Heads are searched one at a time, each within its own node-expansion
+budget; a skipped dead state costs none.  The first head is drawn and
+walked on `random.Random(seed)`; the later heads are ordered by a second
+stream of the seed, and each walks on a stream of (seed, head).  A head
+whose whole subtree held no chain holds none for any seed or budget, so
+the graph remembers it per walk length (`RelationalGraph.dead_heads`) and
+later calls skip it at no cost.  No head's search reads another head's
+stream or budget, so skipping a dead head changes no result: a call
+returns the same chain whatever the memo holds.
 
 Step i of a sampled chain is the triple (walk[i], label, walk[i+1]); only a
 direction flip rewrites a step against the walk.
@@ -29,6 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from .relgraph import RelationalGraph, Triple
 
@@ -57,10 +69,12 @@ class ReasoningChain:
 
 def sample_chain(graph: RelationalGraph, length: int, seed: int,
                  budget: int = 800) -> ReasoningChain:
-    """Draw one chain of `length` steps within `budget` node expansions.
+    """Draw one chain of `length` steps, each head searched within `budget`
+    node expansions.
 
-    Deterministic for a fixed (graph, length, seed, budget).  Raises
-    SamplingExhausted when the budget runs out or no chain exists.
+    Deterministic for a fixed (graph, length, seed, budget), whatever the
+    graph's dead-head memo holds.  Raises SamplingExhausted when every head
+    is dead or runs out of its budget.
     """
     if length < 1:
         raise ValueError("walk length must be >= 1")
@@ -69,7 +83,41 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
     if len(graph.nodes) < length + 1:
         raise SamplingExhausted(
             f"graph has {len(graph.nodes)} nodes; need {length + 1}")
+    dead_heads = graph.dead_heads(length)
+    moves: dict[tuple, list[tuple[int, str]]] = {}
+    for head, rng in _heads(sorted(graph.nodes), seed):
+        if head in dead_heads:
+            continue
+        walk = _walk_from(graph, length, head, rng, budget, moves, dead_heads)
+        if walk is not None:
+            edges = graph.edges
+            return ReasoningChain(walk=walk, steps=[
+                Triple(a, edges[(a, b)], b) for a, b in zip(walk, walk[1:])])
+    raise SamplingExhausted(f"no walk of length {length} within the search budget")
+
+
+def _heads(nodes: list[int], seed: int):
+    """(head, stream to walk it on) in search order.  The first head is
+    drawn on `random.Random(seed)` and walked on it; the later ones are
+    ordered by a second stream of the seed and each walks on a stream of
+    (seed, head), so skipping a dead head changes no other head's search."""
     rng = random.Random(seed)
+    first = nodes[rng.randrange(len(nodes))]
+    yield first, rng
+    rest = [node for node in nodes if node != first]
+    random.Random(f"{seed} heads").shuffle(rest)
+    for head in rest:
+        yield head, random.Random(f"{seed} head {head}")
+
+
+def _walk_from(graph: RelationalGraph, length: int, head: int,
+               rng: random.Random, budget: int,
+               moves: dict[tuple, list[tuple[int, str]]],
+               dead_heads: set[int]) -> Optional[list[int]]:
+    """A walk of length+1 nodes from `head` drawn on `rng`, or None when the
+    search runs out of `budget` expansions or of moves; a head whose every
+    move was tried joins `dead_heads`.  `moves` caches, per (node, acc), the
+    moves the fold admits."""
     randrange = rng.randrange
     outgoing = graph.outgoing()
     edges = graph.edges
@@ -77,40 +125,20 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
     ground_truth = graph.engine.ground_truth
     walk: list[int] = []
     mask = 0  # the nodes on the walk, one bit each
-    # fold only: the moves each (node, acc) admits, the (head, node, acc,
-    # mask) key of each walk level, and the keys whose whole subtree held
-    # no chain
-    moves: dict[tuple, list[tuple[int, str]]] = {}
+    # fold only: the (node, acc, mask) key of each walk level, and the keys
+    # whose whole subtree held no chain
     keys: list[tuple] = []
     dead: set[tuple] = set()
-
-    # stack[i] holds the untried (node, acc) choices for walk[i]; the
-    # bottom level is the start nodes
-    stack = [[(node, None) for node in sorted(graph.nodes)]]
-    while stack and budget > 0:
-        top = stack[-1]
-        if not top:
-            stack.pop()
-            if walk:
-                mask ^= 1 << walk.pop()
-                if fold is not None:
-                    dead.add(keys.pop())
-            continue
-        i = randrange(len(top))
-        node, acc = top[i]
-        top[i] = top[-1]
-        top.pop()
-        bit = 1 << node
-        if fold is not None:
-            key = (walk[0] if walk else node, node, acc, mask | bit)
-            if key in dead:
-                continue
-            keys.append(key)
-        mask |= bit
+    # stack[i] holds the untried (node, acc) choices for walk[i + 1]
+    stack: list[list[tuple[int, str]]] = []
+    node, acc, key = head, None, (head, None, 1 << head)
+    while True:
+        mask |= 1 << node
         walk.append(node)
         if len(walk) == length + 1:
-            return ReasoningChain(walk=walk, steps=[
-                Triple(a, edges[(a, b)], b) for a, b in zip(walk, walk[1:])])
+            return walk
+        if fold is not None:
+            keys.append(key)
         budget -= 1
         if fold is None or acc is None:
             admitted = outgoing[node]
@@ -127,4 +155,26 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
             choices = [(nb, a) for nb, a in choices
                        if ground_truth(walk[0], nb, labels + [edges[(node, nb)]]) == a]
         stack.append(choices)
-    raise SamplingExhausted(f"no walk of length {length} within the search budget")
+        # draw the next move, backing out of levels whose moves are spent
+        while True:
+            if budget <= 0:
+                return None
+            top = stack[-1]
+            if not top:
+                stack.pop()
+                mask ^= 1 << walk.pop()
+                if fold is not None:
+                    dead.add(keys.pop())
+                if not stack:
+                    dead_heads.add(head)
+                    return None
+                continue
+            i = randrange(len(top))
+            node, acc = top[i]
+            top[i] = top[-1]
+            top.pop()
+            if fold is None:
+                break
+            key = (node, acc, mask | 1 << node)
+            if key not in dead:
+                break

@@ -176,10 +176,11 @@ def _graph_for(spec: DatasetSpec, hop: int, index: int, attempt: int) -> Relatio
         seed = derive_seed(spec.seed, spec.task, "graph", hop,
                            index % spec.graphs_per_hop)
     else:
-        # fresh graph per example; retries regrow because a deep walk that
-        # fails exhaustively fails for every seed on the same graph.  At low
-        # hops walks rarely fail and retries mostly serve deduplication, so
-        # a few walk seeds share each grown graph.
+        # fresh graph per example.  A failed search has tried every head of
+        # its graph, each dead or out of its budget, so a deep retry would
+        # mostly repeat it and regrows instead.  At low hops walks rarely
+        # fail and retries mostly serve deduplication, so a few walk seeds
+        # share each grown graph.
         regrow = attempt if hop >= 9 else attempt // 3
         seed = derive_seed(spec.seed, spec.task, "graph", hop, index, regrow)
     return _cached_graph(spec.task, seed)
@@ -206,7 +207,8 @@ def generate_candidate(
     graph = _graph_for(spec, hop, index, attempt)
     base = (spec.seed, spec.task, hop, index, attempt)
     try:
-        # ten-hop entailed kinship walks are scarce and get a deeper search
+        # ten-hop entailed kinship walks are scarce: each head gets a deeper
+        # search
         chain = sample_chain(graph, hop, derive_seed(*base, "walk"),
                              budget=3500 if hop >= 10 else 800)
     except SamplingExhausted:

@@ -212,6 +212,75 @@ def test_gen_exhausted_keeps_earlier_output(tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "link.jsonl", "target.jsonl"]
 
 
+def test_symlinked_output_is_staged_beside_its_target(tmp_path, monkeypatch):
+    # the temporary file goes beside the symlink's resolved target, existing
+    # or not, and is renamed onto it; the symlink stays
+    links, targets = tmp_path / "links", tmp_path / "targets"
+    links.mkdir()
+    targets.mkdir()
+    build = taskgen._build_bucket
+    during = []
+
+    def watched(spec, hop, count):
+        during.append((sorted(os.listdir(links)), sorted(os.listdir(targets))))
+        return build(spec, hop, count)
+
+    monkeypatch.setattr(taskgen, "_build_bucket", watched)
+    (targets / "old.jsonl").write_text("earlier\n")
+    (links / "old.jsonl").symlink_to(targets / "old.jsonl")
+    (links / "new.jsonl").symlink_to(targets / "new.jsonl")
+    for name in ("old.jsonl", "new.jsonl"):
+        assert run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+                    "-o", str(links / name)]) == 0
+        assert during[-1][0] == ["new.jsonl", "old.jsonl"]
+        assert f"{name}.{os.getpid()}.tmp" in during[-1][1]
+        assert (links / name).is_symlink()
+        assert len((targets / name).read_text().splitlines()) == 2
+    assert sorted(os.listdir(links)) == sorted(os.listdir(targets)) == [
+        "new.jsonl", "old.jsonl"]
+
+
+def test_render_failing_midway_keeps_symlink_target(tmp_path, monkeypatch):
+    # render stages a symlink's target too, so a failure keeps what it held
+    dataset = tmp_path / "d.jsonl"
+    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "4",
+         "--seed", "3", "-o", str(dataset)])
+    target = tmp_path / "target.jsonl"
+    target.write_text("earlier\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    rendered = []
+
+    def failing_target(example, style):
+        if rendered:
+            raise RuntimeError("render failed")
+        rendered.append(example.id)
+        return "target"
+
+    monkeypatch.setattr(promptkit, "render_target", failing_target)
+    with pytest.raises(RuntimeError):
+        run(["render", "--dataset", str(dataset), "--style", "std-p",
+             "-o", str(link)])
+    assert rendered
+    assert link.is_symlink() and target.read_text() == "earlier\n"
+    assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "link.jsonl", "target.jsonl"]
+
+
+def test_failed_gen_through_dangling_symlink_leaves_no_target(tmp_path, capsys,
+                                                             monkeypatch):
+    def exhausted(spec, hop, count):
+        raise GenerationExhausted(hop, 0, 5)
+
+    monkeypatch.setattr(taskgen, "_build_bucket", exhausted)
+    link = tmp_path / "dangling.jsonl"
+    link.symlink_to(tmp_path / "missing.jsonl")
+    assert run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+                "-o", str(link)]) == 1
+    assert capsys.readouterr().err.startswith("error: hop 2: ")
+    assert link.is_symlink() and not link.exists()
+    assert sorted(os.listdir(tmp_path)) == ["dangling.jsonl"]
+
+
 def test_existing_output_that_cannot_be_written_is_refused(tmp_path, capsys,
                                                           monkeypatch):
     # a regular file is replaced by renaming, yet one that cannot be opened

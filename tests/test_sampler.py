@@ -8,6 +8,7 @@ from reasonforge.kinship import KinshipEngine, chain_relation
 from reasonforge.relgraph import RelationalGraph, Triple, grow_graph
 from reasonforge.sampler import SamplingExhausted, sample_chain
 from reasonforge.spatial import SpatialEngine
+from reasonforge.taskgen import derive_seed
 
 
 def two_node_graph():
@@ -82,9 +83,10 @@ def test_fold_keeps_kinship_chains_entailed():
     assert drawn >= 50
 
 
-def answerable_walk_exists(graph, length):
-    """Brute force: some simple walk of `length` steps keeps the fold alive
-    and ends on the engine's ground truth for its head and tail."""
+def answerable_walk_exists(graph, length, heads=None):
+    """Brute force: some simple walk of `length` steps from one of `heads`
+    (default: every node) keeps the fold alive and ends on the engine's
+    ground truth for its head and tail."""
     outgoing = graph.outgoing()
     engine = graph.engine
 
@@ -96,7 +98,7 @@ def answerable_walk_exists(graph, length):
                    for nb, label in outgoing[walk[-1]]
                    if nb not in walk and chain_relation(labels + [label]) is not None)
 
-    return any(extend([node], []) for node in sorted(graph.nodes))
+    return any(extend([node], []) for node in sorted(graph.nodes if heads is None else heads))
 
 
 def induced(graph, keep):
@@ -114,8 +116,11 @@ def test_kinship_search_finds_a_chain_exactly_when_one_exists():
     # answers: given budget, the search fails only where no answerable
     # walk exists, and what it returns is answerable.  Ten-node induced
     # subgraphs give both outcomes and walks rare enough that a search must
-    # cover most of the graph to find one.
+    # cover most of the graph to find one.  The later seeds search graphs
+    # whose dead-head memo the earlier ones filled, and no head in the memo
+    # starts an answerable walk.
     outcomes = Counter()
+    recorded = 0
     for s in range(30):
         full = grow_graph(KinshipEngine(), 1, seed=s)
         sub = induced(full, set(random.Random(s).sample(full.nodes, 10)))
@@ -123,7 +128,7 @@ def test_kinship_search_finds_a_chain_exactly_when_one_exists():
             for hop in hops:
                 exists = answerable_walk_exists(g, hop)
                 outcomes[exists] += 1
-                for seed in range(4):
+                for seed in range(8):
                     try:
                         chain = sample_chain(g, hop, seed, budget=10**6)
                     except SamplingExhausted:
@@ -133,7 +138,51 @@ def test_kinship_search_finds_a_chain_exactly_when_one_exists():
                         labels = [t.relation for t in chain.steps]
                         assert chain_relation(labels) == g.engine.ground_truth(
                             chain.head, chain.tail, labels) is not None
+                dead = g.dead_heads(hop)
+                assert not answerable_walk_exists(g, hop, dead), (s, hop)
+                recorded += len(dead)
     assert outcomes[True] >= 150 and outcomes[False] >= 50
+    assert recorded >= 1000
+
+
+def outcome(graph, hop, seed, budget):
+    try:
+        return sample_chain(graph, hop, seed, budget=budget).walk
+    except SamplingExhausted:
+        return None
+
+
+@pytest.mark.parametrize("hop", [7, 8, 9, 10])
+def test_dead_head_memo_never_changes_a_chain(hop):
+    # each seed gives the same chain, or fails alike, on a graph with an
+    # empty memo, with a memo warmed by 40 other seeds, and with one warmed
+    # in reverse order; the warm-up also searches the other lengths, whose
+    # dead heads must not leak into this one.  The graphs are those gen
+    # reuses with graphs_per_hop 3; gen's budget lets every dead head be
+    # recorded, and a tight one leaves heads that run out of it unrecorded.
+    walks = Counter()
+    for budget in (3500 if hop >= 10 else 800, 150):
+        for index in range(3):
+            graph_seed = derive_seed(0, "kinship", "graph", hop, index)
+
+            def fresh():
+                return grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
+                                  graph_seed)
+
+            seeds = [derive_seed(0, "kinship", hop, index, attempt, "walk")
+                     for attempt in range(46)]
+            targets, warm = seeds[:6], seeds[6:]
+            cold = [outcome(fresh(), hop, seed, budget) for seed in targets]
+            walks.update(walk is not None for walk in cold)
+            for order, lengths in ((warm, range(7, 11)), (warm[::-1], range(10, 6, -1))):
+                graph = fresh()
+                for length in lengths:
+                    for seed in order if length == hop else order[:10]:
+                        outcome(graph, length, seed, budget)
+                assert graph.dead_heads(hop)
+                assert [outcome(graph, hop, seed, budget)
+                        for seed in targets] == cold, (budget, index)
+    assert walks[True] >= 18
 
 
 def test_sample_unique_edge():
