@@ -102,10 +102,10 @@ def staged_output(path):
     also one reached through a symlink, is staged in a temporary file beside
     the symlink's resolved target and renamed onto that target only when the
     block completes, so a failure leaves no partial file, an earlier target
-    as it was and the symlink in place; a device or a pipe is written
-    through."""
-    target = os.path.realpath(path) if os.path.islink(path) else path
-    replace = not os.path.exists(target) or os.path.isfile(target)
+    as it was and the symlink in place; a device or a pipe, also one
+    reached through a symlink such as /dev/stdout, is written through."""
+    replace = not os.path.exists(path) or os.path.isfile(path)
+    target = os.path.realpath(path) if replace and os.path.islink(path) else path
     staged = f"{target}.{os.getpid()}.tmp" if replace else path
     try:
         if replace and os.path.exists(target):
@@ -189,8 +189,7 @@ def cmd_render(args) -> int:
     renderer = PromptRenderer(args.style)
     for task in {e.task for e in examples}:
         renderer.instruction(task)
-        if args.style == "eta-p":  # eta-p targets list the triples
-            TemplatePool.for_task(task)
+        TemplatePool.for_task(task)  # targets are written with the templates
     positions: dict[str, list[int]] = {}
     for position, shot in enumerate(shots_pool):
         positions.setdefault(shot.id, []).append(position)

@@ -73,9 +73,11 @@ _INVERSE = {label: dict(zip("mf", converse))
             for pair, converse in ((rule, other), (other, rule))
             for label in pair}
 
-# Gender of the subject each label implies.
+# Gender of the subject each label implies, and the rule (pair) it names.
 LABEL_GENDER = {label: gender for pair in _INVERSE.values()
                 for gender, label in pair.items()}
+_RULE = {label: pair for rules in _CONVERSE.items() for pair in rules
+         for label in pair}
 
 
 def invert(relation: str, counterpart_gender: str) -> str:
@@ -113,11 +115,9 @@ class Genealogy:
         self.units: list[FamilyUnit] = []
         self.child_unit: dict[int, int] = {}   # person -> unit they are a child of
         self.parent_unit: dict[int, int] = {}  # person -> unit they are a parent in
-        self._next_id = 0
 
     def new_person(self, gender: str) -> int:
-        person = self._next_id
-        self._next_id += 1
+        person = len(self.gender)
         self.gender[person] = gender
         return person
 
@@ -177,7 +177,7 @@ class Genealogy:
         self.spouse[a] = b
         self.spouse[b] = a
 
-    # -- fact builders (each returns the ids it created) ----------------------
+    # -- fact builders (each returns the person it was asked for) -----------
 
     def add_parent(self, child: int, gender: str) -> int:
         """Create the missing gendered parent of child's family unit."""
@@ -200,20 +200,18 @@ class Genealogy:
         self.child_unit[person] = self.parent_unit[parent]
         return person
 
-    def add_sibling(self, person: int, gender: str) -> list[int]:
+    def add_sibling(self, person: int, gender: str) -> int:
         """New co-child of person's unit; fills empty parent seats first so
         every sibling pair shares both parents."""
-        created: list[int] = []
         unit = self._own_child_unit(person)
         if unit.father is None:
-            created.append(self.add_parent(person, "m"))
+            self.add_parent(person, "m")
         if unit.mother is None:
-            created.append(self.add_parent(person, "f"))
+            self.add_parent(person, "f")
         sibling = self.new_person(gender)
         unit.children.append(sibling)
         self.child_unit[sibling] = self.child_unit[person]
-        created.append(sibling)
-        return created
+        return sibling
 
     def add_spouse(self, person: int) -> int:
         if person in self.spouse:
@@ -270,96 +268,64 @@ class KinshipEngine:
         """Add minimal primitives making "<new person> is <relation> of target".
 
         Returns (subject, all created persons) or None when the attachment
-        conflicts with a uniqueness invariant (e.g. a second father).
+        conflicts with a uniqueness invariant (e.g. a second father).  People
+        are numbered as they are created, so the ones this call created are
+        the ids from the person count before it on, and the subject is last.
         """
+        first = len(self.genealogy.gender)
         try:
-            return self._realize(target, relation, rng)
+            self._realize(target, relation, rng)
         except Unrealizable:
             return None
+        created = list(range(first, len(self.genealogy.gender)))
+        return created[-1], created
 
-    def _realize(self, target: int, relation: str, rng) -> tuple[int, list[int]]:
-        g = self.genealogy
-        created: list[int] = []
-
-        def pick_parent() -> int:
-            # reuse an existing parent or fill an open seat, chosen at random
-            unit = g._own_child_unit(target)
-            options: list[Optional[int]] = [p for p in (unit.father, unit.mother)
-                                            if p is not None]
-            if unit.father is None or unit.mother is None:
-                options.append(None)
-            choice = rng.choice(options)
-            if choice is None:
-                open_genders = [gnd for gnd, seat in
-                                (("m", unit.father), ("f", unit.mother)) if seat is None]
-                choice = g.add_parent(target, rng.choice(open_genders))
-                created.append(choice)
-            return choice
-
-        def fresh_child() -> int:
-            # intermediates are always new people: compositions stay generic
-            child = g.add_child(target, rng.choice(("m", "f")))
-            created.append(child)
-            return child
-
-        def fresh_sibling() -> int:
-            news = g.add_sibling(target, rng.choice(("m", "f")))
-            created.extend(news)
-            return news[-1]
-
-        def spouse_of_target() -> int:
-            partner = g.spouse.get(target)
-            if partner is None:
-                partner = g.add_spouse(target)
-                created.append(partner)
-            return partner
-
-        def unmarried_child(gender: str) -> int:
-            options = [c for c in g.children_of(target)
-                       if g.gender[c] == gender and c not in g.spouse]
-            if options:
-                return rng.choice(options)
-            child = g.add_child(target, gender)
-            created.append(child)
-            return child
-
-        if relation in ("father", "mother"):
-            subject = g.add_parent(target, LABEL_GENDER[relation])
-            created.append(subject)
-        elif relation in ("son", "daughter"):
-            subject = g.add_child(target, LABEL_GENDER[relation])
-            created.append(subject)
-        elif relation in ("brother", "sister"):
-            news = g.add_sibling(target, LABEL_GENDER[relation])
-            created.extend(news)
-            subject = news[-1]
-        elif relation in ("grandfather", "grandmother"):
-            subject = g.add_parent(pick_parent(), LABEL_GENDER[relation])
-            created.append(subject)
-        elif relation in ("grandson", "granddaughter"):
-            subject = g.add_child(fresh_child(), LABEL_GENDER[relation])
-            created.append(subject)
-        elif relation in ("uncle", "aunt"):
-            news = g.add_sibling(pick_parent(), LABEL_GENDER[relation])
-            created.extend(news)
-            subject = news[-1]
-        elif relation in ("nephew", "niece"):
-            subject = g.add_child(fresh_sibling(), LABEL_GENDER[relation])
-            created.append(subject)
-        elif relation in ("father-in-law", "mother-in-law"):
-            subject = g.add_parent(spouse_of_target(), LABEL_GENDER[relation])
-            created.append(subject)
-        elif relation == "son-in-law":
-            daughter = unmarried_child("f")
-            subject = g.add_spouse(daughter)
-            created.append(subject)
-        elif relation == "daughter-in-law":
-            son = unmarried_child("m")
-            subject = g.add_spouse(son)
-            created.append(subject)
-        else:
+    def _realize(self, target: int, relation: str, rng) -> None:
+        """Create the subject, last, and the people it needs in between."""
+        rule = _RULE.get(relation)
+        if rule is None:
             raise ValueError(f"unknown kinship relation: {relation}")
-        return subject, created
+        g = self.genealogy
+        gender = LABEL_GENDER[relation]
+        if rule is _PARENT:
+            g.add_parent(target, gender)
+        elif rule is _CHILD:
+            g.add_child(target, gender)
+        elif rule is _SIBLING:
+            g.add_sibling(target, gender)
+        elif rule is _GRANDPARENT:
+            g.add_parent(self._pick_parent(target, rng), gender)
+        elif rule is _GRANDCHILD:
+            # intermediates are new people: compositions stay generic
+            g.add_child(g.add_child(target, rng.choice("mf")), gender)
+        elif rule is _UNCLE:
+            g.add_sibling(self._pick_parent(target, rng), gender)
+        elif rule is _NEPHEW:
+            g.add_child(g.add_sibling(target, rng.choice("mf")), gender)
+        elif rule is _PARENT_IN_LAW:
+            partner = g.spouse.get(target)
+            g.add_parent(g.add_spouse(target) if partner is None else partner, gender)
+        else:  # the spouse of an unmarried child of the other gender
+            other = "f" if gender == "m" else "m"
+            options = [c for c in g.children_of(target)
+                       if g.gender[c] == other and c not in g.spouse]
+            g.add_spouse(rng.choice(options) if options else g.add_child(target, other))
+
+    def _pick_parent(self, target: int, rng) -> int:
+        """An existing parent of target or a new one in an open seat, chosen
+        at random."""
+        g = self.genealogy
+        unit = g._own_child_unit(target)
+        options: list[Optional[int]] = [p for p in (unit.father, unit.mother)
+                                        if p is not None]
+        if len(options) < 2:
+            options.append(None)
+        choice = rng.choice(options)
+        if choice is None:
+            open_genders = [gnd for gnd, seat in
+                            (("m", unit.father), ("f", unit.mother)) if seat is None]
+            choice = g.add_parent(target, rng.choice(open_genders))
+        return choice
 
     # -- deduction -------------------------------------------------------------
 

@@ -88,11 +88,9 @@ class SpatialEngine:
     def __init__(self) -> None:
         self.pos: dict[int, tuple[int, int]] = {}
         self.occupied: dict[tuple[int, int], int] = {}
-        self._next_id = 0
 
     def _new_node(self, xy: tuple[int, int]) -> int:
-        node = self._next_id
-        self._next_id += 1
+        node = len(self.pos)
         self.pos[node] = xy
         self.occupied[xy] = node
         return node

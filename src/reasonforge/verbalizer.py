@@ -25,21 +25,6 @@ from .augment import AugmentedChain
 
 T = TypeVar("T")
 
-# Answer phrasing per spatial label; axis directions read "directly ...",
-# diagonals read "to the ...".
-SPATIAL_ANSWER_PHRASES = {
-    "above": "is directly above",
-    "below": "is directly below",
-    "left": "is directly to the left of",
-    "right": "is directly to the right of",
-    "upper-left": "is to the upper-left of",
-    "upper-right": "is to the upper-right of",
-    "lower-left": "is to the lower-left of",
-    "lower-right": "is to the lower-right of",
-    "overlaps": "overlaps with",
-}
-
-
 _PACKAGED_DATA = (Path(__file__).parent / "data").absolute()
 
 
@@ -211,7 +196,7 @@ def query_endpoints(query: str, task: str) -> tuple[str, str]:
 
 
 def render_answer(head: str, tail: str, relation: str, task: str) -> str:
-    if task == "kinship":
-        return f"{head} is the {relation} of {tail}"
-    return f"{head} {SPATIAL_ANSWER_PHRASES[relation]} {tail}."
+    """The relation's canonical template; a kinship answer has no final period."""
+    answer = TemplatePool.for_task(task).canonical(relation, head, tail)
+    return answer[:-1] if task == "kinship" else answer
 

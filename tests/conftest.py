@@ -1,4 +1,13 @@
+import os
+from pathlib import Path
+
 import pytest
+
+# tests also run the CLI in child processes: give them the package's source
+# tree, as pyproject's pytest pythonpath gives this process
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 _criterion_lines: list[str] = []
 

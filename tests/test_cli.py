@@ -191,6 +191,19 @@ def test_output_pipe_gets_the_whole_output(tmp_path):
     assert len(received) == 1 and len(received[0].splitlines()) == 2
 
 
+def test_stdout_pipe_gets_the_whole_output(tmp_path):
+    # -o /dev/stdout with stdout a pipe: the symlink reaches the pipe, which
+    # is written through; run in a child so that its stdout is a real pipe
+    gen = ["gen", "--task", "stepgame", "--counts", "2=2", "--seed", "0"]
+    run(gen + ["-o", str(tmp_path / "d.jsonl")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "reasonforge.cli", *gen, "-o", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith((tmp_path / "d.jsonl").read_text())
+    assert "wrote 2 examples to /dev/stdout" in proc.stdout
+
+
 def test_gen_exhausted_keeps_earlier_output(tmp_path, capsys, monkeypatch):
     # a bucket that runs out of attempts inside the writer: the earlier
     # output, a regular file or a symlink's target, stays as it was
@@ -524,6 +537,9 @@ STALE_PROMPT = "Answer the question.\n\n### Story:\n[STORY]\n### Output:\n[ANSWE
     ("presets/stepgame_paper.json", None,
      ["gen", "--task", "stepgame", "--preset", "paper", "-o", "{dir}/kept.jsonl"],
      "cannot read {data}/presets/stepgame_paper.json"),
+    ("templates_spatial.json", None,
+     ["render", "--dataset", "{dir}/d.jsonl", "--style", "std-p",
+      "-o", "{dir}/kept.jsonl"], "cannot read {data}/templates_spatial.json"),
 ])
 def test_missing_or_stale_asset_fails_fast(tmp_path, capsys, monkeypatch, asset,
                                            content, argv, message):

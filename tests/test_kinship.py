@@ -88,6 +88,36 @@ def test_realize_subject_carries_relation(relation):
         assert eng.genealogy.gender[subject] == LABEL_GENDER[relation]
 
 
+@pytest.mark.parametrize("relation", KINSHIP_LABELS)
+def test_realize_reports_exactly_the_people_it_created(relation):
+    # on a root, then again on a world that already holds other people: the
+    # created list is every new person in id order, the subject last
+    for seed in range(6):
+        for gender in "mf":
+            eng, root = engine_with_root(gender)
+            rng = random.Random(seed)
+            target = root
+            for _ in range(2):
+                before = set(eng.genealogy.gender)
+                realized = eng.realize(target, relation, rng)
+                new = sorted(set(eng.genealogy.gender) - before)
+                if realized is None:
+                    assert new == []
+                    break
+                subject, created = realized
+                assert created == new and created[0] == len(before)
+                assert subject == created[-1]
+                assert eng.derive(subject, target) == relation
+                target = created[0] if len(created) > 1 else root
+
+
+def test_realize_unknown_label_creates_no_one():
+    eng, root = engine_with_root()
+    with pytest.raises(ValueError, match="unknown kinship relation: cousin"):
+        eng.realize(root, "cousin", random.Random(0))
+    assert list(eng.genealogy.gender) == [root]
+
+
 # -- derive -------------------------------------------------------------------
 
 def test_derive_daughter():

@@ -100,3 +100,14 @@ def test_answer_is_unit_offset_sum_not_grid_relation():
             assert answer == chain_relation(labels) == simulate(labels)
             differs += answer != engine.derive_pair(chain.head, chain.tail)[0]
     assert differs > 0
+
+
+@pytest.mark.parametrize("relation", SPATIAL_LABELS[:-1])
+def test_realize_numbers_nodes_in_creation_order(relation):
+    eng = SpatialEngine()
+    node = eng.new_root(None)
+    for count in range(1, 4):
+        assert eng.realize(node, relation, None) == (count, [count])
+        node = count
+    assert eng.realize(0, relation, None) is None  # the cell is taken
+    assert list(eng.pos) == [0, 1, 2, 3]
