@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .evalkit import read_predictions, score, stats_table
@@ -96,14 +96,25 @@ def read_input(path, reader=None) -> list:
 
 @contextmanager
 def staged_output(path):
-    """Yield the file to write output `path` to, created before any work so
-    that creating it is the probe: a ConfigError if it, or an existing
-    `path`, cannot be opened for writing.  A new path or a regular file,
-    also one reached through a symlink, is staged in a temporary file beside
-    the symlink's resolved target and renamed onto that target only when the
-    block completes, so a failure leaves no partial file, an earlier target
-    as it was and the symlink in place; a device or a pipe, also one
-    reached through a symlink such as /dev/stdout, is written through."""
+    """Yield what to open() for writing output `path`, created before any
+    work so that creating it is the probe: a ConfigError if it, or an
+    existing `path`, cannot be opened for writing.  A new path or a regular
+    file, also through a symlink, is staged beside the symlink's resolved
+    target and renamed onto it when the block completes, so a failure leaves
+    no partial file and the earlier target and symlink in place.  A device
+    or pipe is written through; stdout's own file, by a dup open() takes over."""
+    try:
+        fd = os.dup(1) if os.path.samestat(os.stat(path), os.fstat(1)) else None
+    except OSError:  # no such path, or no standard output
+        fd = None
+    if fd is not None:
+        try:
+            yield fd
+        except BaseException:  # perhaps before open() took fd over
+            with suppress(OSError):
+                os.close(fd)
+            raise
+        return
     replace = not os.path.exists(path) or os.path.isfile(path)
     target = os.path.realpath(path) if replace and os.path.islink(path) else path
     staged = f"{target}.{os.getpid()}.tmp" if replace else path
@@ -189,7 +200,7 @@ def cmd_render(args) -> int:
     renderer = PromptRenderer(args.style)
     for task in {e.task for e in examples}:
         renderer.instruction(task)
-        TemplatePool.for_task(task)  # targets are written with the templates
+        renderer.pool(task)  # targets are written with the templates
     positions: dict[str, list[int]] = {}
     for position, shot in enumerate(shots_pool):
         positions.setdefault(shot.id, []).append(position)
@@ -227,8 +238,8 @@ def cmd_score(args) -> int:
     try:
         with staged_output(report_path) as staged:
             report = score(predictions, gold, args.style)
-            Path(staged).write_text(
-                json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+            with open(staged, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(report.to_dict(), indent=2) + "\n")
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .promptkit import parse_response
 from .taskgen import Example, read_records
+from .verbalizer import TemplatePool
 
 HOP_RANGE = tuple(range(2, 11))
 
@@ -75,6 +76,8 @@ def score(
     duplicate ids are errors, not skips.
     """
     by_id = {e.id: e for e in gold}
+    tasks = {e.task for e in gold} if style == "eta-p" else ()  # eta-p reads triples
+    pools = {task: TemplatePool.for_task(task) for task in tasks}
 
     report = ScoreReport()
     seen: set[str] = set()
@@ -86,7 +89,8 @@ def score(
         example = by_id.get(pid)
         if example is None:
             raise KeyError(f"prediction id {pid} not in gold dataset")
-        parsed = parse_response(item["response"], style, example.task)
+        parsed = parse_response(item["response"], style, example.task,
+                                pools.get(example.task))
         row = report.per_hop.setdefault(
             example.hop, {"n": 0, "correct": 0, "accuracy": 0.0, "triples_exact": 0})
         row["n"] += 1

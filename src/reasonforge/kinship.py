@@ -22,14 +22,19 @@ Children are grouped into family units (father slot, mother slot, children),
 which is what guarantees full siblings: adding a parent to one child adds it
 to every co-child of the unit.  Deduction reads a person's labelled
 relatives straight off the units: growth links a new person to them, and
-derive(u, v) looks v up among u's.
+derive(u, v) looks v up among u's.  The composition table a chain walk
+keeps alive, compose(), is derived on first use from the oracle's nine
+rules; the oracle imports nothing from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from operator import itemgetter
 from typing import Optional
+
+from .oracle import VERIFIERS
 
 KINSHIP_LABELS = (
     "aunt",
@@ -249,7 +254,7 @@ class KinshipEngine:
     @property
     def fold(self) -> dict[str, dict[str, str]]:
         """acc -> step label -> acc: the composition a walk must keep alive."""
-        return COMPOSE_BY_ACC
+        return compose()
 
     def invert_label(self, relation: str, subject: int) -> str:
         """Label of subject to the other endpoint of its `relation` edge."""
@@ -377,126 +382,28 @@ class KinshipEngine:
         return links
 
 
-# Pairwise composition: COMPOSE[(r1, r2)] = r3 means "A is r1 of B" and
-# "B is r2 of C" force "A is r3 of C" whenever the connecting people sit in
-# generic positions, i.e. every implicit intermediary is a person of their
-# own (realization always creates fresh intermediaries, and generation
-# discards the rare chains where a coincidence in the ground truth breaks
-# genericity).  Pairs are absent when the outcome is ambiguous even then or
-# falls outside the vocabulary: the father of a son is a spouse (no label),
-# a grandson of a grandfather may be a sibling or a cousin, and in-law
-# links compose only where the reconstruction from the two statements locks
-# the result.  Every entry is validated against the brute-force genealogy
-# oracle by the test suite, which also checks that no absent pair could be
-# defined.
-COMPOSE: dict[tuple[str, str], str] = {
-    # aunt of ...
-    ("aunt", "brother"): "aunt",
-    ("aunt", "sister"): "aunt",
-    # brother of ...
-    ("brother", "aunt"): "uncle",
-    ("brother", "brother"): "brother",
-    ("brother", "daughter"): "son",
-    ("brother", "father"): "uncle",
-    ("brother", "granddaughter"): "grandson",
-    ("brother", "grandson"): "grandson",
-    ("brother", "mother"): "uncle",
-    ("brother", "nephew"): "nephew",
-    ("brother", "niece"): "nephew",
-    ("brother", "sister"): "brother",
-    ("brother", "son"): "son",
-    ("brother", "uncle"): "uncle",
-    # daughter of ...
-    ("daughter", "brother"): "niece",
-    ("daughter", "daughter"): "granddaughter",
-    ("daughter", "father"): "sister",
-    ("daughter", "grandfather"): "aunt",
-    ("daughter", "grandmother"): "aunt",
-    ("daughter", "mother"): "sister",
-    ("daughter", "sister"): "niece",
-    ("daughter", "son"): "granddaughter",
-    # father of ...
-    ("father", "aunt"): "grandfather",
-    ("father", "brother"): "father",
-    ("father", "father"): "grandfather",
-    ("father", "mother"): "grandfather",
-    ("father", "sister"): "father",
-    ("father", "uncle"): "grandfather",
-    # granddaughter of ...
-    ("granddaughter", "father"): "niece",
-    ("granddaughter", "mother"): "niece",
-    # grandfather of ...
-    ("grandfather", "brother"): "grandfather",
-    ("grandfather", "sister"): "grandfather",
-    # grandmother of ...
-    ("grandmother", "brother"): "grandmother",
-    ("grandmother", "sister"): "grandmother",
-    # grandson of ...
-    ("grandson", "father"): "nephew",
-    ("grandson", "mother"): "nephew",
-    # mother of ...
-    ("mother", "aunt"): "grandmother",
-    ("mother", "brother"): "mother",
-    ("mother", "father"): "grandmother",
-    ("mother", "mother"): "grandmother",
-    ("mother", "sister"): "mother",
-    ("mother", "uncle"): "grandmother",
-    # nephew of ...
-    ("nephew", "brother"): "nephew",
-    ("nephew", "daughter"): "grandson",
-    ("nephew", "sister"): "nephew",
-    ("nephew", "son"): "grandson",
-    # niece of ...
-    ("niece", "brother"): "niece",
-    ("niece", "daughter"): "granddaughter",
-    ("niece", "sister"): "niece",
-    ("niece", "son"): "granddaughter",
-    # sister of ...
-    ("sister", "aunt"): "aunt",
-    ("sister", "brother"): "sister",
-    ("sister", "daughter"): "daughter",
-    ("sister", "father"): "aunt",
-    ("sister", "granddaughter"): "granddaughter",
-    ("sister", "grandson"): "granddaughter",
-    ("sister", "mother"): "aunt",
-    ("sister", "nephew"): "niece",
-    ("sister", "niece"): "niece",
-    ("sister", "sister"): "sister",
-    ("sister", "son"): "daughter",
-    ("sister", "uncle"): "aunt",
-    # son of ...
-    ("son", "brother"): "nephew",
-    ("son", "daughter"): "grandson",
-    ("son", "father"): "brother",
-    ("son", "grandfather"): "uncle",
-    ("son", "grandmother"): "uncle",
-    ("son", "mother"): "brother",
-    ("son", "sister"): "nephew",
-    ("son", "son"): "grandson",
-    # uncle of ...
-    ("uncle", "brother"): "uncle",
-    ("uncle", "sister"): "uncle",
-}
-
-
-# acc -> step -> result view of COMPOSE; avoids building a key tuple in the
-# innermost loop of walk searches
-COMPOSE_BY_ACC: dict[str, dict[str, str]] = {}
-for (_r1, _r2), _out in COMPOSE.items():
-    COMPOSE_BY_ACC.setdefault(_r1, {})[_r2] = _out
+@cache
+def compose() -> dict[str, dict[str, str]]:
+    """acc -> step -> result: the label of A to C that the oracle reads off "A
+    is acc of B, B is step of C" for either gender of C.  Shared: read only."""
+    verify = VERIFIERS["kinship"]
+    table: dict[str, dict[str, str]] = {}
+    for r1 in KINSHIP_LABELS:
+        for r2 in KINSHIP_LABELS:
+            story = [("A", r1, "B"), ("B", r2, "C")]
+            genders = {"A": LABEL_GENDER[r1], "B": LABEL_GENDER[r2]}
+            results = {verify(story, "A", "C", {**genders, "C": c}) for c in "mf"}
+            if len(results) == 1 and (result := results.pop()) in KINSHIP_LABELS:
+                table.setdefault(r1, {})[r2] = result
+    return table
 
 
 def chain_relation(relations: list[str]) -> Optional[str]:
-    """Fold the chain left to right through the composition table.
-
-    Returns the entailed head-to-tail label, or None as soon as one step
-    has no unique vocabulary outcome.
-    """
+    """The head-to-tail label the steps entail, folded left to right through
+    compose(); None once a step has no unique vocabulary outcome."""
     if not relations:
         raise ValueError("chain_relation requires at least one relation")
     acc: Optional[str] = relations[0]
     for r in relations[1:]:
-        if acc is None:
-            return None
-        acc = COMPOSE.get((acc, r))
+        acc = compose().get(acc, {}).get(r)  # None stays None
     return acc

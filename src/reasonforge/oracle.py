@@ -1,10 +1,10 @@
 """Independent brute-force verifiers for both tasks.
 
 Used by tests and the `verify` command to re-derive every label without
-touching the engines' code paths: no composition table, no shared offset
-constants, just the definitional rules evaluated by exhaustive
-quantification over primitive facts.  Constants that also exist in the
-engine modules are duplicated here on purpose.
+touching the engines' code: it imports none, and evaluates the definitional
+rules by exhaustive quantification over primitive facts, duplicating any
+constant the engines also hold.  The kinship engine's composition table is
+derived from these rules (kinship.compose), never the other way round.
 
 A ground world is reconstructed from the structured triples of a dataset
 example, which is what a reader of the story could themselves establish.

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 from .kinship import KINSHIP_LABELS
@@ -60,15 +61,16 @@ def draw_shots(
     return shots
 
 
-def render_target(example: Example, style: str) -> str:
+def render_target(example: Example, style: str,
+                  pool: Optional[TemplatePool] = None) -> str:
     """Gold completion: the answer sentence, preceded under eta-p by the
-    ordered gold triples."""
+    ordered gold triples, from `pool` or else the task's TemplatePool."""
+    pool = pool or TemplatePool.for_task(example.task)
     head, tail = example.endpoints
-    answer = render_answer(head, tail, example.answer, example.task)
+    answer = render_answer(head, tail, example.answer, example.task, pool)
     if style == "std-p":
         return answer
     if style == "eta-p":
-        pool = TemplatePool.for_task(example.task)
         triples = "\n".join(pool.canonical(r, a, b)
                             for a, r, b in example.gold_triples)
         return f"The ordered structured triples are:\n{triples}\nTherefore, {answer}"
@@ -93,8 +95,8 @@ class PromptRenderer:
 
     Each example's target and completed shot block is built at most once,
     so a shot drawn for many prompts, or a query that is also drawn as a
-    shot, is rendered once; each task's instruction is read once.  The
-    built text is keyed by the example object and lives as long as the
+    shot, is rendered once; each task's instruction and pool are read once.
+    The built text is keyed by the example object and lives as long as the
     renderer, so the examples must not change while it is in use.
     """
 
@@ -102,23 +104,18 @@ class PromptRenderer:
         if style not in STYLES:
             raise ValueError(f"unknown prompt style {style!r}")
         self.style = style
-        self._instructions: dict[str, str] = {}
+        self.instruction = cache(lambda task: load_prompt_asset(task, style))
+        self.pool = cache(TemplatePool.for_task)
         # id(example) -> (example, target); holding the example keeps its
         # id from passing to another object while the renderer lives
         self._targets: dict[int, tuple[Example, str]] = {}
         self._blocks: dict[int, str] = {}
 
-    def instruction(self, task: str) -> str:
-        text = self._instructions.get(task)
-        if text is None:
-            text = self._instructions[task] = load_prompt_asset(task, self.style)
-        return text
-
     def target(self, example: Example) -> str:
         entry = self._targets.get(id(example))
         if entry is None:
             entry = self._targets[id(example)] = (
-                example, render_target(example, self.style))
+                example, render_target(example, self.style, self.pool(example.task)))
         return entry[1]
 
     def prompt(self, example: Example, shots: Sequence[Example] = ()) -> str:
@@ -210,9 +207,10 @@ def _extract_triples(text: str, lowered: str,
     return [[a, r, b] for a, r, b in found]
 
 
-def parse_response(text: str, style: str, task: str) -> ParsedResponse:
-    """Pull the predicted relation (and, under eta-p, the extracted triples)
-    out of a free-form model response."""
+def parse_response(text: str, style: str, task: str,
+                   pool: Optional[TemplatePool] = None) -> ParsedResponse:
+    """Pull the predicted relation (and, under eta-p, the triples that `pool`,
+    or else the task's TemplatePool, extracts) out of a free-form response."""
     # `text` in lower case, for "therefore" and "triples" in any case;
     # "\u0130" (İ) is the one character whose lower case is two long, so
     # it is blanked to keep text's indices
@@ -220,5 +218,5 @@ def parse_response(text: str, style: str, task: str) -> ParsedResponse:
     relation = _last_relation(_final_segment(text, lowered), task)
     triples = None
     if style == "eta-p":
-        triples = _extract_triples(text, lowered, TemplatePool.for_task(task))
+        triples = _extract_triples(text, lowered, pool or TemplatePool.for_task(task))
     return ParsedResponse(relation=relation, triples=triples)

@@ -195,8 +195,10 @@ def query_endpoints(query: str, task: str) -> tuple[str, str]:
     return m.group(1), m.group(2)
 
 
-def render_answer(head: str, tail: str, relation: str, task: str) -> str:
-    """The relation's canonical template; a kinship answer has no final period."""
-    answer = TemplatePool.for_task(task).canonical(relation, head, tail)
+def render_answer(head: str, tail: str, relation: str, task: str,
+                  pool: Optional[TemplatePool] = None) -> str:
+    """The relation's canonical template, from `pool` or else the task's
+    pool; a kinship answer has no final period."""
+    answer = (pool or TemplatePool.for_task(task)).canonical(relation, head, tail)
     return answer[:-1] if task == "kinship" else answer
 

@@ -18,8 +18,8 @@ import pytest
 from worlds import kinship_world_from_genealogy
 
 from reasonforge.augment import add_edge_noise, flip_edges, permute
-from reasonforge.kinship import (COMPOSE, KINSHIP_LABELS, LABEL_GENDER,
-                                 KinshipEngine, invert)
+from reasonforge.kinship import (KINSHIP_LABELS, LABEL_GENDER, KinshipEngine,
+                                 compose, invert)
 from reasonforge.oracle import (coordinate_relation, genealogy_relation,
                                 kinship_world_from_triples,
                                 spatial_world_from_triples)
@@ -29,6 +29,8 @@ from reasonforge.sampler import SamplingExhausted, sample_chain
 from reasonforge.spatial import SPATIAL_LABELS, SpatialEngine, chain_relation
 from reasonforge.taskgen import (corrupt, derive_seed, entailed_relation,
                                  read_jsonl)
+
+COMPOSE = {(r1, r2): out for r1, row in compose().items() for r2, out in row.items()}
 
 CLUTRR_COUNTS = {2: 1162, 3: 1170, 4: 1129, 5: 1219, 6: 1224, 7: 1231,
                  8: 1120, 9: 945, 10: 795}

@@ -140,7 +140,7 @@ def test_render_failing_midway_keeps_earlier_output(tmp_path, monkeypatch):
     prompts.write_text("earlier\n")
     rendered = []
 
-    def failing_target(example, style):
+    def failing_target(example, style, pool=None):
         if rendered:
             raise RuntimeError("render failed")
         rendered.append(example.id)
@@ -204,6 +204,25 @@ def test_stdout_pipe_gets_the_whole_output(tmp_path):
     assert "wrote 2 examples to /dev/stdout" in proc.stdout
 
 
+def test_stdout_appended_file_keeps_what_it_held(tmp_path):
+    # -o /dev/stdout with stdout opened for append on a file: the output and
+    # then the summary follow what the file held, and nothing is staged
+    gen = ["gen", "--task", "stepgame", "--counts", "2=2", "--seed", "0"]
+    run(gen + ["-o", str(tmp_path / "d.jsonl")])
+    out = tmp_path / "out.txt"
+    out.write_text("earlier\n")
+    with open(out, "a") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "reasonforge.cli", *gen, "-o", "/dev/stdout"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    text = out.read_text()
+    assert text.startswith("earlier\n" + (tmp_path / "d.jsonl").read_text()
+                           + "wrote 2 examples to /dev/stdout\n")
+    assert text.endswith("Total        2\n")
+    assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "out.txt"]
+
+
 def test_gen_exhausted_keeps_earlier_output(tmp_path, capsys, monkeypatch):
     # a bucket that runs out of attempts inside the writer: the earlier
     # output, a regular file or a symlink's target, stays as it was
@@ -223,6 +242,19 @@ def test_gen_exhausted_keeps_earlier_output(tmp_path, capsys, monkeypatch):
         assert err.count("\n") == 1 and err.startswith("error: hop 2: "), err
         assert out.read_bytes() == b"earlier\n"
     assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "link.jsonl", "target.jsonl"]
+
+
+def test_gen_exhausted_into_stdout_releases_its_descriptor(capsys, monkeypatch):
+    # -o /dev/stdout hands the writer a new descriptor of stdout, which a
+    # bucket that fails before anything is written leaves closed
+    def exhausted(spec, hop, count):
+        raise GenerationExhausted(hop, 0, 5)
+
+    monkeypatch.setattr(taskgen, "_build_bucket", exhausted)
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert run(["gen", "--task", "stepgame", "--counts", "2=2", "-o", "/dev/stdout"]) == 1
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err.startswith("error: hop 2: ")
 
 
 def test_symlinked_output_is_staged_beside_its_target(tmp_path, monkeypatch):
@@ -264,7 +296,7 @@ def test_render_failing_midway_keeps_symlink_target(tmp_path, monkeypatch):
     link.symlink_to(target)
     rendered = []
 
-    def failing_target(example, style):
+    def failing_target(example, style, pool=None):
         if rendered:
             raise RuntimeError("render failed")
         rendered.append(example.id)

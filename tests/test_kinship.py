@@ -1,12 +1,18 @@
+import hashlib
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
 from worlds import kinship_world_from_genealogy
 
-from reasonforge.kinship import (COMPOSE, KINSHIP_LABELS, LABEL_GENDER,
-                                 KinshipEngine, chain_relation, invert)
+from reasonforge.kinship import (KINSHIP_LABELS, LABEL_GENDER, KinshipEngine,
+                                 chain_relation, compose, invert)
 from reasonforge.oracle import genealogy_relation
+
+COMPOSE = {(r1, r2): out for r1, row in compose().items() for r2, out in row.items()}
 
 
 def engine_with_root(gender="m"):
@@ -169,6 +175,26 @@ def test_derive_inversion_consistency():
 
 
 # -- compose ------------------------------------------------------------------
+
+def test_compose_is_pinned():
+    # the table is derived from the oracle's nine rules; a changed rule
+    # changes it, and fails here by name
+    assert len(COMPOSE) == 72
+    digest = hashlib.sha256(json.dumps(sorted(COMPOSE.items())).encode()).hexdigest()
+    assert digest == "6d368253e60080127994b96984f1b14bacfeabbaf86fd6cd7b69c69e32964982"
+
+
+def test_compose_is_built_on_first_use(tmp_path):
+    # importing the CLI and a spatial gen never build the kinship table
+    code = ("import sys\nfrom reasonforge import cli, kinship\n"
+            "cli.main(['gen', '--task', 'stepgame', '--counts', '2=2', '-o', sys.argv[1]])\n"
+            "print(kinship.compose.cache_info().currsize, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d.jsonl")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "0\n"
+    assert len((tmp_path / "d.jsonl").read_text().splitlines()) == 2
+
 
 def test_compose_examples():
     assert COMPOSE[("son", "son")] == "grandson"

@@ -171,9 +171,9 @@ def test_render_builds_each_target_once(tmp_path, monkeypatch, kinship_examples)
     write_jsonl(kinship_examples, path)
     built, read = [], []
 
-    def counting_target(example, style):
+    def counting_target(example, style, pool=None):
         built.append(example.id)
-        return render_target(example, style)
+        return render_target(example, style, pool)
 
     def counting_asset(task, style):
         read.append((task, style))
