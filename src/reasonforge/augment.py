@@ -85,9 +85,8 @@ def add_edge_noise(
     if k == 0:
         return aug
     on_chain = set(chain.walk)
-    outgoing = graph.outgoing()
     candidates = sorted(
-        (s, o) for s in on_chain for o, _ in outgoing[s] if o not in on_chain)
+        (s, o) for s in on_chain for o, _ in graph.outgoing[s] if o not in on_chain)
     distractors: list[tuple[Triple, int]] = []
     used_off: set[int] = set()
     while len(distractors) < k:

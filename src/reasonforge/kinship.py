@@ -36,27 +36,6 @@ from typing import Optional
 
 from .oracle import VERIFIERS
 
-KINSHIP_LABELS = (
-    "aunt",
-    "brother",
-    "daughter",
-    "daughter-in-law",
-    "father",
-    "father-in-law",
-    "granddaughter",
-    "grandfather",
-    "grandmother",
-    "grandson",
-    "mother",
-    "mother-in-law",
-    "nephew",
-    "niece",
-    "sister",
-    "son",
-    "son-in-law",
-    "uncle",
-)
-
 # (label of a male subject, label of a female subject) per rule
 _PARENT = ("father", "mother")
 _CHILD = ("son", "daughter")
@@ -83,6 +62,7 @@ LABEL_GENDER = {label: gender for pair in _INVERSE.values()
                 for gender, label in pair.items()}
 _RULE = {label: pair for rules in _CONVERSE.items() for pair in rules
          for label in pair}
+KINSHIP_LABELS = tuple(sorted(_RULE))  # growth realizes labels in this order
 
 
 def invert(relation: str, counterpart_gender: str) -> str:

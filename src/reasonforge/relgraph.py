@@ -15,17 +15,18 @@ realized earlier in the same iteration already satisfies later checks,
 which both avoids duplicate attachments and keeps spatial growth free of
 coincident placements.
 
-A completed graph's nodes and edges never change.  Two lazily filled
-caches ride on it: the adjacency table of `outgoing()` and the heads that
-chain sampling has proven dead (`dead_heads`).  Neither changes what any
-call returns, so a graph is still safe to share across threads.
+The adjacency table (`outgoing`) is built with the edges, in the order
+they are added.  A completed graph's nodes and edges never change; one
+lazily filled memo rides on it, the heads that chain sampling has proven
+dead (`dead_heads`).  The memo never changes what a call returns, so a
+graph is still safe to share across threads.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .kinship import KinshipEngine
 from .spatial import SpatialEngine
@@ -51,7 +52,8 @@ class RelationalGraph:
         self.nodes: list[int] = []
         self.edges: dict[tuple[int, int], str] = {}
         self.incoming: dict[int, set[str]] = {}  # node -> labels of edges into it
-        self._outgoing: Optional[dict[int, list[tuple[int, str]]]] = None
+        # node -> [(object, relation), ...] in edge order
+        self.outgoing: dict[int, list[tuple[int, str]]] = {}
         self._dead_heads: dict[int, set[int]] = {}
 
     def add_node(self, node: int) -> None:
@@ -59,6 +61,7 @@ class RelationalGraph:
             raise ValueError(f"duplicate node {node}")
         self.nodes.append(node)
         self.incoming[node] = set()
+        self.outgoing[node] = []
 
     def add_edge(self, subject: int, relation: str, object: int) -> None:
         if subject not in self.incoming or object not in self.incoming:
@@ -72,15 +75,7 @@ class RelationalGraph:
             return
         self.edges[key] = relation
         self.incoming[object].add(relation)
-
-    def outgoing(self) -> dict[int, list[tuple[int, str]]]:
-        """node -> [(object, relation), ...], built once per graph."""
-        if self._outgoing is None:
-            table: dict[int, list[tuple[int, str]]] = {n: [] for n in self.nodes}
-            for (s, o), r in self.edges.items():
-                table[s].append((o, r))
-            self._outgoing = table
-        return self._outgoing
+        self.outgoing[subject].append((object, relation))
 
     def dead_heads(self, length: int) -> set[int]:
         """The start nodes from which chain sampling searched every walk of

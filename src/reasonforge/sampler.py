@@ -12,15 +12,17 @@ An engine's fold (acc -> step label -> acc, kinship's composition table)
 admits a neighbor only while the head-to-current relation stays defined, so
 long chains whose steps entail their answer are reachable; blind walks
 almost never find them.  With a fold, the last step admits only tails whose
-accumulator is the engine's ground truth for (head, tail), so every chain
-returned is answerable, and a memo of dead states skips subtrees already
-searched in full: a subtree is fixed by (node, accumulator, visited set)
-under its head, so skipping one that held no chain loses no walk.  The
-moves each (node, accumulator) admits are filtered through the fold once
-per call and kept in a table local to it; the walk is a bitmask, so an
-untried move is one that is not on it.  Without a fold (spatial) the moves
-are the node's edges, and the search keeps no state memo and checks no
-answer.
+accumulator is the graph's own head-to-tail edge: grown graphs are closed
+under deduction, so that edge is the engine's ground truth and every chain
+returned is answerable.  The moves each (node, accumulator) admits are
+filtered through the fold once per call and kept in a table local to it.
+Without a fold (spatial) the moves are the node's edges, and the search
+checks no answer.
+
+For every engine a memo of dead states skips subtrees already searched in
+full: a subtree is fixed by (node, accumulator, visited set) under its
+head, so skipping one that held no chain loses no walk.  The walk is a
+bitmask, so an untried move is one that is not on it.
 
 Heads are searched one at a time, each within its own node-expansion
 budget; a skipped dead state costs none.  The first head is drawn and
@@ -119,14 +121,13 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
     move was tried joins `dead_heads`.  `moves` caches, per (node, acc), the
     moves the fold admits."""
     randrange = rng.randrange
-    outgoing = graph.outgoing()
+    outgoing = graph.outgoing
     edges = graph.edges
     fold = graph.engine.fold
-    ground_truth = graph.engine.ground_truth
     walk: list[int] = []
     mask = 0  # the nodes on the walk, one bit each
-    # fold only: the (node, acc, mask) key of each walk level, and the keys
-    # whose whole subtree held no chain
+    # the (node, acc, mask) key of each walk level, and the keys whose whole
+    # subtree held no chain
     keys: list[tuple] = []
     dead: set[tuple] = set()
     # stack[i] holds the untried (node, acc) choices for walk[i + 1]
@@ -137,8 +138,7 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
         walk.append(node)
         if len(walk) == length + 1:
             return walk
-        if fold is not None:
-            keys.append(key)
+        keys.append(key)
         budget -= 1
         if fold is None or acc is None:
             admitted = outgoing[node]
@@ -150,10 +150,9 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
                     (nb, row[label]) for nb, label in outgoing[node] if label in row]
         choices = [move for move in admitted if not mask >> move[0] & 1]
         if fold is not None and len(walk) == length:
-            # last step: keep only tails whose fold is the true answer
-            labels = [edges[step] for step in zip(walk, walk[1:])]
-            choices = [(nb, a) for nb, a in choices
-                       if ground_truth(walk[0], nb, labels + [edges[(node, nb)]]) == a]
+            # last step: keep only tails whose fold is the graph's head-to-tail
+            # edge, the true answer in a graph closed under deduction
+            choices = [(nb, a) for nb, a in choices if edges.get((head, nb)) == a]
         stack.append(choices)
         # draw the next move, backing out of levels whose moves are spent
         while True:
@@ -163,8 +162,7 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
             if not top:
                 stack.pop()
                 mask ^= 1 << walk.pop()
-                if fold is not None:
-                    dead.add(keys.pop())
+                dead.add(keys.pop())
                 if not stack:
                     dead_heads.add(head)
                     return None
@@ -173,8 +171,6 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
             node, acc = top[i]
             top[i] = top[-1]
             top.pop()
-            if fold is None:
-                break
             key = (node, acc, mask | 1 << node)
             if key not in dead:
                 break

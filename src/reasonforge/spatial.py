@@ -14,30 +14,19 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-SPATIAL_LABELS = (
-    "above",
-    "below",
-    "left",
-    "lower-left",
-    "lower-right",
-    "right",
-    "upper-left",
-    "upper-right",
-    "overlaps",
-)
-
 # Unit offset of "A is <label> of B": position(A) - position(B).
 _OFFSETS = {
     "above": (0, 1),
     "below": (0, -1),
     "left": (-1, 0),
+    "lower-left": (-1, -1),
+    "lower-right": (1, -1),
     "right": (1, 0),
     "upper-left": (-1, 1),
     "upper-right": (1, 1),
-    "lower-left": (-1, -1),
-    "lower-right": (1, -1),
     "overlaps": (0, 0),
 }
+SPATIAL_LABELS = tuple(_OFFSETS)  # growth realizes labels in this order
 
 _BY_SIGN = {v: k for k, v in _OFFSETS.items()}
 

@@ -15,6 +15,10 @@ Within a hop bucket, near-duplicate examples (same stored label sequence,
 answer, and augmentation record) are resampled a bounded number of times;
 when the combinatorial space is too small to avoid repeats the first valid
 candidate is accepted instead.
+
+A graph lives as long as the hop bucket that grows it: each bucket keeps
+its last few graphs, as many as its attempts reuse (`_bucket_graphs`), and
+no graph outlives `build_dataset`.
 """
 
 from __future__ import annotations
@@ -164,26 +168,29 @@ def entailed_relation(chain: ReasoningChain, graph: RelationalGraph) -> Optional
 # per-example generation
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
-def _cached_graph(task: str, seed: int) -> RelationalGraph:
-    return grow_graph(ENGINES[task](), ENGINES[task].growth_iterations, seed)
+def _bucket_graphs(spec: DatasetSpec) -> Callable[[int], RelationalGraph]:
+    """seed -> grown graph for one hop bucket.  A fresh graph is reused only
+    by consecutive attempts of one index, `graphs_per_hop` G cycles through G
+    graphs and spatial always grows seed 0, so the last max(1, G) graphs
+    keep every reuse."""
+    engine = ENGINES[spec.task]
+    return lru_cache(maxsize=max(1, spec.graphs_per_hop))(
+        lambda seed: grow_graph(engine(), engine.growth_iterations, seed))
 
 
-def _graph_for(spec: DatasetSpec, hop: int, index: int, attempt: int) -> RelationalGraph:
+def _graph_seed(spec: DatasetSpec, hop: int, index: int, attempt: int) -> int:
     if not ENGINES[spec.task].random_growth:
-        seed = 0  # every seed grows the same graph; grow it once
-    elif spec.graphs_per_hop > 0:
-        seed = derive_seed(spec.seed, spec.task, "graph", hop,
+        return 0  # every seed grows the same graph; grow it once
+    if spec.graphs_per_hop > 0:
+        return derive_seed(spec.seed, spec.task, "graph", hop,
                            index % spec.graphs_per_hop)
-    else:
-        # fresh graph per example.  A failed search has tried every head of
-        # its graph, each dead or out of its budget, so a deep retry would
-        # mostly repeat it and regrows instead.  At low hops walks rarely
-        # fail and retries mostly serve deduplication, so a few walk seeds
-        # share each grown graph.
-        regrow = attempt if hop >= 9 else attempt // 3
-        seed = derive_seed(spec.seed, spec.task, "graph", hop, index, regrow)
-    return _cached_graph(spec.task, seed)
+    # fresh graph per example.  A failed search has tried every head of its
+    # graph, each dead or out of its budget, so a deep retry would mostly
+    # repeat it and regrows instead.  At low hops walks rarely fail and
+    # retries mostly serve deduplication, so a few walk seeds share each
+    # grown graph.
+    regrow = attempt if hop >= 9 else attempt // 3
+    return derive_seed(spec.seed, spec.task, "graph", hop, index, regrow)
 
 
 def _apply_augmentation(
@@ -201,10 +208,11 @@ def _apply_augmentation(
 
 
 def generate_candidate(
-    spec: DatasetSpec, hop: int, index: int, attempt: int
+    spec: DatasetSpec, hop: int, index: int, attempt: int,
+    graphs: Callable[[int], RelationalGraph],
 ) -> Optional[Example]:
-    """One fully assembled example, or None when this attempt is unusable."""
-    graph = _graph_for(spec, hop, index, attempt)
+    """One example drawn on its bucket's graphs, or None if unusable."""
+    graph = graphs(_graph_seed(spec, hop, index, attempt))
     base = (spec.seed, spec.task, hop, index, attempt)
     try:
         # ten-hop entailed kinship walks are scarce: each head gets a deeper
@@ -290,27 +298,29 @@ def build_dataset(spec: DatasetSpec, workers: int = 1) -> list[Example]:
 
 
 def _build_bucket(spec: DatasetSpec, hop: int, count: int) -> list[Example]:
+    graphs = _bucket_graphs(spec)
     bucket: list[Example] = []
     seen: set[tuple] = set()
     for index in range(count):
         accepted = None
         first_valid = None
         for attempt in range(MAX_ATTEMPTS):
-            candidate = generate_candidate(spec, hop, index, attempt)
+            candidate = generate_candidate(spec, hop, index, attempt, graphs)
             if candidate is None:
                 continue
-            if _dedup_key(candidate) not in seen:
+            key = _dedup_key(candidate)
+            if key not in seen:
+                seen.add(key)
                 accepted = candidate
                 break
             if first_valid is None:
-                first_valid = candidate
+                first_valid = candidate  # a repeat: its key is already seen
             if attempt + 1 >= DEDUP_WINDOW:
                 break  # small combinatorial space; settle for a repeat
         if accepted is None:
             accepted = first_valid
         if accepted is None:
             raise GenerationExhausted(hop, index, MAX_ATTEMPTS)
-        seen.add(_dedup_key(accepted))
         bucket.append(accepted)
     return bucket
 

@@ -29,6 +29,12 @@ def oracle_label(engine, u, v):
 def test_vocabulary_is_the_18_labels():
     assert len(KINSHIP_LABELS) == 18
     assert set(LABEL_GENDER) == set(KINSHIP_LABELS)
+    # growth realizes the labels in this order, so it decides output bytes
+    assert KINSHIP_LABELS == (
+        "aunt", "brother", "daughter", "daughter-in-law", "father",
+        "father-in-law", "granddaughter", "grandfather", "grandmother",
+        "grandson", "mother", "mother-in-law", "nephew", "niece", "sister",
+        "son", "son-in-law", "uncle")
 
 
 # -- invert -------------------------------------------------------------------

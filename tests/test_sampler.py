@@ -87,7 +87,7 @@ def answerable_walk_exists(graph, length, heads=None):
     """Brute force: some simple walk of `length` steps from one of `heads`
     (default: every node) keeps the fold alive and ends on the engine's
     ground truth for its head and tail."""
-    outgoing = graph.outgoing()
+    outgoing = graph.outgoing
     engine = graph.engine
 
     def extend(walk, labels):

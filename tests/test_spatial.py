@@ -32,6 +32,14 @@ def test_offsets():
     assert _OFFSETS == SIGNS
 
 
+def test_vocabulary_is_the_9_labels():
+    # growth realizes the labels in this order, so it decides output bytes
+    assert SPATIAL_LABELS == (
+        "above", "below", "left", "lower-left", "lower-right", "right",
+        "upper-left", "upper-right", "overlaps")
+    assert SpatialEngine.default_growth == SPATIAL_LABELS[:-1]
+
+
 def test_relation_of_displacement():
     assert relation_of_displacement(0, 0) == "overlaps"
     assert relation_of_displacement(3, -1) == "lower-right"

@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 
@@ -89,8 +92,9 @@ def test_deep_kinship_walks_agree_with_their_answer(monkeypatch):
     monkeypatch.setattr(taskgen, "corrupt", recording_corrupt)
     spec = DatasetSpec.make("kinship", {9: 1, 10: 1}, seed=0)
     for hop in (9, 10):
+        graphs = taskgen._bucket_graphs(spec)
         for attempt in range(150):
-            generate_candidate(spec, hop, attempt % 5, attempt)
+            generate_candidate(spec, hop, attempt % 5, attempt, graphs)
     assert len(seen) >= 100
     assert all(answer is not None and answer == entailed for answer, entailed in seen)
 
@@ -275,17 +279,43 @@ def test_graphs_per_hop_reuse():
     assert verify_dataset(dataset).mismatch_count == 0
 
 
-def test_reused_graphs_give_the_same_bytes_whatever_their_memo():
-    # a first build fills the cached graphs' dead-head memos, a second one
-    # starts from them, and spawned workers start from empty memos
+def test_reused_graphs_give_the_same_bytes_whatever_their_memo(monkeypatch):
+    # graphs live for one bucket, so two builds share them only through one
+    # cache with room for both buckets' three graphs: the first build fills
+    # their dead-head memos and the second starts from them, while a cold
+    # build and spawned workers start from empty memos
     spec = DatasetSpec.make("kinship", {9: 8, 10: 8}, seed=11, graphs_per_hop=3)
-    taskgen._cached_graph.cache_clear()
     cold = build_dataset(spec)
-    assert any(graph.dead_heads(10) for graph in (
-        taskgen._graph_for(spec, 10, index, 0) for index in range(3)))
+    shared = taskgen._bucket_graphs(dataclasses.replace(spec, graphs_per_hop=6))
+    monkeypatch.setattr(taskgen, "_bucket_graphs", lambda spec: shared)
     assert build_dataset(spec) == cold
+    assert any(shared(taskgen._graph_seed(spec, 10, index, 0)).dead_heads(10)
+               for index in range(3))
+    assert build_dataset(spec) == cold
+    assert shared.cache_info().misses == 6  # the second build grew none
+    monkeypatch.undo()
     assert build_dataset(spec, workers=2) == cold
     assert verify_dataset(cold).mismatch_count == 0
+
+
+def test_no_graph_outlives_build_dataset(monkeypatch):
+    # each bucket owns its graphs, so none is alive once the build returns;
+    # a graphs_per_hop bucket grows exactly that many graphs
+    grown = []
+
+    def tracking_grow_graph(*args):
+        graph = grow_graph(*args)
+        grown.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(taskgen, "grow_graph", tracking_grow_graph)
+    build_dataset(DatasetSpec.make("kinship", {3: 10}, seed=2, graphs_per_hop=3))
+    assert len(grown) == 3
+    build_dataset(DatasetSpec.make("kinship", {2: 6, 9: 3}, seed=2))
+    build_dataset(DatasetSpec.make("spatial", {2: 4, 3: 4}, seed=2))
+    gc.collect()
+    assert len(grown) > 3 + 2
+    assert all(ref() is None for ref in grown)
 
 
 def test_query_endpoints_roundtrip(small_kinship, small_spatial):
