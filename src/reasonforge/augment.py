@@ -3,8 +3,8 @@
 Exactly one augmentation is applied per chain.  All three leave the
 reasoning content intact: permutation only reorders the story, noise adds
 true distractor facts about off-chain nodes, and a flip rewrites a triple
-as its inverse relation seen from the other endpoint, so the head-to-tail
-answer never changes.
+as the graph's stored reverse edge, the same fact seen from the other
+endpoint, so the head-to-tail answer never changes.
 
 Distractor triples are kept apart from the core steps: they appear in the
 story at their recorded slots but never in gold targets, and hop counts
@@ -113,8 +113,8 @@ def flip_edges(
 ) -> AugmentedChain:
     """Rewrite flip_count steps as their inverse-relation triples.
 
-    (a, r, b) becomes (b, r', a) with r' the task engine's inverse, so the
-    stated fact is preserved and only the flow of the story changes.
+    (a, r, b) becomes (b, r', a), r' the graph's stored edge from b to a,
+    so the stated fact is preserved and only the flow of the story changes.
     """
     if flip_count > chain.hop:
         raise ValueError(f"flip_count {flip_count} exceeds hop {chain.hop}")
@@ -133,6 +133,6 @@ def flip_edges(
 
 
 def flip_step(step: Triple, graph: RelationalGraph) -> Triple:
-    """The same fact read from the other endpoint: (b, r', a) for (a, r, b)."""
-    inverse = graph.engine.invert_label(step.relation, step.object)
-    return Triple(step.object, inverse, step.subject)
+    """The same fact read from the other endpoint: (b, r', a) for (a, r, b),
+    r' the stored reverse edge."""
+    return Triple(step.object, graph.edges[(step.object, step.subject)], step.subject)

@@ -55,7 +55,10 @@ class ScoreReport:
 
 
 def _prediction(record: dict) -> dict:
-    return {"id": record["id"], "response": record["response"]}
+    pid, response = record["id"], record["response"]
+    if not (isinstance(pid, str) and isinstance(response, str)):
+        raise ValueError("id and response must be strings")
+    return {"id": pid, "response": response}
 
 
 def read_predictions(path) -> list[dict]:

@@ -51,23 +51,12 @@ _CHILD_IN_LAW = ("son-in-law", "daughter-in-law")
 _CONVERSE = {_PARENT: _CHILD, _SIBLING: _SIBLING, _GRANDPARENT: _GRANDCHILD,
              _UNCLE: _NEPHEW, _PARENT_IN_LAW: _CHILD_IN_LAW}
 
-# invert(r)[g]: label of "B is ? of A" given "A is r of B" and B's gender g.
-_INVERSE = {label: dict(zip("mf", converse))
-            for rule, other in _CONVERSE.items()
-            for pair, converse in ((rule, other), (other, rule))
-            for label in pair}
-
-# Gender of the subject each label implies, and the rule (pair) it names.
-LABEL_GENDER = {label: gender for pair in _INVERSE.values()
-                for gender, label in pair.items()}
+# The rule (pair) each label names, and the gender of the subject it implies.
 _RULE = {label: pair for rules in _CONVERSE.items() for pair in rules
          for label in pair}
+LABEL_GENDER = {label: gender for rules in _CONVERSE.items() for pair in rules
+                for gender, label in zip("mf", pair)}
 KINSHIP_LABELS = tuple(sorted(_RULE))  # growth realizes labels in this order
-
-
-def invert(relation: str, counterpart_gender: str) -> str:
-    """Relation seen from the counterpart: "A is r of B" iff "B is r' of A"."""
-    return _INVERSE[relation][counterpart_gender]
 
 
 class Unrealizable(Exception):
@@ -236,10 +225,6 @@ class KinshipEngine:
         """acc -> step label -> acc: the composition a walk must keep alive."""
         return compose()
 
-    def invert_label(self, relation: str, subject: int) -> str:
-        """Label of subject to the other endpoint of its `relation` edge."""
-        return invert(relation, self.genealogy.gender[subject])
-
     def chain_relation(self, labels: list[str]) -> Optional[str]:
         return chain_relation(labels)
 
@@ -354,7 +339,7 @@ class KinshipEngine:
     def links(self, node: int, graph) -> list[tuple[int, str, str]]:
         """(other, label of node to other, label of other to node) for every
         relative of node already in the graph, in graph order."""
-        present = graph.incoming
+        present = graph.outgoing
         links = [link for link in self._relatives(node) if link[0] in present]
         # persons join the graph in the order they are created, so ids
         # ascend in graph order

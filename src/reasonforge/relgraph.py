@@ -15,11 +15,14 @@ realized earlier in the same iteration already satisfies later checks,
 which both avoids duplicate attachments and keeps spatial growth free of
 coincident placements.
 
-The adjacency table (`outgoing`) is built with the edges, in the order
-they are added.  A completed graph's nodes and edges never change; one
-lazily filled memo rides on it, the heads that chain sampling has proven
-dead (`dead_heads`).  The memo never changes what a call returns, so a
-graph is still safe to share across threads.
+The adjacency table (`outgoing`) is also the node table: its keys are the
+nodes in the order they joined, each holding its edges in the order they
+were added.  Every related pair is stored in both directions, so a fact
+read from the other endpoint is the stored reverse edge.  A completed
+graph's nodes and edges never change; one lazily filled memo rides on it,
+the heads that chain sampling has proven dead (`dead_heads`).  The memo
+never changes what a call returns, so a graph is still safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -49,22 +52,20 @@ class RelationalGraph:
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.nodes: list[int] = []
         self.edges: dict[tuple[int, int], str] = {}
         self.incoming: dict[int, set[str]] = {}  # node -> labels of edges into it
-        # node -> [(object, relation), ...] in edge order
+        # node -> [(object, relation), ...] in edge order; nodes in join order
         self.outgoing: dict[int, list[tuple[int, str]]] = {}
         self._dead_heads: dict[int, set[int]] = {}
 
     def add_node(self, node: int) -> None:
-        if node in self.incoming:
+        if node in self.outgoing:
             raise ValueError(f"duplicate node {node}")
-        self.nodes.append(node)
         self.incoming[node] = set()
         self.outgoing[node] = []
 
     def add_edge(self, subject: int, relation: str, object: int) -> None:
-        if subject not in self.incoming or object not in self.incoming:
+        if subject not in self.outgoing or object not in self.outgoing:
             raise KeyError("edge endpoints must be graph nodes")
         if subject == object and relation != "overlaps":
             raise ValueError("self-edges are only allowed for overlaps")
@@ -102,7 +103,7 @@ def grow_graph(engine: Engine, iterations: int, seed: int = 0) -> RelationalGrap
     graph = RelationalGraph(engine)
     graph.add_node(engine.new_root(rng))
     for _ in range(iterations):
-        snapshot = sorted(graph.nodes)
+        snapshot = sorted(graph.outgoing)
         for node in snapshot:
             for relation in engine.default_growth:
                 if relation in graph.incoming[node]:

@@ -82,12 +82,12 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
         raise ValueError("walk length must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if len(graph.nodes) < length + 1:
+    if len(graph.outgoing) < length + 1:
         raise SamplingExhausted(
-            f"graph has {len(graph.nodes)} nodes; need {length + 1}")
+            f"graph has {len(graph.outgoing)} nodes; need {length + 1}")
     dead_heads = graph.dead_heads(length)
     moves: dict[tuple, list[tuple[int, str]]] = {}
-    for head, rng in _heads(sorted(graph.nodes), seed):
+    for head, rng in _heads(sorted(graph.outgoing), seed):
         if head in dead_heads:
             continue
         walk = _walk_from(graph, length, head, rng, budget, moves, dead_heads)

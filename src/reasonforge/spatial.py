@@ -40,12 +40,6 @@ def relation_of_displacement(dx: int, dy: int) -> str:
     return _BY_SIGN[(_sign(dx), _sign(dy))]
 
 
-def invert(relation: str) -> str:
-    """Label seen from the other endpoint (point reflection)."""
-    dx, dy = _OFFSETS[relation]
-    return _BY_SIGN[(-dx, -dy)]
-
-
 def chain_relation(relations: Sequence[str]) -> str:
     """Head-to-tail label of a chain of direction labels.
 
@@ -114,10 +108,7 @@ class SpatialEngine:
         """(other, label of node to other, label of other to node) for every
         node already in the graph, in graph order: on a grid every pair is
         related."""
-        return [(other, *self.derive_pair(node, other)) for other in graph.nodes]
-
-    def invert_label(self, relation: str, subject: int) -> str:
-        return invert(relation)
+        return [(other, *self.derive_pair(node, other)) for other in graph.outgoing]
 
     def chain_relation(self, labels: Sequence[str]) -> str:
         return chain_relation(labels)

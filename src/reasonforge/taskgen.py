@@ -102,6 +102,9 @@ class DatasetSpec:
                 if int(entry.get(param, 0)) < 0:
                     raise ValueError(f"{entry['kind']} {param} must be >= 0, "
                                      f"got {entry[param]}")
+            if not 0 <= entry.get("weight", 1) < float("inf"):
+                raise ValueError(f"{entry['kind']} weight must be finite and >= 0, "
+                                 f"got {entry['weight']}")
         if sum(entry.get("weight", 1) for entry in self.augmentation_mix) <= 0:
             raise ValueError("augmentation weights must sum to a positive value")
 
@@ -116,7 +119,8 @@ class DatasetSpec:
 
 @dataclass
 class Example:
-    """A dataset row; ValueError if its task, query or answer is unusable."""
+    """A dataset row; ValueError if its task, query or answer is unusable, its
+    hop is not an integer or a triple field is not a list."""
 
     id: str
     task: str
@@ -135,6 +139,11 @@ class Example:
     def __post_init__(self) -> None:
         if self.task not in ENGINES:
             raise ValueError(f"unknown task {self.task!r}")
+        if not isinstance(self.hop, int):
+            raise ValueError(f"hop {self.hop!r} is not an integer")
+        if not (isinstance(self.triples, list) and isinstance(self.distractors, list)
+                and isinstance(self.gold_triples, list)):
+            raise ValueError("triples, distractors and gold_triples must be lists")
         self.endpoints = query_endpoints(self.query, self.task)
         if self.answer not in ENGINES[self.task].labels:
             raise ValueError(f"{self.answer!r} is not a {self.task} label")

@@ -18,9 +18,8 @@ import pytest
 from worlds import kinship_world_from_genealogy
 
 from reasonforge.augment import add_edge_noise, flip_edges, permute
-from reasonforge.kinship import (KINSHIP_LABELS, LABEL_GENDER, KinshipEngine,
-                                 compose, invert)
-from reasonforge.oracle import (coordinate_relation, genealogy_relation,
+from reasonforge.kinship import KINSHIP_LABELS, KinshipEngine, compose
+from reasonforge.oracle import (VERIFIERS, coordinate_relation, genealogy_relation,
                                 kinship_world_from_triples,
                                 spatial_world_from_triples)
 from reasonforge.promptkit import parse_response, render_target
@@ -145,9 +144,20 @@ def test_kinship_compose_validation(acceptance_report):
                     validated.add((r1, r2))
     assert validated == set(COMPOSE), "some table entries never instantiated"
 
-    for r in KINSHIP_LABELS:
-        for counterpart in ("m", "f"):
-            assert invert(invert(r, counterpart), LABEL_GENDER[r]) == r
+    # every stored edge's reverse is the oracle's reading of the one-triple
+    # story, and reads back into the edge: an involution over the 18 labels
+    # and both genders of the counterpart
+    verify = VERIFIERS["kinship"]
+    involution = set()
+    for seed in range(4):
+        g = grow_graph(KinshipEngine(), 1, seed=seed)
+        genders = g.engine.genders
+        for (a, b), r in g.edges.items():
+            back = g.edges[(b, a)]
+            assert verify([(a, r, b)], b, a, genders) == back
+            assert verify([(b, back, a)], a, b, genders) == r
+            involution.add((r, genders[b]))
+    assert len(involution) == 36
     acceptance_report(f"kinship-compose: PASS ({len(COMPOSE)} table entries "
                       f"oracle-validated, involution 18x2)")
 

@@ -9,7 +9,7 @@ from worlds import kinship_world_from_genealogy
 from reasonforge.kinship import KinshipEngine
 from reasonforge.oracle import (SpatialWorld, coordinate_relation,
                                 genealogy_relation, spatial_world_from_triples)
-from reasonforge.relgraph import RelationalGraph, Triple, grow_graph
+from reasonforge.relgraph import RelationalGraph, Triple, _attach, grow_graph
 from reasonforge.sampler import ReasoningChain, sample_chain
 from reasonforge.spatial import SpatialEngine
 from reasonforge.taskgen import corrupt
@@ -110,13 +110,13 @@ def test_flip_zero_is_identity():
 
 
 def test_flip_kinship_daughter_to_mother():
+    # attached as growth attaches them, so both directions are stored
     eng = KinshipEngine()
-    morgan = eng.genealogy.new_person("f")
-    frances = eng.genealogy.add_child(morgan, "f")
     g = RelationalGraph(eng)
-    g.add_node(morgan)
-    g.add_node(frances)
-    g.add_edge(frances, "daughter", morgan)
+    morgan = eng.genealogy.new_person("f")
+    _attach(g, morgan)
+    frances = eng.genealogy.add_child(morgan, "f")
+    _attach(g, frances)
     step = Triple(frances, "daughter", morgan)
     flipped = flip_step(step, g)
     assert flipped == Triple(morgan, "mother", frances)

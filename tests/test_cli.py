@@ -497,6 +497,19 @@ GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
       "-o", "{dir}/held.jsonl"], "cannot write {dir}/held.jsonl."),
     (["score", "--predictions", "{dir}/answers.jsonl", "--gold", "{dir}/d.jsonl",
       "--report", "{dir}/held.jsonl"], "cannot write {dir}/held.jsonl."),
+    # a weight random.choices cannot draw by: negative, nan or inf
+    (["gen", "--task", "clutrr", "--counts", "2=30", "--aug", "mix=permute:-1,noise:2"],
+     "permutation weight must be finite and >= 0, got -1.0"),
+    (["gen", "--task", "clutrr", "--counts", "2=30", "--aug", "mix=permute:nan,noise:1"],
+     "permutation weight must be finite and >= 0, got nan"),
+    (["gen", "--task", "clutrr", "--counts", "2=30", "--aug", "mix=permute:inf,noise:1"],
+     "permutation weight must be finite and >= 0, got inf"),
+    (["score", "--predictions", "{dir}/typed.jsonl", "--gold", "{dir}/k.jsonl"],
+     "{dir}/typed.jsonl:1: id and response must be strings"),
+    (["verify", "--dataset", "{dir}/triples.jsonl"],
+     "{dir}/triples.jsonl:1: triples, distractors and gold_triples must be lists"),
+    (["stats", "--dataset", "{dir}/hop.jsonl"],
+     "{dir}/hop.jsonl:1: hop '2' is not an integer"),
 ])
 def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
     dataset = tmp_path / "d.jsonl"
@@ -510,8 +523,11 @@ def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
         json.dumps({"id": "spatial-2-0", "response": "x"}) + "\n[1, 2]\n")
     (tmp_path / "answers.jsonl").write_text(
         json.dumps({"id": "spatial-2-0", "response": "x"}) + "\n")
+    (tmp_path / "typed.jsonl").write_text(
+        json.dumps({"id": "kinship-2-0", "response": 5}) + "\n")
     row = json.loads(dataset.read_text())
-    for key, value in [("query", "Where is A?"), ("task", "chess"), ("answer", "north")]:
+    for key, value in [("query", "Where is A?"), ("task", "chess"), ("answer", "north"),
+                       ("triples", 5), ("hop", "2")]:
         (tmp_path / f"{key}.jsonl").write_text(json.dumps({**row, key: value}) + "\n")
     (tmp_path / "kept.jsonl").write_text("kept\n")
     (tmp_path / "held.jsonl").write_text("held\n")

@@ -6,11 +6,11 @@ import sys
 
 import pytest
 
-from worlds import kinship_world_from_genealogy
+from worlds import kinship_world_from_genealogy, one_relation_graph
 
 from reasonforge.kinship import (KINSHIP_LABELS, LABEL_GENDER, KinshipEngine,
-                                 chain_relation, compose, invert)
-from reasonforge.oracle import genealogy_relation
+                                 chain_relation, compose)
+from reasonforge.oracle import VERIFIERS, genealogy_relation
 
 COMPOSE = {(r1, r2): out for r1, row in compose().items() for r2, out in row.items()}
 
@@ -37,19 +37,29 @@ def test_vocabulary_is_the_18_labels():
         "son", "son-in-law", "uncle")
 
 
-# -- invert -------------------------------------------------------------------
+# -- the stored reverse edge ---------------------------------------------------
 
 def test_invert_examples():
-    assert invert("daughter", "m") == "father"
-    assert invert("sister", "f") == "sister"
-    assert invert("uncle", "f") == "niece"
+    # a flip reads the reverse edge growth stored: the root's relation to
+    # the person realized on it, by the root's gender
+    for relation, gender, inverse in (("daughter", "m", "father"),
+                                      ("sister", "f", "sister"),
+                                      ("uncle", "f", "niece")):
+        subject, root, g = one_relation_graph(relation, gender)
+        assert g.edges[(subject, root)] == relation
+        assert g.edges[(root, subject)] == inverse
 
 
 def test_invert_involution_all_labels_both_genders():
+    # the oracle reads the stored reverse edge back into the relation
+    verify = VERIFIERS["kinship"]
     for r in KINSHIP_LABELS:
         for counterpart in ("m", "f"):
-            back = invert(invert(r, counterpart), LABEL_GENDER[r])
-            assert back == r, (r, counterpart)
+            subject, root, g = one_relation_graph(r, counterpart)
+            back = g.edges[(root, subject)]
+            assert LABEL_GENDER[back] == counterpart, (r, counterpart)
+            genders = {"A": counterpart, "B": LABEL_GENDER[r]}
+            assert verify([("A", back, "B")], "B", "A", genders) == r, (r, counterpart)
 
 
 # -- realize ------------------------------------------------------------------
@@ -170,14 +180,16 @@ def test_derive_inversion_consistency():
                          "grandson", "niece"):
             eng.realize(root, relation, rng)
         people = sorted(eng.genealogy.gender)
+        verify = VERIFIERS["kinship"]
         for u in people:
             for v in people:
                 if u == v:
                     continue
                 r = eng.derive(u, v)
                 if r is not None:
-                    assert eng.derive(v, u) == invert(
-                        r, eng.genealogy.gender[v])
+                    # the oracle's reading of the one-triple story
+                    assert eng.derive(v, u) == verify(
+                        [(u, r, v)], v, u, eng.genealogy.gender)
 
 
 # -- compose ------------------------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 
 from worlds import kinship_world_from_genealogy
 
-from reasonforge.kinship import KinshipEngine
-from reasonforge.oracle import (SpatialWorld, coordinate_relation,
+from reasonforge.kinship import KINSHIP_LABELS, KinshipEngine
+from reasonforge.oracle import (VERIFIERS, SpatialWorld, coordinate_relation,
                                 genealogy_relation)
 from reasonforge.relgraph import RelationalGraph, _attach, grow_graph
-from reasonforge.spatial import SpatialEngine
+from reasonforge.spatial import SpatialEngine, relation_of_displacement
 
 
 def spatial_graph(iterations, seed=0):
@@ -55,27 +55,27 @@ def test_growth_config_validation():
 
 def test_zero_iterations_single_node():
     g = kinship_graph(0)
-    assert len(g.nodes) == 1
+    assert list(g.outgoing) == [0]
     assert len(g.edges) == 0
 
 
 def test_spatial_one_iteration_shape():
     g = spatial_graph(1)
-    assert len(g.nodes) == 9
+    assert len(g.outgoing) == 9
     assert len(g.edges) == 72
     # every ordered pair related, labels match an independent coordinate check
     pos = g.engine.pos
     assert sorted(pos.values()) == sorted(
         (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
     world = SpatialWorld(pos=dict(pos))
-    for u, v in itertools.permutations(g.nodes, 2):
+    for u, v in itertools.permutations(g.outgoing, 2):
         assert g.edges.get((u, v)) == coordinate_relation(world, u, v)
 
 
 def test_kinship_father_mother_male_root():
     g = root_graph(3, ("father", "mother"))
     assert g.engine.genders[0] == "m"
-    assert len(g.nodes) == 3
+    assert list(g.outgoing) == [0, 1, 2]
     assert sorted(g.edges.items()) == [
         ((0, 1), "son"), ((0, 2), "son"), ((1, 0), "father"), ((2, 0), "mother")]
     # father and mother of the root are spouses: no vocabulary edge
@@ -106,8 +106,8 @@ def test_relation_between():
 def test_relation_between_kinship_mother_of_sibling():
     g = root_graph(5, ("brother", "mother"))
     root = 0
-    brothers = [n for n in g.nodes if g.edges.get((n, root)) == "brother"]
-    mothers = [n for n in g.nodes if g.edges.get((n, root)) == "mother"]
+    brothers = [n for n in g.outgoing if g.edges.get((n, root)) == "brother"]
+    mothers = [n for n in g.outgoing if g.edges.get((n, root)) == "mother"]
     assert brothers and mothers
     # the root's mother is also the mother of the root's full sibling
     assert g.engine.derive(mothers[0], brothers[0]) == "mother"
@@ -120,7 +120,7 @@ def test_growth_monotonic_and_absence_sound():
         previous_edges: set = set()
         for iterations in range(3):
             g = grow_graph(RefusalLog(), iterations, seed=seed)
-            nodes = set(g.nodes)
+            nodes = set(g.outgoing)
             edges = set(g.edges.items())
             assert previous_nodes <= nodes
             assert previous_edges <= edges
@@ -166,14 +166,42 @@ def test_kinship_closure_complete_in_scan_order(iterations, seeds):
         eng = KinshipEngine()
         g = grow_graph(eng, iterations, seed=seed)
         world = kinship_world_from_genealogy(eng.genealogy)
+        nodes = list(g.outgoing)
         scan = []
-        for i, node in enumerate(g.nodes):
-            for other in g.nodes[:i]:
+        for i, node in enumerate(nodes):
+            for other in nodes[:i]:
                 for pair in ((node, other), (other, node)):
                     relation = genealogy_relation(world, *pair)
                     if relation is not None:
                         scan.append((pair, relation))
         assert list(g.edges.items()) == scan
+
+
+@pytest.mark.parametrize("iterations,seeds", [(1, range(20)), (2, range(3))])
+def test_every_kinship_edge_has_its_reverse(iterations, seeds):
+    # a direction flip reads the stored reverse edge: it is the oracle's
+    # reading of the one-triple story "a is r of b" from b, for every label
+    # and both genders of b
+    verify = VERIFIERS["kinship"]
+    seen = set()
+    for seed in seeds:
+        g = kinship_graph(iterations, seed=seed)
+        genders = g.engine.genders
+        for (a, b), r in g.edges.items():
+            assert g.edges[(b, a)] == verify([(a, r, b)], b, a, genders), (seed, a, b)
+            seen.add((r, genders[b]))
+    assert seen == {(r, gender) for r in KINSHIP_LABELS for gender in "mf"}
+
+
+def test_every_spatial_edge_has_its_reverse():
+    # the reverse of a grid edge is the point reflection of its displacement
+    for iterations in (1, 2):
+        g = spatial_graph(iterations)
+        pos = g.engine.pos
+        for (a, b), r in g.edges.items():
+            dx, dy = pos[a][0] - pos[b][0], pos[a][1] - pos[b][1]
+            assert r == relation_of_displacement(dx, dy)
+            assert g.edges[(b, a)] == relation_of_displacement(-dx, -dy)
 
 
 def test_deduction_consistency_spatial():
@@ -187,7 +215,7 @@ def test_deduction_consistency_spatial():
 
 def test_growth_determinism_byte_identical():
     def dump(g):
-        return json.dumps([g.nodes, sorted(g.edges.items()),
+        return json.dumps([list(g.outgoing), sorted(g.edges.items()),
                            sorted(g.engine.genders.items())])
 
     for seed in (0, 7):

@@ -5,7 +5,7 @@ import pytest
 
 from reasonforge.augment import flip_step
 from reasonforge.kinship import KinshipEngine, chain_relation
-from reasonforge.relgraph import RelationalGraph, Triple, grow_graph
+from reasonforge.relgraph import RelationalGraph, Triple, _attach, grow_graph
 from reasonforge.sampler import SamplingExhausted, sample_chain
 from reasonforge.spatial import SpatialEngine
 from reasonforge.taskgen import derive_seed
@@ -98,7 +98,7 @@ def answerable_walk_exists(graph, length, heads=None):
                    for nb, label in outgoing[walk[-1]]
                    if nb not in walk and chain_relation(labels + [label]) is not None)
 
-    return any(extend([node], []) for node in sorted(graph.nodes if heads is None else heads))
+    return any(extend([node], []) for node in sorted(graph.outgoing if heads is None else heads))
 
 
 def induced(graph, keep):
@@ -123,7 +123,7 @@ def test_kinship_search_finds_a_chain_exactly_when_one_exists():
     recorded = 0
     for s in range(30):
         full = grow_graph(KinshipEngine(), 1, seed=s)
-        sub = induced(full, set(random.Random(s).sample(full.nodes, 10)))
+        sub = induced(full, set(random.Random(s).sample(list(full.outgoing), 10)))
         for g, hops in ((full, range(2, 6)), (sub, range(2, 8))):
             for hop in hops:
                 exists = answerable_walk_exists(g, hop)
@@ -232,21 +232,20 @@ def test_determinism():
 
 def test_start_coverage():
     g = spatial_l1()
-    starts = {sample_chain(g, 2, s).head for s in range(10 * len(g.nodes))}
-    assert starts == set(g.nodes)
+    starts = {sample_chain(g, 2, s).head for s in range(10 * len(g.outgoing))}
+    assert starts == set(g.outgoing)
 
 
 def test_flip_inverts_by_counterpart_gender():
-    # only the father-direction edge is stored; reading it from the child
-    # inverts the label by the child's gender
+    # growth stores the child's edge to the father beside the father's
+    # edge; a flip reads it, labelled by the child's gender
     for gender, inverse in (("f", "daughter"), ("m", "son")):
         eng = KinshipEngine()
-        child = eng.genealogy.new_person(gender)
-        father = eng.genealogy.add_parent(child, "m")
         g = RelationalGraph(eng)
-        g.add_node(child)
-        g.add_node(father)
-        g.add_edge(father, "father", child)
+        child = eng.genealogy.new_person(gender)
+        _attach(g, child)
+        father = eng.genealogy.add_parent(child, "m")
+        _attach(g, father)
         assert flip_step(Triple(father, "father", child), g) == Triple(
             child, inverse, father)
 

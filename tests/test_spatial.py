@@ -1,13 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reasonforge.relgraph import grow_graph
+from reasonforge.relgraph import RelationalGraph, _attach, grow_graph
 from reasonforge.sampler import sample_chain
 from reasonforge.spatial import (_OFFSETS, SPATIAL_LABELS, SpatialEngine,
-                                 chain_relation, invert, relation_of_displacement)
+                                 chain_relation, relation_of_displacement)
 
 # independent of the package: the test's own label geometry
 SIGNS = {
@@ -52,16 +52,32 @@ def test_bijection():
 
 
 def test_invert_fixed_point_and_involution():
-    assert invert("overlaps") == "overlaps"
-    assert invert("upper-left") == "lower-right"
-    for r in SPATIAL_LABELS:
-        assert invert(invert(r)) == r
+    # the grid stores each pair's reverse edge: the point reflection of the
+    # edge's label, one reverse per label, read back into the label
+    g = grow_graph(SpatialEngine(), 2)
+    reverse = {}
+    for (a, b), r in g.edges.items():
+        reverse.setdefault(r, set()).add(g.edges[(b, a)])
+    assert set(reverse) == set(SPATIAL_LABELS) - {"overlaps"}
+    assert reverse["upper-left"] == {"lower-right"}
+    for r, backs in reverse.items():
+        (back,) = backs
+        assert reverse[back] == {r}
+        assert SIGNS[back] == (-SIGNS[r][0], -SIGNS[r][1])
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))
+@example(0, 0)
 def test_inversion_matches_negated_displacement(dx, dy):
-    assert relation_of_displacement(-dx, -dy) == invert(
-        relation_of_displacement(dx, dy))
+    # two nodes attached as growth attaches them: the reverse edge is the
+    # label of the negated displacement; coincident nodes overlap both ways
+    engine = SpatialEngine()
+    engine.pos = {0: (0, 0), 1: (dx, dy)}
+    g = RelationalGraph(engine)
+    _attach(g, 0)
+    _attach(g, 1)
+    assert g.edges[(1, 0)] == relation_of_displacement(dx, dy)
+    assert g.edges[(0, 1)] == relation_of_displacement(-dx, -dy)
 
 
 def test_chain_examples():

@@ -1,4 +1,5 @@
-"""Oracle worlds lifted straight from a generator genealogy.
+"""Oracle worlds lifted straight from a generator genealogy, and the
+smallest grown graph that states one relation.
 
 Tests cross-check graph edges and engine deductions against the
 brute-force oracle on these worlds.  They hold facts only: the engine's
@@ -6,7 +7,25 @@ deduction code is never consulted.  A spatial world from known coordinates
 is `SpatialWorld(pos=dict(pos))`.
 """
 
+import random
+
+from reasonforge.kinship import KinshipEngine
 from reasonforge.oracle import KinshipWorld
+from reasonforge.relgraph import RelationalGraph, _attach
+
+
+def one_relation_graph(relation, gender):
+    """(subject, root, graph): a root of `gender` and the people the engine
+    creates to realize "subject is <relation> of root", each attached as
+    growth attaches it, with its edges in both directions."""
+    engine = KinshipEngine()
+    graph = RelationalGraph(engine)
+    root = engine.genealogy.new_person(gender)
+    _attach(graph, root)
+    subject, created = engine.realize(root, relation, random.Random(0))
+    for node in created:
+        _attach(graph, node)
+    return subject, root, graph
 
 
 def kinship_world_from_primitives(gender, parent_pairs, spouse_pairs) -> KinshipWorld:
