@@ -218,11 +218,14 @@ def cmd_render(args) -> int:
                 shots = draw_shots(shots_pool, args.shots,
                                    derive_seed(args.seed, example.id),
                                    positions.get(example.id, ()))
-            record = {
-                "id": example.id,
-                "prompt": renderer.prompt(example, shots),
-                "target": renderer.target(example),
-            }
+            try:
+                record = {
+                    "id": example.id,
+                    "prompt": renderer.prompt(example, shots),
+                    "target": renderer.target(example),
+                }
+            except ValueError as exc:  # a malformed gold triple
+                raise ConfigError(str(exc)) from None
             handle.write(json.dumps(record) + "\n")
     print(f"wrote {len(examples)} prompts to {args.output}")
     return 0
@@ -249,7 +252,11 @@ def cmd_score(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify_dataset(read_input(args.dataset))
+    examples = read_input(args.dataset)
+    try:
+        report = verify_dataset(examples)
+    except ValueError as exc:  # a malformed triple
+        raise ConfigError(str(exc)) from None
     print(f"{report.total} examples, {report.mismatch_count} mismatches")
     for mismatch in report.mismatches[:20]:
         print(f"  {mismatch['id']}: expected {mismatch['expected']}, "

@@ -64,15 +64,20 @@ def draw_shots(
 def render_target(example: Example, style: str,
                   pool: Optional[TemplatePool] = None) -> str:
     """Gold completion: the answer sentence, preceded under eta-p by the
-    ordered gold triples, from `pool` or else the task's TemplatePool."""
+    ordered gold triples, from `pool` or else the task's TemplatePool.  A
+    gold triple that is not (name, label, name) raises ValueError."""
     pool = pool or TemplatePool.for_task(example.task)
     head, tail = example.endpoints
     answer = render_answer(head, tail, example.answer, example.task, pool)
     if style == "std-p":
         return answer
     if style == "eta-p":
-        triples = "\n".join(pool.canonical(r, a, b)
-                            for a, r, b in example.gold_triples)
+        try:
+            triples = "\n".join(pool.canonical(r, a, b)
+                                for a, r, b in example.gold_triples)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValueError(f"{example.id}: malformed gold triple "
+                             f"({type(exc).__name__}: {exc})") from None
         return f"The ordered structured triples are:\n{triples}\nTherefore, {answer}"
     raise ValueError(f"unknown prompt style {style!r}")
 

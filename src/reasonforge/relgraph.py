@@ -20,7 +20,8 @@ nodes in the order they joined, each holding its edges in the order they
 were added.  Every related pair is stored in both directions, so a fact
 read from the other endpoint is the stored reverse edge.  A completed
 graph's nodes and edges never change; one lazily filled memo rides on it,
-the heads that chain sampling has proven dead (`dead_heads`).  The memo
+the heads that chain sampling has proven dead (`dead_heads`), by searching
+them in full or by a bound on their longest answerable walk.  The memo
 never changes what a call returns, so a graph is still safe to share
 across threads.
 """

@@ -34,6 +34,17 @@ later calls skip it at no cost.  No head's search reads another head's
 stream or budget, so skipping a dead head changes no result: a call
 returns the same chain whatever the memo holds.
 
+With a fold, each head is first bounded (`_longest_walk`): its (node, acc)
+states, never re-entering the head, are condensed into strongly connected
+components, each weighing its distinct nodes, and the bound is the
+heaviest path from a first move to a component holding a state that can
+end a walk.  A simple walk crosses each component at most once and meets
+distinct nodes in it, so no answerable walk is longer, whatever the fold.
+A head bounded below the length holds no chain: it is recorded as dead and
+skipped, also where its search would have run out of budget first, since
+either way it gives no chain.  The bound costs one pass over the states,
+well under a search that proves a deep head dead.
+
 Step i of a sampled chain is the triple (walk[i], label, walk[i+1]); only a
 direction flip rewrites a step against the walk.
 """
@@ -45,6 +56,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .relgraph import RelationalGraph, Triple
+
+
+NO_WALK = float("-inf")  # the bound of a head no answerable walk leaves
 
 
 class SamplingExhausted(Exception):
@@ -87,8 +101,12 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
             f"graph has {len(graph.outgoing)} nodes; need {length + 1}")
     dead_heads = graph.dead_heads(length)
     moves: dict[tuple, list[tuple[int, str]]] = {}
+    bounded = graph.engine.fold is not None
     for head, rng in _heads(sorted(graph.outgoing), seed):
         if head in dead_heads:
+            continue
+        if bounded and _longest_walk(graph, head, length, moves) < length:
+            dead_heads.add(head)
             continue
         walk = _walk_from(graph, length, head, rng, budget, moves, dead_heads)
         if walk is not None:
@@ -112,6 +130,85 @@ def _heads(nodes: list[int], seed: int):
         yield head, random.Random(f"{seed} head {head}")
 
 
+def _admitted(graph: RelationalGraph, moves: dict[tuple, list[tuple[int, str]]],
+              node: int, acc: str) -> list[tuple[int, str]]:
+    """The (neighbor, acc) moves the fold admits from `node` at `acc`,
+    cached in `moves`."""
+    row = graph.engine.fold.get(acc, {})
+    admitted = moves[node, acc] = [
+        (nb, row[label]) for nb, label in graph.outgoing[node] if label in row]
+    return admitted
+
+
+def _longest_walk(graph: RelationalGraph, head: int, length: int,
+                  moves: dict[tuple, list[tuple[int, str]]]) -> float:
+    """An upper bound on the steps of an answerable walk from `head`, exact
+    below `length` (it stops once it reaches `length`).
+
+    The states are the (node, acc) pairs the fold admits from the head's
+    first moves, never re-entering the head.  Condensed into strongly
+    connected components, each weighing its distinct nodes, the bound is
+    the heaviest path from a first move to a component holding a state that
+    can end a walk (its acc is the head's edge to its node).  A simple walk
+    crosses each component at most once and meets distinct nodes in it."""
+    edges = graph.edges
+    index: dict[tuple, int] = {}  # states in the order the search met them
+    best: dict[tuple, float] = {}  # a finished state -> its component's bound
+    stack: list[tuple] = []  # Tarjan's stack of unfinished states
+    # the search path: [state, its untried moves, low link, heaviest way on]
+    path: list[list] = []
+
+    def visit(state) -> bool:
+        """Push `state`; True once the path ends where a walk can end and
+        holds `length` distinct nodes, so the bound reaches `length`."""
+        node, acc = state
+        index[state] = len(index)
+        stack.append(state)
+        admitted = moves.get(state)
+        if admitted is None:
+            admitted = _admitted(graph, moves, node, acc)
+        ends = edges.get((head, node)) == acc
+        path.append([state, iter(admitted), index[state], 0 if ends else NO_WALK])
+        return ends and len(path) >= length and len(
+            {entry[0][0] for entry in path}) >= length
+
+    for first in graph.outgoing[head]:
+        if first in index:
+            continue
+        if visit(first):
+            return length
+        while path:
+            top = path[-1]
+            for move in top[1]:
+                if move[0] == head:
+                    continue
+                if move not in index:
+                    if visit(move):
+                        return length
+                    break
+                if move in best:
+                    top[3] = max(top[3], best[move])
+                else:  # on the stack, so in this state's component
+                    top[2] = min(top[2], index[move])
+            else:
+                path.pop()
+                state, _, low, onward = top
+                if low < index[state]:  # the component goes on above
+                    path[-1][2] = min(path[-1][2], low)
+                    path[-1][3] = max(path[-1][3], onward)
+                    continue
+                members = stack[stack.index(state):]
+                del stack[len(stack) - len(members):]
+                value = len({node for node, _ in members}) + onward
+                if value >= length:
+                    return value
+                for member in members:
+                    best[member] = value
+                if path:
+                    path[-1][3] = max(path[-1][3], value)
+    return max((best[first] for first in graph.outgoing[head]), default=NO_WALK)
+
+
 def _walk_from(graph: RelationalGraph, length: int, head: int,
                rng: random.Random, budget: int,
                moves: dict[tuple, list[tuple[int, str]]],
@@ -120,7 +217,7 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
     search runs out of `budget` expansions or of moves; a head whose every
     move was tried joins `dead_heads`.  `moves` caches, per (node, acc), the
     moves the fold admits."""
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     outgoing = graph.outgoing
     edges = graph.edges
     fold = graph.engine.fold
@@ -145,9 +242,7 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
         else:
             admitted = moves.get((node, acc))
             if admitted is None:
-                row = fold.get(acc, {})
-                admitted = moves[node, acc] = [
-                    (nb, row[label]) for nb, label in outgoing[node] if label in row]
+                admitted = _admitted(graph, moves, node, acc)
         choices = [move for move in admitted if not mask >> move[0] & 1]
         if fold is not None and len(walk) == length:
             # last step: keep only tails whose fold is the graph's head-to-tail
@@ -167,7 +262,13 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
                     dead_heads.add(head)
                     return None
                 continue
-            i = randrange(len(top))
+            # rng.randrange(n), as CPython draws it: the same values from
+            # the same stream, without the call's argument checks
+            n = len(top)
+            k = n.bit_length()
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
             node, acc = top[i]
             top[i] = top[-1]
             top.pop()

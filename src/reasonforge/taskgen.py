@@ -391,7 +391,8 @@ def verify_dataset(examples: Iterable[Example]) -> VerificationReport:
     """Re-derive every answer from the structured triples via the oracle.
 
     Kinship genders come from the shipped name pools, exactly the cue a
-    reader of the story has.  Mismatches are reported, never raised.
+    reader of the story has.  Mismatches are reported, never raised; a
+    triple that is not (name, label, name) raises ValueError naming its row.
     """
     report = VerificationReport()
     genders = name_gender_lookup()
@@ -401,8 +402,12 @@ def verify_dataset(examples: Iterable[Example]) -> VerificationReport:
         report.label_distribution[example.answer] = (
             report.label_distribution.get(example.answer, 0) + 1)
         head, tail = example.endpoints
-        triples = [tuple(t) for t in example.triples + example.distractors]
-        derived = VERIFIERS[example.task](triples, head, tail, genders)
+        try:
+            triples = [tuple(t) for t in example.triples + example.distractors]
+            derived = VERIFIERS[example.task](triples, head, tail, genders)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValueError(f"{example.id}: malformed triple "
+                             f"({type(exc).__name__}: {exc})") from None
         if derived != example.answer:
             report.mismatches.append(
                 {"id": example.id, "expected": example.answer, "derived": derived})

@@ -510,6 +510,13 @@ GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
      "{dir}/triples.jsonl:1: triples, distractors and gold_triples must be lists"),
     (["stats", "--dataset", "{dir}/hop.jsonl"],
      "{dir}/hop.jsonl:1: hop '2' is not an integer"),
+    # a malformed triple inside a list, caught where it is unpacked
+    (["verify", "--dataset", "{dir}/triple.jsonl"],
+     "spatial-2-0: malformed triple (TypeError: "),
+    (["verify", "--dataset", "{dir}/distractor.jsonl"],
+     "spatial-2-0: malformed triple (ValueError: "),
+    (["render", "--dataset", "{dir}/gold.jsonl", "--style", "eta-p",
+      "-o", "{dir}/p.jsonl"], "spatial-2-0: malformed gold triple (TypeError: "),
 ])
 def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
     dataset = tmp_path / "d.jsonl"
@@ -529,6 +536,10 @@ def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
     for key, value in [("query", "Where is A?"), ("task", "chess"), ("answer", "north"),
                        ("triples", 5), ("hop", "2")]:
         (tmp_path / f"{key}.jsonl").write_text(json.dumps({**row, key: value}) + "\n")
+    for name, key, value in [("triple", "triples", [5]),
+                             ("distractor", "distractors", [["A", "left"]]),
+                             ("gold", "gold_triples", [5])]:
+        (tmp_path / f"{name}.jsonl").write_text(json.dumps({**row, key: value}) + "\n")
     (tmp_path / "kept.jsonl").write_text("kept\n")
     (tmp_path / "held.jsonl").write_text("held\n")
     (tmp_path / f"held.jsonl.{os.getpid()}.tmp").mkdir()

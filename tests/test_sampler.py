@@ -3,10 +3,11 @@ from collections import Counter
 
 import pytest
 
+from reasonforge import sampler
 from reasonforge.augment import flip_step
 from reasonforge.kinship import KinshipEngine, chain_relation
 from reasonforge.relgraph import RelationalGraph, Triple, _attach, grow_graph
-from reasonforge.sampler import SamplingExhausted, sample_chain
+from reasonforge.sampler import SamplingExhausted, _longest_walk, _walk_from, sample_chain
 from reasonforge.spatial import SpatialEngine
 from reasonforge.taskgen import derive_seed
 
@@ -183,6 +184,80 @@ def test_dead_head_memo_never_changes_a_chain(hop):
                 assert [outcome(graph, hop, seed, budget)
                         for seed in targets] == cold, (budget, index)
     assert walks[True] >= 18
+
+
+def test_walk_bound_never_rejects_a_head_with_a_chain():
+    # a bound below the walk length means the search from that head, given
+    # all the budget it wants, finds no walk.  The bound is counted on the
+    # fold's states, so it holds whether or not composition is exact on
+    # the graph; the two-iteration graphs are larger and less regular.
+    graphs = ([grow_graph(KinshipEngine(), 1, seed=s) for s in range(30)]
+              + [grow_graph(KinshipEngine(), 2, seed=s) for s in range(3)])
+    rejected = Counter()
+    for g in graphs:
+        for head in g.outgoing:
+            for length in range(2, 11):
+                if _longest_walk(g, head, length, {}) < length:
+                    rejected[length] += 1
+                    assert _walk_from(g, length, head, random.Random(0), 10**9,
+                                      {}, set()) is None, (head, length)
+    assert all(rejected[length] for length in range(3, 11))
+    assert rejected[10] >= 300
+
+
+def test_heads_the_bound_rejects_are_recorded():
+    # a budget of one expansion lets the search prove no head dead, so the
+    # memo holds exactly the heads the bound rejected, whose searches all
+    # ran out of budget
+    recorded = 0
+    for s in range(5):
+        g = grow_graph(KinshipEngine(), 1, seed=s)
+        for length in (6, 8, 10):
+            rejected = {head for head in g.outgoing
+                        if _longest_walk(g, head, length, {}) < length}
+            with pytest.raises(SamplingExhausted):
+                sample_chain(g, length, s, budget=1)
+            assert g.dead_heads(length) == rejected
+            recorded += len(rejected)
+    assert recorded >= 50
+
+
+@pytest.mark.parametrize("hop", [7, 8, 9, 10])
+def test_walk_bound_never_changes_a_chain(hop, monkeypatch):
+    # the seeds and graphs of test_dead_head_memo_never_changes_a_chain,
+    # each searched in turn on one graph, give the same chains with the
+    # bound as with a bound that rejects nothing, and the bound's memo holds
+    # every head the other's does
+    for budget in (3500 if hop >= 10 else 800, 150):
+        for index in range(3):
+            graph_seed = derive_seed(0, "kinship", "graph", hop, index)
+            seeds = [derive_seed(0, "kinship", hop, index, attempt, "walk")
+                     for attempt in range(46)]
+            bounded = grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
+                                 graph_seed)
+            walks = [outcome(bounded, hop, seed, budget) for seed in seeds]
+            with monkeypatch.context() as patch:
+                patch.setattr(sampler, "_longest_walk", lambda *args: float("inf"))
+                unbounded = grow_graph(KinshipEngine(),
+                                       KinshipEngine.growth_iterations, graph_seed)
+                assert [outcome(unbounded, hop, seed, budget)
+                        for seed in seeds] == walks, (budget, index)
+            assert any(walks)
+            assert bounded.dead_heads(hop) >= unbounded.dead_heads(hop)
+
+
+def test_walk_draw_is_randrange():
+    # _walk_from draws its next move with CPython's randrange loop over
+    # getrandbits, inlined; a Python whose randrange draws otherwise, and so
+    # would walk otherwise, fails here
+    for seed in range(300):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in range(1, 65):
+            k = n.bit_length()
+            i = ours.getrandbits(k)
+            while i >= n:
+                i = ours.getrandbits(k)
+            assert i == theirs.randrange(n), (seed, n)
 
 
 def test_sample_unique_edge():
