@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
+from functools import partial
 from pathlib import Path
 
 from .evalkit import read_predictions, score, stats_table
@@ -24,51 +25,55 @@ TASK_ALIASES = {"clutrr": "kinship", "stepgame": "spatial",
                 "kinship": "kinship", "spatial": "spatial"}
 PRESET_FILES = {"kinship": "clutrr_{name}.json", "spatial": "stepgame_{name}.json"}
 
-AUG_KINDS = {"permute": "permutation", "noise": "edge-noise",
-             "flip": "direction-flip", "none": "none"}
+# --aug kind -> (augmentation kind, name of its integer parameter)
+AUG_KINDS = {"permute": ("permutation", None), "noise": ("edge-noise", "k"),
+             "flip": ("direction-flip", "count"), "none": ("none", None)}
 
 
 class ConfigError(Exception):
     """Bad input: reported as one line on stderr with exit status 2."""
 
 
-def parse_hops(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(h) for h in text.split(",")]
-
-
 def parse_counts(text: str) -> dict[int, int]:
-    counts = {}
+    """--counts value: comma-separated parts hop=n or lo:hi=n, the latter
+    giving n to each hop from lo to hi; no hop may be given twice."""
+    counts: dict[int, int] = {}
     for part in text.split(","):
-        hop, _, n = part.partition("=")
-        counts[int(hop)] = int(n)
+        hops, _, n = part.partition("=")
+        lo, colon, hi = hops.partition(":")
+        try:
+            span, n = range(int(lo), int(hi if colon else lo) + 1), int(n)
+        except ValueError:
+            raise ConfigError(f"--counts part {part!r} is not hop=n or lo:hi=n") from None
+        if not span:
+            raise ConfigError(f"--counts part {part!r} holds no hop buckets")
+        for hop in span:
+            if hop in counts:
+                raise ConfigError(f"--counts part {part!r} repeats hop {hop}")
+            counts[hop] = n
     return counts
 
 
 def parse_aug(text: str) -> tuple[dict, ...]:
-    """--aug values: none | permute | noise:k | flip:n | mix=kind:w,kind:w;
-    k and n default to 1."""
-
-    def entry(kind: str, weight: float = 1.0, param: int = 1) -> dict:
-        if kind not in AUG_KINDS:
-            raise ConfigError(f"unknown augmentation kind {kind!r}")
-        out: dict = {"kind": AUG_KINDS[kind], "weight": weight}
-        if kind == "noise":
-            out["k"] = param
-        elif kind == "flip":
-            out["count"] = param
-        return out
-
-    if text.startswith("mix="):
-        entries = []
-        for part in text[len("mix="):].split(","):
-            kind, _, weight = part.partition(":")
-            entries.append(entry(kind.strip(), float(weight) if weight else 1.0))
-        return tuple(entries)
-    kind, _, param = text.partition(":")
-    return (entry(kind, 1.0, int(param) if param else 1),)
+    """--aug value: comma-separated parts kind[:param][=weight], kind one of
+    none, permute, noise:k and flip:n; k, n and the weight default to 1."""
+    mix = []
+    for part in text.split(","):
+        entry, equals, weight = part.partition("=")
+        kind, colon, param = entry.partition(":")
+        name, key = AUG_KINDS.get(kind.strip(), (None, None))
+        if name is None or (colon and not key):
+            raise ConfigError(f"--aug part {part!r} is not none, permute, "
+                              "noise[:k] or flip[:n]")
+        try:
+            out = {"kind": name, "weight": float(weight) if equals else 1.0}
+            if key:
+                out[key] = int(param) if colon else 1
+        except ValueError:
+            raise ConfigError(f"--aug part {part!r} needs an integer param "
+                              "and a numeric weight") from None
+        mix.append(out)
+    return tuple(mix)
 
 
 def load_preset(task: str, name: str) -> dict:
@@ -139,24 +144,16 @@ def build_spec(args) -> DatasetSpec:
     if not args.task:
         raise ConfigError("choose a task: clutrr or stepgame")
     task = TASK_ALIASES[args.task]
-    if args.hops and args.count is None:
-        raise ConfigError("--hops needs --count")
-    if args.count is not None and args.counts:
-        raise ConfigError("give --count or --counts, not both")
-
     counts = load_preset(task, args.preset) if args.preset else None
-    if args.counts:
+    if args.counts is not None:
         counts = parse_counts(args.counts)
-    if args.count is not None:
-        counts = {h: args.count for h in parse_hops(args.hops or "2:10")}
     if counts is None:
-        raise ConfigError("no per-hop counts given (use --preset, --counts, "
-                          "or --hops with --count)")
+        raise ConfigError("no per-hop counts given (use --preset or --counts)")
     if not counts:
         raise ConfigError("no hop buckets to generate")
 
-    return DatasetSpec.make(task, counts, seed=args.seed,
-                            augmentation_mix=parse_aug(args.aug) if args.aug else None,
+    mix = None if args.aug is None else parse_aug(args.aug)
+    return DatasetSpec.make(task, counts, seed=args.seed, augmentation_mix=mix,
                             graphs_per_hop=args.graphs_per_hop)
 
 
@@ -276,26 +273,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="reasonforge",
         description="Generate, render, verify, and score graph-based "
-                    "synthetic reasoning datasets.")
+                    "synthetic reasoning datasets.", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    command = partial(sub.add_parser, allow_abbrev=False)
 
-    gen = sub.add_parser("gen", help="generate a dataset JSONL")
+    gen = command("gen", help="generate a dataset JSONL")
     gen.add_argument("--task", choices=sorted(TASK_ALIASES))
     gen.add_argument("--preset", help="named preset, e.g. 'paper'")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--hops", help="hop range lo:hi or comma list")
-    gen.add_argument("--count", type=int, default=None,
-                     help="examples per hop bucket")
-    gen.add_argument("--counts", help="explicit hop=count pairs, comma separated")
-    gen.add_argument("--aug", help="none | permute | noise:k | flip:n | "
-                                   "mix=kind:weight,...")
+    gen.add_argument("--counts", help="hop=n or lo:hi=n parts, comma separated")
+    gen.add_argument("--aug", help="kind[:param][=weight] parts, comma "
+                                   "separated: none, permute, noise:k, flip:n")
     gen.add_argument("--graphs-per-hop", type=int, default=0,
                      help="reuse this many graphs per hop (0 = fresh each)")
     gen.add_argument("--workers", type=int, default=1)
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_gen)
 
-    render = sub.add_parser("render", help="render prompts and gold targets")
+    render = command("render", help="render prompts and gold targets")
     render.add_argument("--dataset", required=True)
     render.add_argument("--style", choices=("std-p", "eta-p"), required=True)
     render.add_argument("-k", "--shots", type=int, default=0)
@@ -304,7 +299,7 @@ def main(argv=None) -> int:
     render.add_argument("-o", "--output", required=True)
     render.set_defaults(func=cmd_render)
 
-    scorer = sub.add_parser("score", help="score model predictions")
+    scorer = command("score", help="score model predictions")
     scorer.add_argument("--predictions", required=True,
                         help="JSONL of {id, response}")
     scorer.add_argument("--gold", required=True, help="dataset JSONL")
@@ -312,11 +307,11 @@ def main(argv=None) -> int:
     scorer.add_argument("--report", help="path for the JSON report")
     scorer.set_defaults(func=cmd_score)
 
-    verify = sub.add_parser("verify", help="re-derive answers with the oracle")
+    verify = command("verify", help="re-derive answers with the oracle")
     verify.add_argument("--dataset", required=True)
     verify.set_defaults(func=cmd_verify)
 
-    stats = sub.add_parser("stats", help="per-hop count table")
+    stats = command("stats", help="per-hop count table")
     stats.add_argument("--dataset", required=True)
     stats.set_defaults(func=cmd_stats)
 

@@ -17,7 +17,6 @@ import os
 import random
 import re
 import string
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -42,22 +41,27 @@ class AssetError(ValueError):
     """A data asset that is missing, unreadable or malformed."""
 
 
-@lru_cache(maxsize=None)
-def _read_text(path: Path) -> str:
-    return path.read_text(encoding="utf-8")
+# (data directory, asset name, parse function) -> parsed asset
+_ASSETS: dict = {}
 
 
 def read_asset(name: str, parse: Callable[[str], T]) -> T:
-    """parse(text) of a data asset, whose text is read from disk once per
-    process and path; AssetError names the file when it is missing,
+    """parse(text) of a data asset, read and parsed once per process, data
+    directory and parse function; every caller shares the result, so none
+    may change it.  AssetError names the file when it is missing,
     unreadable or malformed."""
-    path = data_dir() / name
+    key = (data_dir(), name, parse)
     try:
-        return parse(_read_text(path))
+        return _ASSETS[key]
+    except KeyError:
+        path = key[0] / name
+    try:
+        _ASSETS[key] = parse(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise AssetError(f"cannot read {path}: {exc.strerror}") from None
     except (TypeError, ValueError) as exc:
         raise AssetError(f"{path}: {exc}") from None
+    return _ASSETS[key]
 
 
 class TemplatePool:
@@ -97,7 +101,7 @@ class TemplatePool:
     @classmethod
     def for_task(cls, task: str) -> "TemplatePool":
         """The task's pool, built once per process and data directory."""
-        return _task_pool(task, data_dir())
+        return read_asset(f"templates_{task}.json", _template_pool)
 
     def canonical(self, relation: str, a: str, b: str) -> str:
         return self.templates[relation][0].format(A=a, B=b)
@@ -116,22 +120,13 @@ class TemplatePool:
         return triples
 
 
-@lru_cache(maxsize=None)
-def _task_pool(task: str, directory: Path) -> TemplatePool:
-    # directory keys the cache; read_asset reads from that same data_dir()
-    return read_asset(f"templates_{task}.json",
-                      lambda text: TemplatePool(**json.loads(text)))
+def _template_pool(text: str) -> TemplatePool:
+    return TemplatePool(**json.loads(text))
 
 
 def load_name_pools() -> dict[str, list[str]]:
     """Gender -> names, parsed once per process and data directory; every
     caller shares the result, so none may change it."""
-    return _name_pools(data_dir())
-
-
-@lru_cache(maxsize=None)
-def _name_pools(directory: Path) -> dict[str, list[str]]:
-    # directory keys the cache; read_asset reads from that same data_dir()
     return read_asset("names.json", json.loads)
 
 

@@ -282,7 +282,7 @@ def test_prompt_round_trip(preset_examples, acceptance_report):
 
 
 def test_determinism_end_to_end(tmp_path, acceptance_report):
-    argv = ["gen", "--task", "clutrr", "--hops", "2:6", "--count", "25",
+    argv = ["gen", "--task", "clutrr", "--counts", "2:6=25",
             "--seed", "123"]
     a, b, c = (tmp_path / name for name in ("a.jsonl", "b.jsonl", "c.jsonl"))
     run_cli(argv + ["-o", str(a)])
@@ -291,7 +291,7 @@ def test_determinism_end_to_end(tmp_path, acceptance_report):
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() == c.read_bytes()
 
-    argv_s = ["gen", "--task", "stepgame", "--hops", "2:10", "--count", "12",
+    argv_s = ["gen", "--task", "stepgame", "--counts", "2:10=12",
               "--seed", "77"]
     d, e, f = (tmp_path / name for name in ("d.jsonl", "e.jsonl", "f.jsonl"))
     run_cli(argv_s + ["-o", str(d)])

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import shutil
 import stat
 import subprocess
@@ -8,12 +9,13 @@ import sys
 import threading
 from collections import Counter
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from reasonforge import cli, promptkit, taskgen
-from reasonforge.cli import main, parse_aug, parse_counts, parse_hops
-from reasonforge.taskgen import GenerationExhausted, read_jsonl
+from reasonforge.cli import main, parse_aug, parse_counts
+from reasonforge.taskgen import DatasetSpec, GenerationExhausted, read_jsonl
 from reasonforge.verbalizer import data_dir, read_asset
 
 
@@ -21,22 +23,61 @@ def run(argv):
     return main(argv)
 
 
+COUNTS_GRAMMAR = [
+    ("7=1", {7: 1}),
+    ("2=10,3=0", {2: 10, 3: 0}),
+    ("2:5=4", {2: 4, 3: 4, 4: 4, 5: 4}),
+    ("4:4=3", {4: 3}),
+    ("2:4=5,7=1", {2: 5, 3: 5, 4: 5, 7: 1}),
+    (" 2 : 3 = 1 , 9=2", {2: 1, 3: 1, 9: 2}),
+]
+AUG_GRAMMAR = [
+    ("none", ({"kind": "none", "weight": 1.0},)),
+    ("permute", ({"kind": "permutation", "weight": 1.0},)),
+    ("noise:3", ({"kind": "edge-noise", "weight": 1.0, "k": 3},)),
+    ("flip", ({"kind": "direction-flip", "weight": 1.0, "count": 1},)),
+    ("noise:2=0.5", ({"kind": "edge-noise", "weight": 0.5, "k": 2},)),
+    ("permute=2,flip:1", ({"kind": "permutation", "weight": 2.0},
+                          {"kind": "direction-flip", "weight": 1.0, "count": 1})),
+    (" permute = 2 , noise : 4 ", ({"kind": "permutation", "weight": 2.0},
+                                   {"kind": "edge-noise", "weight": 1.0, "k": 4})),
+    # weights DatasetSpec rejects pass through the grammar
+    ("permute=-1,noise", ({"kind": "permutation", "weight": -1.0},
+                          {"kind": "edge-noise", "weight": 1.0, "k": 1})),
+    ("flip:2=inf", ({"kind": "direction-flip", "weight": float("inf"), "count": 2},)),
+]
+
+
 def test_parse_helpers():
-    assert parse_hops("2:5") == [2, 3, 4, 5]
-    assert parse_hops("2,4,9") == [2, 4, 9]
-    assert parse_counts("2=10,3=0") == {2: 10, 3: 0}
-    assert parse_aug("noise:3") == (
-        {"kind": "edge-noise", "weight": 1.0, "k": 3},)
-    assert parse_aug("flip") == (
-        {"kind": "direction-flip", "weight": 1.0, "count": 1},)
-    mix = parse_aug("mix=permute:2,flip:1")
-    assert mix[0]["kind"] == "permutation" and mix[0]["weight"] == 2.0
-    assert mix[1] == {"kind": "direction-flip", "weight": 1.0, "count": 1}
+    for text, counts in COUNTS_GRAMMAR:
+        assert parse_counts(text) == counts, text
+    for text, mix in AUG_GRAMMAR:
+        assert parse_aug(text) == mix, text
+    nan = parse_aug("permute=nan")
+    assert len(nan) == 1 and nan[0]["weight"] != nan[0]["weight"]
+    for text in ("permute=-1,noise", "flip:2=inf", "permute=nan"):
+        with pytest.raises(ValueError, match="weight must be finite and >= 0"):
+            DatasetSpec.make("kinship", {2: 1}, augmentation_mix=parse_aug(text))
+
+
+@pytest.mark.parametrize("argv, same", [
+    (["--counts", "2=1", "--aug", "permute,noise:1,flip:1"], ["--counts", "2=1"]),
+    (["--counts", "2:4=5,7=1"], ["--counts", "2=5,3=5,4=5,7=1"]),
+])
+def test_spellings_build_one_spec(monkeypatch, argv, same):
+    specs = []
+    monkeypatch.setattr(cli, "build_dataset",
+                        lambda spec, workers: specs.append(spec) or [])
+    gen = ["gen", "--task", "clutrr", "--seed", "5", "-o", os.devnull]
+    with redirect_stdout(io.StringIO()):
+        assert run(gen + argv) == 0
+        assert run(gen + same) == 0
+    assert specs[0] == specs[1]
 
 
 def test_gen_is_deterministic(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    argv = ["gen", "--task", "stepgame", "--hops", "2:4", "--count", "6",
+    argv = ["gen", "--task", "stepgame", "--counts", "2:4=6",
             "--seed", "11"]
     assert run(argv + ["-o", str(a)]) == 0
     assert run(argv + ["-o", str(b)]) == 0
@@ -45,7 +86,7 @@ def test_gen_is_deterministic(tmp_path):
 
 def test_gen_workers_match_single_thread(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    argv = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "8",
+    argv = ["gen", "--task", "clutrr", "--counts", "2:3=8",
             "--seed", "2"]
     assert run(argv + ["-o", str(a)]) == 0
     assert run(argv + ["-o", str(b), "--workers", "4"]) == 0
@@ -56,7 +97,7 @@ def test_gen_workers_match_at_deep_hops(tmp_path):
     # deep kinship buckets discard many attempts; each worker builds whole
     # buckets, and their reassembly must follow hop order
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    argv = ["gen", "--task", "clutrr", "--hops", "9:10", "--count", "5",
+    argv = ["gen", "--task", "clutrr", "--counts", "9:10=5",
             "--seed", "31"]
     assert run(argv + ["-o", str(a)]) == 0
     assert run(argv + ["-o", str(b), "--workers", "3"]) == 0
@@ -65,7 +106,7 @@ def test_gen_workers_match_at_deep_hops(tmp_path):
 
 def test_gen_zero_counts(tmp_path):
     out = tmp_path / "empty.jsonl"
-    assert run(["gen", "--task", "clutrr", "--hops", "2:10", "--count", "0",
+    assert run(["gen", "--task", "clutrr", "--counts", "2:10=0",
                 "--seed", "1", "-o", str(out)]) == 0
     assert out.read_text() == ""
 
@@ -96,7 +137,7 @@ def test_preset_is_its_counts(monkeypatch, task, preset):
 
 def test_render_and_score_round_trip(tmp_path):
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "stepgame", "--hops", "2:3", "--count", "5",
+    run(["gen", "--task", "stepgame", "--counts", "2:3=5",
          "--seed", "8", "-o", str(dataset)])
     prompts = tmp_path / "p.jsonl"
     assert run(["render", "--dataset", str(dataset), "--style", "eta-p",
@@ -121,9 +162,9 @@ def test_render_and_score_round_trip(tmp_path):
 def test_render_with_shots(tmp_path):
     dataset = tmp_path / "d.jsonl"
     pool = tmp_path / "pool.jsonl"
-    run(["gen", "--task", "clutrr", "--hops", "2:2", "--count", "4",
+    run(["gen", "--task", "clutrr", "--counts", "2=4",
          "--seed", "3", "-o", str(dataset)])
-    run(["gen", "--task", "clutrr", "--hops", "2:3", "--count", "6",
+    run(["gen", "--task", "clutrr", "--counts", "2:3=6",
          "--seed", "4", "-o", str(pool)])
     prompts = tmp_path / "p.jsonl"
     assert run(["render", "--dataset", str(dataset), "--style", "std-p",
@@ -134,7 +175,7 @@ def test_render_with_shots(tmp_path):
 
 def test_render_failing_midway_keeps_earlier_output(tmp_path, monkeypatch):
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "4",
+    run(["gen", "--task", "stepgame", "--counts", "2=4",
          "--seed", "3", "-o", str(dataset)])
     prompts = tmp_path / "p.jsonl"
     prompts.write_text("earlier\n")
@@ -161,7 +202,7 @@ def test_outputs_write_through_devices_and_symlinks(tmp_path):
     target.write_text("earlier\n")
     link = tmp_path / "link.jsonl"
     link.symlink_to(target)
-    gen = ["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2", "--seed", "3"]
+    gen = ["gen", "--task", "stepgame", "--counts", "2=2", "--seed", "3"]
     run(gen + ["-o", os.devnull])
     run(gen + ["-o", str(link)])
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
@@ -184,7 +225,7 @@ def test_output_pipe_gets_the_whole_output(tmp_path):
     reader.start()
     proc = subprocess.run(
         [sys.executable, "-m", "reasonforge.cli", "gen", "--task", "stepgame",
-         "--hops", "2:2", "--count", "2", "--seed", "0", "-o", str(fifo)],
+         "--counts", "2=2", "--seed", "0", "-o", str(fifo)],
         capture_output=True, text=True, timeout=60)
     reader.join(timeout=10)
     assert proc.returncode == 0, proc.stderr
@@ -236,7 +277,7 @@ def test_gen_exhausted_keeps_earlier_output(tmp_path, capsys, monkeypatch):
     for out in (tmp_path / "d.jsonl", link):
         out.write_bytes(b"earlier\n")
         capsys.readouterr()
-        assert run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+        assert run(["gen", "--task", "stepgame", "--counts", "2=2",
                     "-o", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: hop 2: "), err
@@ -275,7 +316,7 @@ def test_symlinked_output_is_staged_beside_its_target(tmp_path, monkeypatch):
     (links / "old.jsonl").symlink_to(targets / "old.jsonl")
     (links / "new.jsonl").symlink_to(targets / "new.jsonl")
     for name in ("old.jsonl", "new.jsonl"):
-        assert run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+        assert run(["gen", "--task", "stepgame", "--counts", "2=2",
                     "-o", str(links / name)]) == 0
         assert during[-1][0] == ["new.jsonl", "old.jsonl"]
         assert f"{name}.{os.getpid()}.tmp" in during[-1][1]
@@ -288,7 +329,7 @@ def test_symlinked_output_is_staged_beside_its_target(tmp_path, monkeypatch):
 def test_render_failing_midway_keeps_symlink_target(tmp_path, monkeypatch):
     # render stages a symlink's target too, so a failure keeps what it held
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "4",
+    run(["gen", "--task", "stepgame", "--counts", "2=4",
          "--seed", "3", "-o", str(dataset)])
     target = tmp_path / "target.jsonl"
     target.write_text("earlier\n")
@@ -319,7 +360,7 @@ def test_failed_gen_through_dangling_symlink_leaves_no_target(tmp_path, capsys,
     monkeypatch.setattr(taskgen, "_build_bucket", exhausted)
     link = tmp_path / "dangling.jsonl"
     link.symlink_to(tmp_path / "missing.jsonl")
-    assert run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+    assert run(["gen", "--task", "stepgame", "--counts", "2=2",
                 "-o", str(link)]) == 1
     assert capsys.readouterr().err.startswith("error: hop 2: ")
     assert link.is_symlink() and not link.exists()
@@ -331,7 +372,7 @@ def test_existing_output_that_cannot_be_written_is_refused(tmp_path, capsys,
     # a regular file is replaced by renaming, yet one that cannot be opened
     # for writing is refused before any work, as a directory is
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+    run(["gen", "--task", "stepgame", "--counts", "2=2",
          "--seed", "3", "-o", str(dataset)])
     held = tmp_path / "held.jsonl"
     held.write_text("held\n")
@@ -357,7 +398,7 @@ def test_existing_output_that_cannot_be_written_is_refused(tmp_path, capsys,
 
 def test_render_missing_shot_pool(tmp_path):
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+    run(["gen", "--task", "stepgame", "--counts", "2=2",
          "--seed", "3", "-o", str(dataset)])
     assert run(["render", "--dataset", str(dataset), "--style", "std-p",
                 "-k", "5", "-o", str(tmp_path / "p.jsonl")]) == 2
@@ -370,7 +411,7 @@ def test_render_unreadable_dataset(tmp_path):
 
 def test_score_unknown_id(tmp_path):
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+    run(["gen", "--task", "stepgame", "--counts", "2=2",
          "--seed", "3", "-o", str(dataset)])
     predictions = tmp_path / "preds.jsonl"
     predictions.write_text(json.dumps({"id": "spatial-9-9", "response": "x"}) + "\n")
@@ -380,7 +421,7 @@ def test_score_unknown_id(tmp_path):
 
 def test_score_unknown_id_keeps_earlier_report(tmp_path, capsys):
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+    run(["gen", "--task", "stepgame", "--counts", "2=2",
          "--seed", "3", "-o", str(dataset)])
     predictions = tmp_path / "preds.jsonl"
     predictions.write_text(json.dumps({"id": "spatial-9-9", "response": "x"}) + "\n")
@@ -397,7 +438,7 @@ def test_score_unknown_id_keeps_earlier_report(tmp_path, capsys):
 
 def test_verify_clean_and_corrupted(tmp_path, capsys):
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "clutrr", "--hops", "2:3", "--count", "4",
+    run(["gen", "--task", "clutrr", "--counts", "2:3=4",
          "--seed", "6", "-o", str(dataset)])
     capsys.readouterr()
     assert run(["verify", "--dataset", str(dataset)]) == 0
@@ -426,7 +467,7 @@ class ClosedPipe(io.StringIO):
 @pytest.mark.parametrize("command", ["verify", "stats"])
 def test_closed_stdout_ends_quietly(tmp_path, capsys, monkeypatch, command):
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2",
+    run(["gen", "--task", "clutrr", "--counts", "2:3=2",
          "--seed", "6", "-o", str(dataset)])
     capsys.readouterr()
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
@@ -438,7 +479,7 @@ def test_closed_pipe_ends_without_traceback(tmp_path):
     # `reasonforge verify ... | true`: the output fits the stdout buffer, so
     # the write fails only when it is flushed
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2",
+    run(["gen", "--task", "clutrr", "--counts", "2:3=2",
          "--seed", "6", "-o", str(dataset)])
     proc = subprocess.Popen(
         [sys.executable, "-m", "reasonforge.cli", "verify", "--dataset", str(dataset)],
@@ -450,16 +491,17 @@ def test_closed_pipe_ends_without_traceback(tmp_path):
     assert err == ""
 
 
-GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
+GEN = ["gen", "--task", "clutrr", "--counts", "2:3=2"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["gen", "--task", "clutrr", "--hops", "5:2", "--count", "3"],
+    (["gen", "--task", "clutrr", "--counts", "5:2=3"],
      "no hop buckets"),
     (GEN + ["--aug", "noise:-2"], "edge-noise k must be >= 0"),
     (GEN + ["--aug", "flip:-1"], "direction-flip count must be >= 0"),
     (GEN + ["--workers", "0"], "--workers must be >= 1"),
-    (GEN + ["--counts", "2=1"], "give --count or --counts, not both"),
+    (["gen", "--task", "clutrr", "--counts", "2=1,2=3"],
+     "--counts part '2=3' repeats hop 2"),
     (["verify", "--dataset", "{dir}/missing.jsonl"],
      "cannot read {dir}/missing.jsonl"),
     (["verify", "--dataset", "{dir}/bad.jsonl"], "{dir}/bad.jsonl:2: "),
@@ -477,8 +519,8 @@ GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
     (["render", "--dataset", "{dir}/d.jsonl", "--style", "std-p", "-k", "1",
       "--shots-file", "{dir}/d.jsonl", "-o", "{dir}/p.jsonl"],
      "-k 1 exceeds the 0 shots {dir}/d.jsonl can give"),
-    (["gen", "--task", "stepgame", "--preset", "paper", "--hops", "2:2"],
-     "--hops needs --count"),
+    (["gen", "--task", "stepgame", "--preset", "paper", "--counts", "2"],
+     "--counts part '2' is not hop=n or lo:hi=n"),
     (GEN + ["--graphs-per-hop", "-1"], "graphs per hop must be >= 0"),
     (["render", "--dataset", "{dir}/k.jsonl", "--style", "eta-p", "-k", "1",
       "--shots-file", "{dir}/d.jsonl", "-o", "{dir}/p.jsonl"],
@@ -498,11 +540,11 @@ GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
     (["score", "--predictions", "{dir}/answers.jsonl", "--gold", "{dir}/d.jsonl",
       "--report", "{dir}/held.jsonl"], "cannot write {dir}/held.jsonl."),
     # a weight random.choices cannot draw by: negative, nan or inf
-    (["gen", "--task", "clutrr", "--counts", "2=30", "--aug", "mix=permute:-1,noise:2"],
+    (["gen", "--task", "clutrr", "--counts", "2=30", "--aug", "permute=-1,noise:2"],
      "permutation weight must be finite and >= 0, got -1.0"),
-    (["gen", "--task", "clutrr", "--counts", "2=30", "--aug", "mix=permute:nan,noise:1"],
+    (["gen", "--task", "clutrr", "--counts", "2=30", "--aug", "permute=nan,noise:1"],
      "permutation weight must be finite and >= 0, got nan"),
-    (["gen", "--task", "clutrr", "--counts", "2=30", "--aug", "mix=permute:inf,noise:1"],
+    (["gen", "--task", "clutrr", "--counts", "2=30", "--aug", "permute=inf,noise:1"],
      "permutation weight must be finite and >= 0, got inf"),
     (["score", "--predictions", "{dir}/typed.jsonl", "--gold", "{dir}/k.jsonl"],
      "{dir}/typed.jsonl:1: id and response must be strings"),
@@ -517,12 +559,23 @@ GEN = ["gen", "--task", "clutrr", "--hops", "2:3", "--count", "2"]
      "spatial-2-0: malformed triple (ValueError: "),
     (["render", "--dataset", "{dir}/gold.jsonl", "--style", "eta-p",
       "-o", "{dir}/p.jsonl"], "spatial-2-0: malformed gold triple (TypeError: "),
+    # a bad --counts or --aug part is named; an existing -o target is kept
+    (["gen", "--task", "clutrr", "--counts", "2:4=1,3:5=2", "-o", "{dir}/kept.jsonl"],
+     "--counts part '3:5=2' repeats hop 3"),
+    (GEN + ["--aug", "noise:x", "-o", "{dir}/kept.jsonl"],
+     "--aug part 'noise:x' needs an integer param and a numeric weight"),
+    (GEN + ["--aug", "permute=2,flip:1=x"],
+     "--aug part 'flip:1=x' needs an integer param and a numeric weight"),
+    (GEN + ["--aug", "permute:3"],
+     "--aug part 'permute:3' is not none, permute, noise[:k] or flip[:n]"),
+    (GEN + ["--aug", "none:1"], "--aug part 'none:1' is not none, permute, "),
+    (GEN + ["--aug", "mix=permute:1"], "--aug part 'mix=permute:1' is not none, "),
 ])
 def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "1",
+    run(["gen", "--task", "stepgame", "--counts", "2=1",
          "--seed", "0", "-o", str(dataset)])
-    run(["gen", "--task", "clutrr", "--hops", "2:2", "--count", "1",
+    run(["gen", "--task", "clutrr", "--counts", "2=1",
          "--seed", "0", "-o", str(tmp_path / "k.jsonl")])
     (tmp_path / "bad.jsonl").write_text(dataset.read_text() + "{not json\n")
     (tmp_path / "fields.jsonl").write_text(json.dumps({"id": "x"}) + "\n")
@@ -564,6 +617,31 @@ def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
     assert (tmp_path / "held.jsonl").read_text() == "held\n"
 
 
+@pytest.mark.parametrize("flags", [["--count", "5"], ["--hops", "2:4", "--counts", "2=1"]])
+def test_removed_count_flags_are_refused(tmp_path, capsys, flags):
+    # no prefix match: --count is not read as --counts
+    out = tmp_path / "x.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        run(["gen", "--task", "clutrr", *flags, "-o", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: " + flags[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_cli_lines_parse(monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```")[1].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("reasonforge ")]
+    called = []
+    for name in ("gen", "render", "score", "verify", "stats"):
+        monkeypatch.setattr(cli, f"cmd_{name}",
+                            lambda args, name=name: called.append(name) or 0)
+    for argv in commands:
+        assert run(argv) == 0, argv
+    assert called == [argv[0] for argv in commands] and len(called) >= 5
+
+
 STALE_PROMPT = "Answer the question.\n\n### Story:\n[STORY]\n### Output:\n[ANSWER]\n"
 
 
@@ -603,7 +681,7 @@ STALE_PROMPT = "Answer the question.\n\n### Story:\n[STORY]\n### Output:\n[ANSWE
 def test_missing_or_stale_asset_fails_fast(tmp_path, capsys, monkeypatch, asset,
                                            content, argv, message):
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "1",
+    run(["gen", "--task", "stepgame", "--counts", "2=1",
          "--seed", "0", "-o", str(dataset)])
     (tmp_path / "answers.jsonl").write_text(
         json.dumps({"id": "spatial-2-0", "response": "x"}) + "\n")
@@ -627,7 +705,7 @@ def test_verify_reads_through_module_reader(tmp_path, monkeypatch):
     # read_jsonl is looked up when called, so a wrapper installed on the
     # module (as a tracer does) sees every dataset read
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "2",
+    run(["gen", "--task", "stepgame", "--counts", "2=2",
          "--seed", "0", "-o", str(dataset)])
     calls = []
 
@@ -644,7 +722,7 @@ def test_render_reads_a_shared_shots_file_once(tmp_path, monkeypatch):
     # a shots file that is the dataset itself is parsed once; another file
     # is read on its own
     dataset = tmp_path / "d.jsonl"
-    run(["gen", "--task", "stepgame", "--hops", "2:2", "--count", "3",
+    run(["gen", "--task", "stepgame", "--counts", "2=3",
          "--seed", "0", "-o", str(dataset)])
     other = tmp_path / "other.jsonl"
     other.write_bytes(dataset.read_bytes())
@@ -683,7 +761,7 @@ def test_console_entry_point(tmp_path):
     out = tmp_path / "d.jsonl"
     proc = subprocess.run(
         [sys.executable, "-m", "reasonforge.cli", "gen", "--task", "stepgame",
-         "--hops", "2:2", "--count", "2", "--seed", "0", "-o", str(out)],
+         "--counts", "2=2", "--seed", "0", "-o", str(out)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "Total" in proc.stdout

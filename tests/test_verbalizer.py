@@ -223,14 +223,31 @@ def test_data_dir_env_override(tmp_path, monkeypatch):
     assert TemplatePool.for_task("spatial") is packaged
 
 
-def test_assets_read_once_per_path():
-    from reasonforge.verbalizer import _read_text, load_name_pools
+def test_assets_read_once_per_path(tmp_path, monkeypatch):
+    import shutil
+    from collections import Counter
+    from pathlib import Path
 
-    load_name_pools()
-    misses = _read_text.cache_info().misses
+    from reasonforge.promptkit import load_prompt_asset
+    from reasonforge.verbalizer import data_dir, load_name_pools
+
+    custom = tmp_path / "assets"
+    shutil.copytree(data_dir(), custom)
+    reads = Counter()
+    read_text = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        reads[path.relative_to(custom).as_posix()] += 1
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    monkeypatch.setenv("REASONFORGE_DATA_DIR", str(custom))
     for _ in range(5):
         load_name_pools()
-    assert _read_text.cache_info().misses == misses
+        TemplatePool.for_task("spatial")
+        load_prompt_asset("spatial", "eta-p")
+    assert reads == {"names.json": 1, "templates_spatial.json": 1,
+                     "prompts/spatial_eta-p.txt": 1}
 
 
 def test_name_pools_parsed_once_per_data_dir(tmp_path, monkeypatch):
