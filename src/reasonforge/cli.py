@@ -34,6 +34,12 @@ class ConfigError(Exception):
     """Bad input: reported as one line on stderr with exit status 2."""
 
 
+def refuse(message: str):
+    """Every parser's error(): a flag argparse rejects is a ConfigError too,
+    with no usage block."""
+    raise ConfigError(message)
+
+
 def parse_counts(text: str) -> dict[int, int]:
     """--counts value: comma-separated parts hop=n or lo:hi=n, the latter
     giving n to each hop from lo to hi; no hop may be given twice."""
@@ -315,8 +321,10 @@ def main(argv=None) -> int:
     stats.add_argument("--dataset", required=True)
     stats.set_defaults(func=cmd_stats)
 
-    args = parser.parse_args(argv)
+    for each in (parser, *sub.choices.values()):
+        each.error = refuse
     try:
+        args = parser.parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()
         return status

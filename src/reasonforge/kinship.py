@@ -206,7 +206,6 @@ class KinshipEngine:
     task = "kinship"
     labels = KINSHIP_LABELS
     default_growth = KINSHIP_LABELS
-    random_growth = True
     growth_iterations = 1
 
     def __init__(self) -> None:

@@ -22,8 +22,15 @@ read from the other endpoint is the stored reverse edge.  A completed
 graph's nodes and edges never change; one lazily filled memo rides on it,
 the heads that chain sampling has proven dead (`dead_heads`), by searching
 them in full or by a bound on their longest answerable walk.  The memo
-never changes what a call returns, so a graph is still safe to share
-across threads.
+never changes what a call returns, so a graph is safe to share between
+examples and across threads, memo and all.
+
+A `GraphTable` serves the graph of each growth seed and grows each
+distinct graph once.  Growth draws only through `rng.choice`, so a graph
+is a function of its sequence of (options, index) draws: the table files
+each graph under that sequence, and a seed replays its own draws down the
+table until it reaches a graph, growing one only on a path that no earlier
+seed took.  The graphs of one table share their edge-key and move tuples.
 """
 
 from __future__ import annotations
@@ -54,7 +61,6 @@ class RelationalGraph:
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self.edges: dict[tuple[int, int], str] = {}
-        self.incoming: dict[int, set[str]] = {}  # node -> labels of edges into it
         # node -> [(object, relation), ...] in edge order; nodes in join order
         self.outgoing: dict[int, list[tuple[int, str]]] = {}
         self._dead_heads: dict[int, set[int]] = {}
@@ -62,7 +68,6 @@ class RelationalGraph:
     def add_node(self, node: int) -> None:
         if node in self.outgoing:
             raise ValueError(f"duplicate node {node}")
-        self.incoming[node] = set()
         self.outgoing[node] = []
 
     def add_edge(self, subject: int, relation: str, object: int) -> None:
@@ -76,7 +81,6 @@ class RelationalGraph:
                 raise ValueError(f"conflicting relation for pair {key}")
             return
         self.edges[key] = relation
-        self.incoming[object].add(relation)
         self.outgoing[subject].append((object, relation))
 
     def dead_heads(self, length: int) -> set[int]:
@@ -85,38 +89,113 @@ class RelationalGraph:
         return self._dead_heads.setdefault(length, set())
 
 
-def _attach(graph: RelationalGraph, node: int) -> None:
-    """Add a node and its edges to every related node already in the graph."""
+def _attach(graph: RelationalGraph, node: int) -> list[tuple[int, str, str]]:
+    """Add a node and its edges to every related node already in the graph;
+    return the engine's links, (other, label to other, label to node)."""
     links = graph.engine.links(node, graph)
     graph.add_node(node)
     for other, forward, backward in links:
         graph.add_edge(node, forward, other)
         graph.add_edge(other, backward, node)
+    return links
 
 
-def grow_graph(engine: Engine, iterations: int, seed: int = 0) -> RelationalGraph:
+def grow_graph(engine: Engine, iterations: int, seed: int = 0, *,
+               rng=None) -> RelationalGraph:
     """Run `iterations` rounds of the construction over the engine's
-    default growth labels and return the closed graph."""
+    default growth labels and return the closed graph.  Growth draws from
+    `rng` if given, else from Random(seed)."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
 
-    rng = random.Random(seed)
+    rng = random.Random(seed) if rng is None else rng
     graph = RelationalGraph(engine)
-    graph.add_node(engine.new_root(rng))
+    root = engine.new_root(rng)
+    graph.add_node(root)
+    incoming = {root: set()}  # node -> labels of edges into it
     for _ in range(iterations):
         snapshot = sorted(graph.outgoing)
         for node in snapshot:
             for relation in engine.default_growth:
-                if relation in graph.incoming[node]:
+                if relation in incoming[node]:
                     continue
                 realized = engine.realize(node, relation, rng)
                 if realized is None:
                     continue
                 subject, created = realized
                 for fresh in created:
-                    _attach(graph, fresh)
+                    into = incoming[fresh] = set()
+                    for other, forward, backward in _attach(graph, fresh):
+                        into.add(backward)
+                        incoming[other].add(forward)
                 if graph.edges.get((subject, node)) != relation:
                     raise AssertionError(
                         f"realized {relation} edge missing for ({subject}, {node})")
     return graph
 
+
+class _Draws:
+    """Growth's random source for a `GraphTable`: Random(seed) serving only
+    `choice`, drawn as CPython's Random.choice draws it, through
+    randrange(len(seq)), and noting each draw as (len(seq), index)."""
+
+    def __init__(self, seed: int) -> None:
+        self._randrange = random.Random(seed).randrange
+        self.taken: list[tuple[int, int]] = []
+
+    def choice(self, seq):
+        index = self._randrange(len(seq))
+        self.taken.append((len(seq), index))
+        return seq[index]
+
+    def __getattr__(self, name: str):
+        raise TypeError(f"growth drew through rng.{name}; a graph table "
+                        "replays only rng.choice draws")
+
+
+class _Fork:
+    """A point in a `GraphTable` where growth draws randrange(n): index ->
+    the next fork, or the graph grown once the draws end."""
+
+    __slots__ = ("n", "next")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.next: dict[int, Union["_Fork", RelationalGraph]] = {}
+
+
+class GraphTable:
+    """Growth seed -> the graph `grow_graph(engine(), iterations, seed)`
+    grows, each distinct graph grown once.  The graphs it holds live as
+    long as the table."""
+
+    def __init__(self, engine: type[Engine]) -> None:
+        self.engine = engine
+        # {0: the first fork, or the one graph of a growth that draws nothing}
+        self._top: dict[int, Union[_Fork, RelationalGraph]] = {}
+        # edge keys and moves shared by this table's graphs
+        self._pairs: dict[tuple[int, int], tuple[int, int]] = {}
+        self._moves: dict[tuple[int, str], tuple[int, str]] = {}
+
+    def __call__(self, seed: int) -> RelationalGraph:
+        node = self._top.get(0)
+        if type(node) is _Fork:
+            randrange = random.Random(seed).randrange
+            while type(node) is _Fork:
+                node = node.next.get(randrange(node.n))
+        return self._grow(seed) if node is None else node
+
+    def _grow(self, seed: int) -> RelationalGraph:
+        draws = _Draws(seed)
+        graph = grow_graph(self.engine(), self.engine.growth_iterations, rng=draws)
+        pairs, moves = self._pairs, self._moves
+        graph.edges = {pairs.setdefault(key, key): relation
+                       for key, relation in graph.edges.items()}
+        for out in graph.outgoing.values():
+            out[:] = [moves.setdefault(move, move) for move in out]
+        # file the graph under its draws
+        slots, key = self._top, 0
+        for n, index in draws.taken:
+            slots, key = slots.setdefault(key, _Fork(n)).next, index
+        slots[key] = graph
+        return graph

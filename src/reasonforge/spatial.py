@@ -65,7 +65,6 @@ class SpatialEngine:
     default_growth = tuple(r for r in SPATIAL_LABELS if r != "overlaps")
     genders = None  # letters carry no gender
     fold = None  # every chain of labels has a label: walks prune nothing
-    random_growth = False  # growth draws nothing: every seed grows one grid
     growth_iterations = 2  # a 5x5 grid
 
     def __init__(self) -> None:

@@ -16,9 +16,10 @@ answer, and augmentation record) are resampled a bounded number of times;
 when the combinatorial space is too small to avoid repeats the first valid
 candidate is accepted instead.
 
-A graph lives as long as the hop bucket that grows it: each bucket keeps
-its last few graphs, as many as its attempts reuse (`_bucket_graphs`), and
-no graph outlives `build_dataset`.
+Graphs come from one `GraphTable` per `build_dataset` call, which grows
+each distinct graph once: in one process every bucket draws on it, while a
+worker process gives each bucket its own.  No graph outlives
+`build_dataset`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Iterable, Optional
 
@@ -38,7 +38,7 @@ from .augment import (AugmentedChain, NoiseUnavailable, add_edge_noise,
                       flip_edges, no_augment, permute)
 from .kinship import KinshipEngine
 from .oracle import VERIFIERS
-from .relgraph import RelationalGraph, grow_graph
+from .relgraph import GraphTable, RelationalGraph
 from .sampler import ReasoningChain, SamplingExhausted, sample_chain
 from .spatial import SpatialEngine
 from .verbalizer import (TemplatePool, assign_names, name_gender_lookup,
@@ -177,19 +177,7 @@ def entailed_relation(chain: ReasoningChain, graph: RelationalGraph) -> Optional
 # per-example generation
 # --------------------------------------------------------------------------
 
-def _bucket_graphs(spec: DatasetSpec) -> Callable[[int], RelationalGraph]:
-    """seed -> grown graph for one hop bucket.  A fresh graph is reused only
-    by consecutive attempts of one index, `graphs_per_hop` G cycles through G
-    graphs and spatial always grows seed 0, so the last max(1, G) graphs
-    keep every reuse."""
-    engine = ENGINES[spec.task]
-    return lru_cache(maxsize=max(1, spec.graphs_per_hop))(
-        lambda seed: grow_graph(engine(), engine.growth_iterations, seed))
-
-
 def _graph_seed(spec: DatasetSpec, hop: int, index: int, attempt: int) -> int:
-    if not ENGINES[spec.task].random_growth:
-        return 0  # every seed grows the same graph; grow it once
     if spec.graphs_per_hop > 0:
         return derive_seed(spec.seed, spec.task, "graph", hop,
                            index % spec.graphs_per_hop)
@@ -220,7 +208,8 @@ def generate_candidate(
     spec: DatasetSpec, hop: int, index: int, attempt: int,
     graphs: Callable[[int], RelationalGraph],
 ) -> Optional[Example]:
-    """One example drawn on its bucket's graphs, or None if unusable."""
+    """One example drawn on the graphs of `graphs` (growth seed -> graph),
+    or None if unusable."""
     graph = graphs(_graph_seed(spec, hop, index, attempt))
     base = (spec.seed, spec.task, hop, index, attempt)
     try:
@@ -301,13 +290,17 @@ def build_dataset(spec: DatasetSpec, workers: int = 1) -> list[Example]:
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             buckets = list(pool.map(_build_bucket, *args))
     else:
-        buckets = list(map(_build_bucket, *args))
+        buckets = list(map(_build_bucket, *args,
+                           repeat(GraphTable(ENGINES[spec.task]))))
     built = dict(zip(jobs, buckets))
     return [example for job in spec.counts for example in built[job]]
 
 
-def _build_bucket(spec: DatasetSpec, hop: int, count: int) -> list[Example]:
-    graphs = _bucket_graphs(spec)
+def _build_bucket(spec: DatasetSpec, hop: int, count: int,
+                  graphs: Optional[GraphTable] = None) -> list[Example]:
+    """One hop bucket, its graphs from `graphs` or from a table of its own."""
+    if graphs is None:
+        graphs = GraphTable(ENGINES[spec.task])
     bucket: list[Example] = []
     seen: set[tuple] = set()
     for index in range(count):

@@ -267,7 +267,7 @@ def test_stdout_appended_file_keeps_what_it_held(tmp_path):
 def test_gen_exhausted_keeps_earlier_output(tmp_path, capsys, monkeypatch):
     # a bucket that runs out of attempts inside the writer: the earlier
     # output, a regular file or a symlink's target, stays as it was
-    def exhausted(spec, hop, count):
+    def exhausted(spec, hop, count, graphs):
         raise GenerationExhausted(hop, 0, 5)
 
     monkeypatch.setattr(taskgen, "_build_bucket", exhausted)
@@ -288,7 +288,7 @@ def test_gen_exhausted_keeps_earlier_output(tmp_path, capsys, monkeypatch):
 def test_gen_exhausted_into_stdout_releases_its_descriptor(capsys, monkeypatch):
     # -o /dev/stdout hands the writer a new descriptor of stdout, which a
     # bucket that fails before anything is written leaves closed
-    def exhausted(spec, hop, count):
+    def exhausted(spec, hop, count, graphs):
         raise GenerationExhausted(hop, 0, 5)
 
     monkeypatch.setattr(taskgen, "_build_bucket", exhausted)
@@ -307,9 +307,9 @@ def test_symlinked_output_is_staged_beside_its_target(tmp_path, monkeypatch):
     build = taskgen._build_bucket
     during = []
 
-    def watched(spec, hop, count):
+    def watched(spec, hop, count, graphs):
         during.append((sorted(os.listdir(links)), sorted(os.listdir(targets))))
-        return build(spec, hop, count)
+        return build(spec, hop, count, graphs)
 
     monkeypatch.setattr(taskgen, "_build_bucket", watched)
     (targets / "old.jsonl").write_text("earlier\n")
@@ -354,7 +354,7 @@ def test_render_failing_midway_keeps_symlink_target(tmp_path, monkeypatch):
 
 def test_failed_gen_through_dangling_symlink_leaves_no_target(tmp_path, capsys,
                                                              monkeypatch):
-    def exhausted(spec, hop, count):
+    def exhausted(spec, hop, count, graphs):
         raise GenerationExhausted(hop, 0, 5)
 
     monkeypatch.setattr(taskgen, "_build_bucket", exhausted)
@@ -570,6 +570,11 @@ GEN = ["gen", "--task", "clutrr", "--counts", "2:3=2"]
      "--aug part 'permute:3' is not none, permute, noise[:k] or flip[:n]"),
     (GEN + ["--aug", "none:1"], "--aug part 'none:1' is not none, permute, "),
     (GEN + ["--aug", "mix=permute:1"], "--aug part 'mix=permute:1' is not none, "),
+    # flags argparse rejects: one error line, no usage block
+    (GEN + ["--shots", "2"], "unrecognized arguments: --shots 2"),
+    (GEN + ["--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["render", "--dataset", "{dir}/d.jsonl", "--style", "std-p"],
+     "the following arguments are required: -o/--output"),
 ])
 def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
     dataset = tmp_path / "d.jsonl"
@@ -621,10 +626,9 @@ def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
 def test_removed_count_flags_are_refused(tmp_path, capsys, flags):
     # no prefix match: --count is not read as --counts
     out = tmp_path / "x.jsonl"
-    with pytest.raises(SystemExit) as exit_info:
-        run(["gen", "--task", "clutrr", *flags, "-o", str(out)])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: " + flags[0] in capsys.readouterr().err
+    assert run(["gen", "--task", "clutrr", *flags, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: unrecognized arguments: "
+                                       + " ".join(flags[:2]) + "\n")
     assert not out.exists()
 
 

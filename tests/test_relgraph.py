@@ -9,7 +9,8 @@ from worlds import kinship_world_from_genealogy
 from reasonforge.kinship import KINSHIP_LABELS, KinshipEngine
 from reasonforge.oracle import (VERIFIERS, SpatialWorld, coordinate_relation,
                                 genealogy_relation)
-from reasonforge.relgraph import RelationalGraph, _attach, grow_graph
+from reasonforge import relgraph
+from reasonforge.relgraph import GraphTable, RelationalGraph, _attach, grow_graph
 from reasonforge.spatial import SpatialEngine, relation_of_displacement
 
 
@@ -21,13 +22,19 @@ def kinship_graph(iterations, seed=0):
     return grow_graph(KinshipEngine(), iterations, seed=seed)
 
 
+def labels_into(g, node):
+    """Labels of the edges into node: every related pair is stored in both
+    directions, so they are the edges back from node's neighbours."""
+    return {g.edges[other, node] for other, _ in g.outgoing[node]}
+
+
 def root_graph(seed, relations):
     """A 0-iteration kinship graph with each relation its root still lacks
     realized on the root: one growth iteration over just these labels."""
     g = kinship_graph(0, seed=seed)
     rng = random.Random(seed)
     for relation in relations:
-        if relation not in g.incoming[0]:
+        if relation not in labels_into(g, 0):
             _, created = g.engine.realize(0, relation, rng)
             for node in created:
                 _attach(g, node)
@@ -83,14 +90,14 @@ def test_kinship_father_mother_male_root():
 
 
 def test_has_incoming_relation():
-    # growth's absence check: incoming[node] holds the labels of edges into node
+    # growth's absence check: the labels of edges into a node
     g = kinship_graph(0)
-    assert "father" not in g.incoming[0]
+    assert "father" not in labels_into(g, 0)
     g2 = root_graph(0, ("father",))
-    assert "father" in g2.incoming[0]
-    assert "mother" not in g2.incoming[0]
+    assert "father" in labels_into(g2, 0)
+    assert "mother" not in labels_into(g2, 0)
     with pytest.raises(KeyError):
-        g2.incoming[999]
+        labels_into(g2, 999)
 
 
 def test_relation_between():
@@ -129,7 +136,7 @@ def test_growth_monotonic_and_absence_sound():
                 # every growth relation attached or refused by the engine
                 for node in previous_nodes:
                     for relation in g.engine.default_growth:
-                        assert (relation in g.incoming[node]
+                        assert (relation in labels_into(g, node)
                                 or (node, relation) in g.engine.refused)
             previous_nodes, previous_edges = nodes, edges
 
@@ -233,3 +240,58 @@ def test_edge_invariants():
     g.add_edge(1, "above", 0)
     with pytest.raises(ValueError):
         g.add_edge(1, "below", 0)
+
+
+def counting_growth(monkeypatch):
+    """Patch relgraph.grow_graph, the table's growth, to count its calls."""
+    grown = []
+
+    def counted(*args, **kwargs):
+        grown.append(args)
+        return grow_graph(*args, **kwargs)
+
+    monkeypatch.setattr(relgraph, "grow_graph", counted)
+    return grown
+
+
+@pytest.mark.parametrize("engine, seeds", [(KinshipEngine, range(3000)),
+                                           (SpatialEngine, range(50))])
+def test_graph_table_serves_each_seeds_own_graph(monkeypatch, engine, seeds):
+    # a seed replayed down the table reaches the graph its own growth gives:
+    # the same nodes, edges in order and genders
+    grown = counting_growth(monkeypatch)
+    table = GraphTable(engine)
+    for seed in seeds:
+        g = table(seed)
+        fresh = grow_graph(engine(), engine.growth_iterations, seed)
+        assert g.outgoing == fresh.outgoing
+        assert list(g.edges.items()) == list(fresh.edges.items())
+        assert g.engine.genders == fresh.engine.genders
+        assert table(seed) is g
+    # kinship growth makes 8 binary choices, so 256 graphs; a grid draws none
+    assert len(grown) == (256 if engine is KinshipEngine else 1)
+
+
+def test_graph_table_shares_tuples_between_its_graphs():
+    table = GraphTable(KinshipEngine)
+    graphs = {id(g): g for g in map(table, range(40))}.values()
+    assert len(graphs) > 1
+    keys = {}
+    for g in graphs:
+        for key in g.edges:
+            assert keys.setdefault(key, key) is key
+        for node, moves in g.outgoing.items():
+            for move in moves:
+                assert keys.setdefault(move, move) is move
+
+
+def test_graph_table_refuses_growth_that_draws_otherwise():
+    # only rng.choice draws can be replayed
+    class RandomRoot(KinshipEngine):
+        def new_root(self, rng):
+            rng.random()
+            return super().new_root(rng)
+
+    grow_graph(RandomRoot(), 1, seed=3)  # fine on a plain Random
+    with pytest.raises(TypeError, match="rng.random"):
+        GraphTable(RandomRoot)(3)

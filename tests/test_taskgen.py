@@ -7,11 +7,12 @@ import weakref
 
 import pytest
 
-from reasonforge import taskgen
+from reasonforge import relgraph, taskgen
 from reasonforge.cli import main
 from reasonforge.kinship import KinshipEngine
 from reasonforge.oracle import VERIFIERS
-from reasonforge.relgraph import RelationalGraph, Triple, _attach, grow_graph
+from reasonforge.relgraph import (GraphTable, RelationalGraph, Triple, _attach,
+                                  grow_graph)
 from reasonforge.sampler import ReasoningChain
 from reasonforge.spatial import SpatialEngine
 from reasonforge.taskgen import (JSONL_FIELDS, DatasetSpec, Example,
@@ -92,7 +93,7 @@ def test_deep_kinship_walks_agree_with_their_answer(monkeypatch):
     monkeypatch.setattr(taskgen, "corrupt", recording_corrupt)
     spec = DatasetSpec.make("kinship", {9: 1, 10: 1}, seed=0)
     for hop in (9, 10):
-        graphs = taskgen._bucket_graphs(spec)
+        graphs = GraphTable(KinshipEngine)
         for attempt in range(150):
             generate_candidate(spec, hop, attempt % 5, attempt, graphs)
     assert len(seen) >= 100
@@ -279,43 +280,65 @@ def test_graphs_per_hop_reuse():
     assert verify_dataset(dataset).mismatch_count == 0
 
 
+def tracking_growth(monkeypatch):
+    """Weak references to every graph grown through relgraph.grow_graph."""
+    grown = []
+
+    def tracking_grow_graph(*args, **kwargs):
+        graph = grow_graph(*args, **kwargs)
+        grown.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(relgraph, "grow_graph", tracking_grow_graph)
+    return grown
+
+
 def test_reused_graphs_give_the_same_bytes_whatever_their_memo(monkeypatch):
-    # graphs live for one bucket, so two builds share them only through one
-    # cache with room for both buckets' three graphs: the first build fills
-    # their dead-head memos and the second starts from them, while a cold
+    # one table shared by two builds: the first fills its graphs' dead-head
+    # memos and the second starts from them and grows no graph, while a cold
     # build and spawned workers start from empty memos
     spec = DatasetSpec.make("kinship", {9: 8, 10: 8}, seed=11, graphs_per_hop=3)
     cold = build_dataset(spec)
-    shared = taskgen._bucket_graphs(dataclasses.replace(spec, graphs_per_hop=6))
-    monkeypatch.setattr(taskgen, "_bucket_graphs", lambda spec: shared)
+    shared = GraphTable(KinshipEngine)
+    monkeypatch.setattr(taskgen, "GraphTable", lambda engine: shared)
     assert build_dataset(spec) == cold
     assert any(shared(taskgen._graph_seed(spec, 10, index, 0)).dead_heads(10)
                for index in range(3))
+    grown = tracking_growth(monkeypatch)
     assert build_dataset(spec) == cold
-    assert shared.cache_info().misses == 6  # the second build grew none
+    assert grown == []  # the warm table grew none
     monkeypatch.undo()
     assert build_dataset(spec, workers=2) == cold
     assert verify_dataset(cold).mismatch_count == 0
 
 
 def test_no_graph_outlives_build_dataset(monkeypatch):
-    # each bucket owns its graphs, so none is alive once the build returns;
-    # a graphs_per_hop bucket grows exactly that many graphs
-    grown = []
-
-    def tracking_grow_graph(*args):
-        graph = grow_graph(*args)
-        grown.append(weakref.ref(graph))
-        return graph
-
-    monkeypatch.setattr(taskgen, "grow_graph", tracking_grow_graph)
+    # the build's table owns its graphs, so none is alive once the build
+    # returns; a graphs_per_hop bucket grows at most that many graphs
+    grown = tracking_growth(monkeypatch)
     build_dataset(DatasetSpec.make("kinship", {3: 10}, seed=2, graphs_per_hop=3))
-    assert len(grown) == 3
+    assert 1 <= len(grown) <= 3
+    reused = len(grown)
     build_dataset(DatasetSpec.make("kinship", {2: 6, 9: 3}, seed=2))
     build_dataset(DatasetSpec.make("spatial", {2: 4, 3: 4}, seed=2))
     gc.collect()
-    assert len(grown) > 3 + 2
+    assert len(grown) > reused + 2
     assert all(ref() is None for ref in grown)
+
+
+def test_one_table_serves_every_bucket(monkeypatch):
+    # serially one table serves every bucket, so buckets share graphs; in
+    # workers each bucket has its own table, and the bytes are the same
+    spec = DatasetSpec.make("kinship", {2: 30, 3: 30, 4: 30}, seed=4)
+    grown = tracking_growth(monkeypatch)
+    serial = build_dataset(spec)
+    shared = len(grown)
+    per_bucket = [build_dataset(dataclasses.replace(spec, counts=((hop, 30),)))
+                  for hop in (2, 3, 4)]
+    assert shared < len(grown) - shared  # buckets built alone grow more
+    monkeypatch.undo()
+    assert build_dataset(spec, workers=2) == serial
+    assert serial == [e for bucket in per_bucket for e in bucket]
 
 
 def test_query_endpoints_roundtrip(small_kinship, small_spatial):
