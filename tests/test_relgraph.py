@@ -268,7 +268,7 @@ def test_graph_table_serves_each_seeds_own_graph(monkeypatch, engine, seeds):
         assert list(g.edges.items()) == list(fresh.edges.items())
         assert g.engine.genders == fresh.engine.genders
         assert table(seed) is g
-    # kinship growth makes 8 binary choices, so 256 graphs; a grid draws none
+    # kinship growth's nine small choices reach 256 graphs; a grid draws none
     assert len(grown) == (256 if engine is KinshipEngine else 1)
 
 
