@@ -291,7 +291,8 @@ def main(argv=None) -> int:
     gen.add_argument("--aug", help="kind[:param][=weight] parts, comma "
                                    "separated: none, permute, noise:k, flip:n")
     gen.add_argument("--graphs-per-hop", type=int, default=0,
-                     help="reuse this many graphs per hop (0 = fresh each)")
+                     help="limit each hop bucket to N graphs, which changes "
+                          "the content (0 = a graph seed per example)")
     gen.add_argument("--workers", type=int, default=1)
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_gen)

@@ -17,9 +17,9 @@ when the combinatorial space is too small to avoid repeats the first valid
 candidate is accepted instead.
 
 Graphs come from one `GraphTable` per `build_dataset` call, which grows
-each distinct graph once: in one process every bucket draws on it, while a
-worker process gives each bucket its own.  No graph outlives
-`build_dataset`.
+each distinct graph once: in one process every bucket draws on it, while
+each bucket sent to a worker process gets its own copy of the empty table.
+No graph outlives `build_dataset`.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class DatasetSpec:
     counts: tuple[tuple[int, int], ...]  # (hop, count) pairs
     seed: int = 0
     augmentation_mix: tuple = DEFAULT_AUGMENTATION_MIX
-    graphs_per_hop: int = 0  # 0 grows a fresh graph per example
+    graphs_per_hop: int = 0  # N > 0 limits a bucket to N graphs
 
     def __post_init__(self) -> None:
         if self.task not in ENGINES:
@@ -181,7 +181,7 @@ def _graph_seed(spec: DatasetSpec, hop: int, index: int, attempt: int) -> int:
     if spec.graphs_per_hop > 0:
         return derive_seed(spec.seed, spec.task, "graph", hop,
                            index % spec.graphs_per_hop)
-    # fresh graph per example.  A failed search has tried every head of its
+    # a graph seed per example.  A failed search has tried every head of its
     # graph, each dead or out of its budget, so a deep retry would mostly
     # repeat it and regrows instead.  At low hops walks rarely fail and
     # retries mostly serve deduplication, so a few walk seeds share each
@@ -283,24 +283,23 @@ def build_dataset(spec: DatasetSpec, workers: int = 1) -> list[Example]:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     jobs = sorted(spec.counts, reverse=True)
-    args = (repeat(spec), [hop for hop, _ in jobs], [count for _, count in jobs])
+    # a worker unpickles its own copy of the empty table for each bucket
+    args = (repeat(spec), [hop for hop, _ in jobs], [count for _, count in jobs],
+            repeat(GraphTable(ENGINES[spec.task])))
     workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers > 1:
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             buckets = list(pool.map(_build_bucket, *args))
     else:
-        buckets = list(map(_build_bucket, *args,
-                           repeat(GraphTable(ENGINES[spec.task]))))
+        buckets = list(map(_build_bucket, *args))
     built = dict(zip(jobs, buckets))
     return [example for job in spec.counts for example in built[job]]
 
 
 def _build_bucket(spec: DatasetSpec, hop: int, count: int,
-                  graphs: Optional[GraphTable] = None) -> list[Example]:
-    """One hop bucket, its graphs from `graphs` or from a table of its own."""
-    if graphs is None:
-        graphs = GraphTable(ENGINES[spec.task])
+                  graphs: GraphTable) -> list[Example]:
+    """One hop bucket, its graphs drawn from `graphs`."""
     bucket: list[Example] = []
     seen: set[tuple] = set()
     for index in range(count):
