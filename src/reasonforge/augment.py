@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .relgraph import RelationalGraph, Triple
 from .sampler import ReasoningChain
@@ -82,8 +83,6 @@ def add_edge_noise(
     if k < 0:
         raise ValueError("k must be >= 0")
     aug = no_augment(chain)
-    if k == 0:
-        return aug
     on_chain = set(chain.walk)
     candidates = sorted(
         (s, o) for s in on_chain for o, _ in graph.outgoing[s] if o not in on_chain)
@@ -136,3 +135,15 @@ def flip_step(step: Triple, graph: RelationalGraph) -> Triple:
     """The same fact read from the other endpoint: (b, r', a) for (a, r, b),
     r' the stored reverse edge."""
     return Triple(step.object, graph.edges[(step.object, step.subject)], step.subject)
+
+
+# The kinds of --aug, DatasetSpec and generation: kind -> (takes a count n,
+# apply(chain, graph, n, seed)).  Each apply looks its function up by name
+# here at call time, so a wrapper bound to that name sees every call.
+AUGMENTATIONS: dict[str, tuple[bool, Callable[..., AugmentedChain]]] = {
+    "none": (False, lambda chain, graph, n, seed: no_augment(chain)),
+    "permute": (False, lambda chain, graph, n, seed: permute(chain, seed)),
+    "noise": (True, lambda chain, graph, n, seed: add_edge_noise(chain, graph, n, seed)),
+    "flip": (True, lambda chain, graph, n, seed:
+             flip_edges(chain, graph, min(n, chain.hop), seed)),
+}

@@ -15,19 +15,15 @@ from contextlib import contextmanager, suppress
 from functools import partial
 from pathlib import Path
 
+from .augment import AUGMENTATIONS
 from .evalkit import read_predictions, score, stats_table
 from .promptkit import PromptRenderer, draw_shots
 from .taskgen import (DatasetSpec, GenerationExhausted, build_dataset,
                       derive_seed, read_jsonl, verify_dataset, write_jsonl)
 from .verbalizer import AssetError, TemplatePool, load_name_pools, read_asset
 
-TASK_ALIASES = {"clutrr": "kinship", "stepgame": "spatial",
-                "kinship": "kinship", "spatial": "spatial"}
+TASK_ALIASES = {"clutrr": "kinship", "stepgame": "spatial"}
 PRESET_FILES = {"kinship": "clutrr_{name}.json", "spatial": "stepgame_{name}.json"}
-
-# --aug kind -> (augmentation kind, name of its integer parameter)
-AUG_KINDS = {"permute": ("permutation", None), "noise": ("edge-noise", "k"),
-             "flip": ("direction-flip", "count"), "none": ("none", None)}
 
 
 class ConfigError(Exception):
@@ -60,25 +56,24 @@ def parse_counts(text: str) -> dict[int, int]:
     return counts
 
 
-def parse_aug(text: str) -> tuple[dict, ...]:
-    """--aug value: comma-separated parts kind[:param][=weight], kind one of
-    none, permute, noise:k and flip:n; k, n and the weight default to 1."""
+def parse_aug(text: str) -> tuple[tuple[str, int, float], ...]:
+    """--aug value: comma-separated parts kind[:n][=weight], kind one of
+    none, permute, noise:k and flip:n, as (kind, n, weight) entries; n and
+    the weight default to 1."""
     mix = []
     for part in text.split(","):
         entry, equals, weight = part.partition("=")
-        kind, colon, param = entry.partition(":")
-        name, key = AUG_KINDS.get(kind.strip(), (None, None))
-        if name is None or (colon and not key):
+        kind, colon, n = entry.partition(":")
+        kind = kind.strip()
+        if kind not in AUGMENTATIONS or (colon and not AUGMENTATIONS[kind][0]):
             raise ConfigError(f"--aug part {part!r} is not none, permute, "
                               "noise[:k] or flip[:n]")
         try:
-            out = {"kind": name, "weight": float(weight) if equals else 1.0}
-            if key:
-                out[key] = int(param) if colon else 1
+            mix.append((kind, int(n) if colon else 1,
+                        float(weight) if equals else 1.0))
         except ValueError:
             raise ConfigError(f"--aug part {part!r} needs an integer param "
                               "and a numeric weight") from None
-        mix.append(out)
     return tuple(mix)
 
 
@@ -158,7 +153,8 @@ def build_spec(args) -> DatasetSpec:
     if not counts:
         raise ConfigError("no hop buckets to generate")
 
-    mix = None if args.aug is None else parse_aug(args.aug)
+    # the class attribute is the field's default mix
+    mix = DatasetSpec.augmentation_mix if args.aug is None else parse_aug(args.aug)
     return DatasetSpec.make(task, counts, seed=args.seed, augmentation_mix=mix,
                             graphs_per_hop=args.graphs_per_hop)
 
@@ -246,7 +242,7 @@ def cmd_score(args) -> int:
             report = score(predictions, gold, args.style)
             with open(staged, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(report.to_dict(), indent=2) + "\n")
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(report.to_text())

@@ -76,7 +76,7 @@ def score(
     eta-p the count of exactly extracted gold triple lists.
 
     Every prediction id must name a unique gold example; unknown or
-    duplicate ids are errors, not skips.
+    duplicate ids raise ValueError, not skips.
     """
     by_id = {e.id: e for e in gold}
     tasks = {e.task for e in gold} if style == "eta-p" else ()  # eta-p reads triples
@@ -91,7 +91,7 @@ def score(
         seen.add(pid)
         example = by_id.get(pid)
         if example is None:
-            raise KeyError(f"prediction id {pid} not in gold dataset")
+            raise ValueError(f"prediction id {pid} not in gold dataset")
         parsed = parse_response(item["response"], style, example.task,
                                 pools.get(example.task))
         row = report.per_hop.setdefault(

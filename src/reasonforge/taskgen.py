@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterable, Optional
 
-from .augment import (AugmentedChain, NoiseUnavailable, add_edge_noise,
-                      flip_edges, no_augment, permute)
+from .augment import AUGMENTATIONS, NoiseUnavailable
 from .kinship import KinshipEngine
 from .oracle import VERIFIERS
 from .relgraph import GraphTable, RelationalGraph
@@ -47,15 +46,7 @@ from .verbalizer import (TemplatePool, assign_names, name_gender_lookup,
 JSONL_FIELDS = ("id", "task", "hop", "triples", "distractors", "story",
                 "query", "answer", "gold_triples", "augmentation", "seed")
 
-DEFAULT_AUGMENTATION_MIX = (
-    {"kind": "permutation", "weight": 1},
-    {"kind": "edge-noise", "k": 1, "weight": 1},
-    {"kind": "direction-flip", "count": 1, "weight": 1},
-)
-
 ENGINES = {"kinship": KinshipEngine, "spatial": SpatialEngine}
-
-AUGMENTATION_KINDS = ("none", "permutation", "edge-noise", "direction-flip")
 
 # attempts per example before a bucket gives up
 MAX_ATTEMPTS = 400
@@ -82,7 +73,9 @@ class DatasetSpec:
     task: str
     counts: tuple[tuple[int, int], ...]  # (hop, count) pairs
     seed: int = 0
-    augmentation_mix: tuple = DEFAULT_AUGMENTATION_MIX
+    # (kind, n, weight) entries named as in --aug, drawn by weight
+    augmentation_mix: tuple[tuple[str, int, float], ...] = (
+        ("permute", 1, 1.0), ("noise", 1, 1.0), ("flip", 1, 1.0))
     graphs_per_hop: int = 0  # N > 0 limits a bucket to N graphs
 
     def __post_init__(self) -> None:
@@ -93,27 +86,24 @@ class DatasetSpec:
         for hop, count in self.counts:
             if hop < 1 or count < 0:
                 raise ValueError(f"bad bucket ({hop}, {count})")
-        if not self.augmentation_mix:
-            raise ValueError("augmentation mix must be nonempty")
-        for entry in self.augmentation_mix:
-            if entry["kind"] not in AUGMENTATION_KINDS:
-                raise ValueError(f"unknown augmentation kind {entry['kind']!r}")
-            for param in ("k", "count"):
-                if int(entry.get(param, 0)) < 0:
-                    raise ValueError(f"{entry['kind']} {param} must be >= 0, "
-                                     f"got {entry[param]}")
-            if not 0 <= entry.get("weight", 1) < float("inf"):
-                raise ValueError(f"{entry['kind']} weight must be finite and >= 0, "
-                                 f"got {entry['weight']}")
-        if sum(entry.get("weight", 1) for entry in self.augmentation_mix) <= 0:
+        mix = self.augmentation_mix
+        if not (mix and isinstance(mix, tuple)
+                and all(isinstance(e, tuple) and len(e) == 3 for e in mix)):
+            raise ValueError("augmentation mix must be a nonempty tuple of "
+                             "(kind, n, weight) tuples")
+        for kind, n, weight in mix:
+            if kind not in AUGMENTATIONS:
+                raise ValueError(f"unknown augmentation kind {kind!r}")
+            if type(n) is not int or n < 0:  # no float, no bool
+                raise ValueError(f"{kind} n must be an integer >= 0, got {n!r}")
+            if not 0 <= weight < float("inf"):
+                raise ValueError(f"{kind} weight must be finite and >= 0, got {weight}")
+        if sum(weight for _, _, weight in mix) <= 0:
             raise ValueError("augmentation weights must sum to a positive value")
 
     @classmethod
     def make(cls, task: str, counts: dict[int, int], **kwargs) -> "DatasetSpec":
         ordered = tuple(sorted((int(h), int(c)) for h, c in counts.items()))
-        mix = kwargs.pop("augmentation_mix", None)
-        if mix is not None:
-            kwargs["augmentation_mix"] = tuple(dict(e) for e in mix)
         return cls(task=task, counts=ordered, **kwargs)
 
 
@@ -190,20 +180,6 @@ def _graph_seed(spec: DatasetSpec, hop: int, index: int, attempt: int) -> int:
     return derive_seed(spec.seed, spec.task, "graph", hop, index, regrow)
 
 
-def _apply_augmentation(
-    chain: ReasoningChain, graph: RelationalGraph, entry: dict, seed: int
-) -> AugmentedChain:
-    kind = entry["kind"]
-    if kind == "permutation":
-        return permute(chain, seed)
-    if kind == "edge-noise":
-        return add_edge_noise(chain, graph, int(entry.get("k", 1)), seed)
-    if kind == "direction-flip":
-        count = min(int(entry.get("count", 1)), chain.hop)
-        return flip_edges(chain, graph, count, seed)
-    return no_augment(chain)
-
-
 def generate_candidate(
     spec: DatasetSpec, hop: int, index: int, attempt: int,
     graphs: Callable[[int], RelationalGraph],
@@ -228,9 +204,9 @@ def generate_candidate(
 
     mix = spec.augmentation_mix
     kind_rng = random.Random(derive_seed(*base, "kind"))
-    entry = kind_rng.choices(mix, weights=[e.get("weight", 1) for e in mix])[0]
+    kind, n, _ = kind_rng.choices(mix, weights=[weight for _, _, weight in mix])[0]
     try:
-        aug = _apply_augmentation(chain, graph, entry, derive_seed(*base, "augment"))
+        aug = AUGMENTATIONS[kind][1](chain, graph, n, derive_seed(*base, "augment"))
     except NoiseUnavailable:
         return None
 

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reasonforge.augment import (NoiseUnavailable, add_edge_noise, flip_edges,
-                                 flip_step, permute)
+from reasonforge.augment import (AUGMENTATIONS, NoiseUnavailable, add_edge_noise,
+                                 flip_edges, flip_step, permute)
+from reasonforge.cli import main
 from worlds import kinship_world_from_genealogy
 
 from reasonforge.kinship import KinshipEngine
@@ -12,7 +13,7 @@ from reasonforge.oracle import (SpatialWorld, coordinate_relation,
 from reasonforge.relgraph import RelationalGraph, Triple, _attach, grow_graph
 from reasonforge.sampler import ReasoningChain, sample_chain
 from reasonforge.spatial import SpatialEngine
-from reasonforge.taskgen import corrupt
+from reasonforge.taskgen import DatasetSpec, corrupt, read_jsonl
 
 
 def three_step_chain():
@@ -169,3 +170,57 @@ def test_kinship_flip_keeps_derivation():
         aug = flip_edges(chain, g, 1, seed=seed)
         for t in aug.chain.steps:
             assert genealogy_relation(world, t.subject, t.object) == t.relation
+
+
+# -- the table of kinds ---------------------------------------------------------
+
+RECORD_KIND = {"none": "none", "permute": "permutation", "noise": "edge-noise",
+               "flip": "direction-flip"}
+ZERO_RECORD = {"noise": {"kind": "edge-noise", "k": 0, "labels": [], "slots": []},
+               "flip": {"kind": "direction-flip", "count": 0, "positions": []}}
+
+
+@pytest.mark.parametrize("kind", sorted(AUGMENTATIONS))
+def test_each_kind_of_the_table(tmp_path, capsys, kind):
+    def gen(aug):
+        out = tmp_path / f"{aug}.jsonl"
+        status = main(["gen", "--task", "clutrr", "--counts", "2:3=6", "--seed", "2",
+                       "--aug", aug, "-o", str(out)])
+        return status, read_jsonl(out) if status == 0 else None
+
+    takes_n, _ = AUGMENTATIONS[kind]
+    assert sorted(ZERO_RECORD) == sorted(k for k, (counted, _) in AUGMENTATIONS.items()
+                                         if counted)
+    status, alone = gen(kind)
+    assert status == 0
+    assert {e.augmentation["kind"] for e in alone} == {RECORD_KIND[kind]}
+    # a weight of 0 is never drawn, whatever n
+    _, weighted = gen(f"{kind}{':2' if takes_n else ''}=0,permute")
+    assert {e.augmentation["kind"] for e in weighted} == {"permutation"}
+    status, zero = gen(f"{kind}:0")
+    if not takes_n:
+        assert status == 2 and f"--aug part '{kind}:0' is not" in capsys.readouterr().err
+    else:
+        # a count of 0 records the kind and changes nothing else of the example
+        _, plain = gen("none")
+        assert [e.augmentation for e in zero] == [ZERO_RECORD[kind]] * len(plain)
+        assert ([{**e.to_dict(), "augmentation": None} for e in zero]
+                == [{**e.to_dict(), "augmentation": None} for e in plain])
+        _, three = gen(f"{kind}:3")
+        assert {e.augmentation["kind"] for e in three} == {RECORD_KIND[kind]}
+        if kind == "flip":  # a flip count is clamped to the hop
+            assert [e.augmentation["count"] for e in three] == [min(3, e.hop) for e in three]
+
+    spec = DatasetSpec.make("kinship", {2: 1}, augmentation_mix=((kind, 2, 0.5),))
+    assert hash(spec) == hash(DatasetSpec.make("kinship", {2: 1},
+                                               augmentation_mix=((kind, 2, 0.5),)))
+    for n in (1.5, True):
+        with pytest.raises(ValueError, match=f"{kind} n must be an integer >= 0, got {n}"):
+            DatasetSpec.make("kinship", {2: 1}, augmentation_mix=((kind, n, 1.0),))
+    for name in {RECORD_KIND[kind], kind.upper()} - {kind}:
+        with pytest.raises(ValueError, match=f"unknown augmentation kind '{name}'"):
+            DatasetSpec.make("kinship", {2: 1}, augmentation_mix=((name, 1, 1.0),))
+    # the mix is a tuple of (kind, n, weight) tuples: no list, no dict entry
+    for mix in ([(kind, 1, 1.0)], ({"kind": RECORD_KIND[kind], "weight": 1},)):
+        with pytest.raises(ValueError, match="tuple of \\(kind, n, weight\\) tuples"):
+            DatasetSpec.make("kinship", {2: 1}, augmentation_mix=mix)

@@ -32,19 +32,16 @@ COUNTS_GRAMMAR = [
     (" 2 : 3 = 1 , 9=2", {2: 1, 3: 1, 9: 2}),
 ]
 AUG_GRAMMAR = [
-    ("none", ({"kind": "none", "weight": 1.0},)),
-    ("permute", ({"kind": "permutation", "weight": 1.0},)),
-    ("noise:3", ({"kind": "edge-noise", "weight": 1.0, "k": 3},)),
-    ("flip", ({"kind": "direction-flip", "weight": 1.0, "count": 1},)),
-    ("noise:2=0.5", ({"kind": "edge-noise", "weight": 0.5, "k": 2},)),
-    ("permute=2,flip:1", ({"kind": "permutation", "weight": 2.0},
-                          {"kind": "direction-flip", "weight": 1.0, "count": 1})),
-    (" permute = 2 , noise : 4 ", ({"kind": "permutation", "weight": 2.0},
-                                   {"kind": "edge-noise", "weight": 1.0, "k": 4})),
+    ("none", (("none", 1, 1.0),)),
+    ("permute", (("permute", 1, 1.0),)),
+    ("noise:3", (("noise", 3, 1.0),)),
+    ("flip", (("flip", 1, 1.0),)),
+    ("noise:2=0.5", (("noise", 2, 0.5),)),
+    ("permute=2,flip:1", (("permute", 1, 2.0), ("flip", 1, 1.0))),
+    (" permute = 2 , noise : 4 ", (("permute", 1, 2.0), ("noise", 4, 1.0))),
     # weights DatasetSpec rejects pass through the grammar
-    ("permute=-1,noise", ({"kind": "permutation", "weight": -1.0},
-                          {"kind": "edge-noise", "weight": 1.0, "k": 1})),
-    ("flip:2=inf", ({"kind": "direction-flip", "weight": float("inf"), "count": 2},)),
+    ("permute=-1,noise", (("permute", 1, -1.0), ("noise", 1, 1.0))),
+    ("flip:2=inf", (("flip", 2, float("inf")),)),
 ]
 
 
@@ -54,7 +51,7 @@ def test_parse_helpers():
     for text, mix in AUG_GRAMMAR:
         assert parse_aug(text) == mix, text
     nan = parse_aug("permute=nan")
-    assert len(nan) == 1 and nan[0]["weight"] != nan[0]["weight"]
+    assert len(nan) == 1 and nan[0][2] != nan[0][2]
     for text in ("permute=-1,noise", "flip:2=inf", "permute=nan"):
         with pytest.raises(ValueError, match="weight must be finite and >= 0"):
             DatasetSpec.make("kinship", {2: 1}, augmentation_mix=parse_aug(text))
@@ -430,8 +427,8 @@ def test_score_unknown_id_keeps_earlier_report(tmp_path, capsys):
     capsys.readouterr()
     assert run(["score", "--predictions", str(predictions), "--gold",
                 str(dataset), "--report", str(report)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert capsys.readouterr().err == (
+        "error: prediction id spatial-9-9 not in gold dataset\n")
     assert report.read_bytes() == b"earlier\n"
     assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "preds.jsonl", "r.json"]
 
@@ -497,8 +494,11 @@ GEN = ["gen", "--task", "clutrr", "--counts", "2:3=2"]
 @pytest.mark.parametrize("argv, message", [
     (["gen", "--task", "clutrr", "--counts", "5:2=3"],
      "no hop buckets"),
-    (GEN + ["--aug", "noise:-2"], "edge-noise k must be >= 0"),
-    (GEN + ["--aug", "flip:-1"], "direction-flip count must be >= 0"),
+    # ids as first written, when the messages named the record kinds
+    pytest.param(GEN + ["--aug", "noise:-2"], "noise n must be an integer >= 0, got -2",
+                 id="argv1-edge-noise k must be >= 0"),
+    pytest.param(GEN + ["--aug", "flip:-1"], "flip n must be an integer >= 0, got -1",
+                 id="argv2-direction-flip count must be >= 0"),
     (GEN + ["--workers", "0"], "--workers must be >= 1"),
     (["gen", "--task", "clutrr", "--counts", "2=1,2=3"],
      "--counts part '2=3' repeats hop 2"),
@@ -540,12 +540,15 @@ GEN = ["gen", "--task", "clutrr", "--counts", "2:3=2"]
     (["score", "--predictions", "{dir}/answers.jsonl", "--gold", "{dir}/d.jsonl",
       "--report", "{dir}/held.jsonl"], "cannot write {dir}/held.jsonl."),
     # a weight random.choices cannot draw by: negative, nan or inf
-    (["gen", "--task", "clutrr", "--counts", "2=30", "--aug", "permute=-1,noise:2"],
-     "permutation weight must be finite and >= 0, got -1.0"),
-    (["gen", "--task", "clutrr", "--counts", "2=30", "--aug", "permute=nan,noise:1"],
-     "permutation weight must be finite and >= 0, got nan"),
-    (["gen", "--task", "clutrr", "--counts", "2=30", "--aug", "permute=inf,noise:1"],
-     "permutation weight must be finite and >= 0, got inf"),
+    pytest.param(["gen", "--task", "clutrr", "--counts", "2=30", "--aug",
+                  "permute=-1,noise:2"], "permute weight must be finite and >= 0, got -1.0",
+                 id="argv24-permutation weight must be finite and >= 0, got -1."),
+    pytest.param(["gen", "--task", "clutrr", "--counts", "2=30", "--aug",
+                  "permute=nan,noise:1"], "permute weight must be finite and >= 0, got nan",
+                 id="argv25-permutation weight must be finite and >= 0, got nan"),
+    pytest.param(["gen", "--task", "clutrr", "--counts", "2=30", "--aug",
+                  "permute=inf,noise:1"], "permute weight must be finite and >= 0, got inf",
+                 id="argv26-permutation weight must be finite and >= 0, got inf"),
     (["score", "--predictions", "{dir}/typed.jsonl", "--gold", "{dir}/k.jsonl"],
      "{dir}/typed.jsonl:1: id and response must be strings"),
     (["verify", "--dataset", "{dir}/triples.jsonl"],
@@ -575,6 +578,9 @@ GEN = ["gen", "--task", "clutrr", "--counts", "2:3=2"]
     (GEN + ["--seed", "x"], "argument --seed: invalid int value: 'x'"),
     (["render", "--dataset", "{dir}/d.jsonl", "--style", "std-p"],
      "the following arguments are required: -o/--output"),
+    # each task has one spelling
+    (["gen", "--task", "kinship", "--counts", "2=1"],
+     "argument --task: invalid choice: 'kinship' (choose from 'clutrr', 'stepgame')"),
 ])
 def test_bad_input_fails_fast(tmp_path, capsys, monkeypatch, argv, message):
     dataset = tmp_path / "d.jsonl"

@@ -64,7 +64,7 @@ def test_overall_is_weighted_mean(gold):
 
 
 def test_unknown_and_duplicate_ids(gold):
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="prediction id spatial-2-999 not in gold"):
         score([{"id": "spatial-2-999", "response": "x"}], gold, "std-p")
     dup = [{"id": gold[0].id, "response": "x"},
            {"id": gold[0].id, "response": "y"}]
