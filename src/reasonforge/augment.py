@@ -61,10 +61,9 @@ def no_augment(chain: ReasoningChain) -> AugmentedChain:
     return AugmentedChain(chain=chain, story_order=list(range(chain.hop)))
 
 
-def permute(chain: ReasoningChain, seed: int) -> AugmentedChain:
-    """Reorder the story by a uniformly random permutation; reasoning order,
-    hop, and head/tail stay put."""
-    rng = random.Random(seed)
+def permute(chain: ReasoningChain, rng: random.Random) -> AugmentedChain:
+    """Reorder the story by a uniformly random permutation drawn on `rng`;
+    reasoning order, hop, and head/tail stay put."""
     order = list(range(chain.hop))
     rng.shuffle(order)
     return AugmentedChain(
@@ -75,11 +74,10 @@ def permute(chain: ReasoningChain, seed: int) -> AugmentedChain:
 
 
 def add_edge_noise(
-    chain: ReasoningChain, graph: RelationalGraph, k: int, seed: int
+    chain: ReasoningChain, graph: RelationalGraph, k: int, rng: random.Random
 ) -> AugmentedChain:
-    """Append k distractor triples, each from a chain node to a distinct
-    off-chain node, labeled with the engine-deduced relation."""
-    rng = random.Random(seed)
+    """Append k distractor triples drawn on `rng`, each from a chain node to
+    a distinct off-chain node, labeled with the engine-deduced relation."""
     if k < 0:
         raise ValueError("k must be >= 0")
     aug = no_augment(chain)
@@ -108,16 +106,15 @@ def add_edge_noise(
 
 
 def flip_edges(
-    chain: ReasoningChain, graph: RelationalGraph, flip_count: int, seed: int
+    chain: ReasoningChain, graph: RelationalGraph, flip_count: int, rng: random.Random
 ) -> AugmentedChain:
-    """Rewrite flip_count steps as their inverse-relation triples.
+    """Rewrite flip_count steps drawn on `rng` as their inverse-relation triples.
 
     (a, r, b) becomes (b, r', a), r' the graph's stored edge from b to a,
     so the stated fact is preserved and only the flow of the story changes.
     """
     if flip_count > chain.hop:
         raise ValueError(f"flip_count {flip_count} exceeds hop {chain.hop}")
-    rng = random.Random(seed)
     positions = sorted(rng.sample(range(chain.hop), flip_count))
     steps = list(chain.steps)
     for i in positions:
@@ -138,12 +135,12 @@ def flip_step(step: Triple, graph: RelationalGraph) -> Triple:
 
 
 # The kinds of --aug, DatasetSpec and generation: kind -> (takes a count n,
-# apply(chain, graph, n, seed)).  Each apply looks its function up by name
-# here at call time, so a wrapper bound to that name sees every call.
+# apply(chain, graph, n, rng) drawing on rng).  Each apply looks its function
+# up by name at call time, so a wrapper bound to that name sees every call.
 AUGMENTATIONS: dict[str, tuple[bool, Callable[..., AugmentedChain]]] = {
-    "none": (False, lambda chain, graph, n, seed: no_augment(chain)),
-    "permute": (False, lambda chain, graph, n, seed: permute(chain, seed)),
-    "noise": (True, lambda chain, graph, n, seed: add_edge_noise(chain, graph, n, seed)),
-    "flip": (True, lambda chain, graph, n, seed:
-             flip_edges(chain, graph, min(n, chain.hop), seed)),
+    "none": (False, lambda chain, graph, n, rng: no_augment(chain)),
+    "permute": (False, lambda chain, graph, n, rng: permute(chain, rng)),
+    "noise": (True, lambda chain, graph, n, rng: add_edge_noise(chain, graph, n, rng)),
+    "flip": (True, lambda chain, graph, n, rng:
+             flip_edges(chain, graph, min(n, chain.hop), rng)),
 }

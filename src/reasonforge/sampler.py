@@ -27,12 +27,13 @@ bitmask, so an untried move is one that is not on it.
 Heads are searched one at a time, each within its own node-expansion
 budget; a skipped dead state costs none.  The first head is drawn and
 walked on `random.Random(seed)`; the later heads are ordered by a second
-stream of the seed, and each walks on a stream of (seed, head).  A head
-whose whole subtree held no chain holds none for any seed or budget, so
-the graph remembers it per walk length (`RelationalGraph.dead_heads`) and
-later calls skip it at no cost.  No head's search reads another head's
-stream or budget, so skipping a dead head changes no result: a call
-returns the same chain whatever the memo holds.
+stream of the seed, and each walks on a stream of (seed, head), seeded only
+once that head is searched.  A head whose whole subtree held no chain holds
+none for any seed or budget, so the graph remembers it per walk length
+(`RelationalGraph.dead_heads`) and later calls skip it at no cost.  No
+head's search reads another head's stream or budget, so skipping a dead
+head changes no result: a call returns the same chain whatever the memo
+holds.
 
 With a fold, each head is first bounded (`_longest_walk`): its (node, acc)
 states, never re-entering the head, are condensed into strongly connected
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .relgraph import RelationalGraph, Triple
@@ -102,13 +104,13 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
     dead_heads = graph.dead_heads(length)
     moves: dict[tuple, list[tuple[int, str]]] = {}
     bounded = graph.engine.fold is not None
-    for head, rng in _heads(sorted(graph.outgoing), seed):
+    for head, stream in _heads(sorted(graph.outgoing), seed):
         if head in dead_heads:
             continue
         if bounded and _longest_walk(graph, head, length, moves) < length:
             dead_heads.add(head)
             continue
-        walk = _walk_from(graph, length, head, rng, budget, moves, dead_heads)
+        walk = _walk_from(graph, length, head, stream(), budget, moves, dead_heads)
         if walk is not None:
             edges = graph.edges
             return ReasoningChain(walk=walk, steps=[
@@ -117,17 +119,17 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
 
 
 def _heads(nodes: list[int], seed: int):
-    """(head, stream to walk it on) in search order.  The first head is
-    drawn on `random.Random(seed)` and walked on it; the later ones are
-    ordered by a second stream of the seed and each walks on a stream of
-    (seed, head), so skipping a dead head changes no other head's search."""
+    """(head, stream) in search order, stream() the Random to walk it on: the
+    first head is drawn and walked on `random.Random(seed)`, and the others,
+    ordered by a second stream of the seed, on one of (seed, head) seeded by
+    stream(), so skipping a head seeds nothing and changes no other search."""
     rng = random.Random(seed)
     first = nodes[rng.randrange(len(nodes))]
-    yield first, rng
+    yield first, lambda: rng
     rest = [node for node in nodes if node != first]
     random.Random(f"{seed} heads").shuffle(rest)
     for head in rest:
-        yield head, random.Random(f"{seed} head {head}")
+        yield head, partial(random.Random, f"{seed} head {head}")
 
 
 def _admitted(graph: RelationalGraph, moves: dict[tuple, list[tuple[int, str]]],

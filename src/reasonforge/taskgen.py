@@ -2,12 +2,15 @@
 
 Every example is generated by a pure function of (dataset seed, task, hop,
 index, attempt), so generation parallelizes without changing output and
-identical specs produce byte-identical datasets.  An example is emitted
-only when the withheld head-to-tail relation is entailed by the story
-triples themselves (for kinship, the composition fold must reach a unique
-vocabulary label and agree with the ground-truth derivation), which is what
-lets an independent verifier reconstruct every answer from the triples
-alone.  Chains whose walk dead-ends, whose label falls outside the
+identical specs produce byte-identical datasets.  A candidate seeds its
+graph, its walk, and one stream for its augmentation kind, augmentation,
+names and story templates, drawn in that order; the walk keeps its own, as
+what a walk reads depends on the graph's dead-head memo.  An example is
+emitted only when the withheld head-to-tail relation is entailed by the
+story triples themselves (for kinship, the composition fold must reach a
+unique vocabulary label and agree with the ground-truth derivation), which
+is what lets an independent verifier reconstruct every answer from the
+triples alone.  Chains whose walk dead-ends, whose label falls outside the
 vocabulary, or whose fold is ambiguous are resampled with a fresh attempt
 seed.
 
@@ -96,6 +99,8 @@ class DatasetSpec:
                 raise ValueError(f"unknown augmentation kind {kind!r}")
             if type(n) is not int or n < 0:  # no float, no bool
                 raise ValueError(f"{kind} n must be an integer >= 0, got {n!r}")
+            if n != 1 and not AUGMENTATIONS[kind][0]:
+                raise ValueError(f"{kind} takes no n, so n must be 1, got {n}")
             if not 0 <= weight < float("inf"):
                 raise ValueError(f"{kind} weight must be finite and >= 0, got {weight}")
         if sum(weight for _, _, weight in mix) <= 0:
@@ -202,20 +207,18 @@ def generate_candidate(
         # guard, since sample_chain already checks kinship answers
         return None
 
+    rng = random.Random(derive_seed(*base, "draws"))
     mix = spec.augmentation_mix
-    kind_rng = random.Random(derive_seed(*base, "kind"))
-    kind, n, _ = kind_rng.choices(mix, weights=[weight for _, _, weight in mix])[0]
+    kind, n, _ = rng.choices(mix, weights=[weight for _, _, weight in mix])[0]
     try:
-        aug = AUGMENTATIONS[kind][1](chain, graph, n, derive_seed(*base, "augment"))
+        aug = AUGMENTATIONS[kind][1](chain, graph, n, rng)
     except NoiseUnavailable:
         return None
 
     walk = aug.chain.walk
     named_nodes = list(walk) + [t.object for t, _ in aug.distractors]
-    names = assign_names(named_nodes, derive_seed(*base, "names"),
-                         graph.engine.genders)
-    story = verbalize_story(aug, names, TemplatePool.for_task(spec.task),
-                            derive_seed(*base, "story"))
+    names = assign_names(named_nodes, rng, graph.engine.genders)
+    story = verbalize_story(aug, names, TemplatePool.for_task(spec.task), rng)
 
     def named(t) -> list[str]:
         return [names[t.subject], t.relation, names[t.object]]

@@ -136,11 +136,10 @@ def name_gender_lookup() -> dict[str, str]:
 
 
 def assign_names(
-    nodes: Sequence[int], seed: int, genders: Optional[dict[int, str]]
+    nodes: Sequence[int], rng: random.Random, genders: Optional[dict[int, str]]
 ) -> dict[int, str]:
-    """Injective node -> name table: capital letters when the engine's nodes
+    """Injective node -> name table drawn on `rng`: capital letters when nodes
     carry no gender (genders is None), else names of each node's gender."""
-    rng = random.Random(seed)
     if genders is None:
         return dict(zip(nodes, rng.sample(string.ascii_uppercase, len(nodes))))
     pools = load_name_pools()
@@ -153,13 +152,12 @@ def verbalize_story(
     aug: AugmentedChain,
     names: dict[int, str],
     pool: TemplatePool,
-    seed: int,
+    rng: random.Random,
 ) -> str:
-    """One sentence per triple in story order, distractors interleaved."""
+    """One sentence per story triple, distractors interleaved, drawn on `rng`."""
     items = aug.story_items()
     if not items:
         raise ValueError("cannot verbalize an empty chain")
-    rng = random.Random(seed)
     sentences = []
     for _, triple in items:
         if triple.subject not in names or triple.object not in names:

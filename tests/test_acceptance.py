@@ -235,9 +235,11 @@ def test_augmentation_answer_invariance(acceptance_report):
         before = corrupt(chain, graph)
         if before is None:
             continue
-        kinds = [("permutation", lambda: permute(chain, seed)),
-                 ("edge-noise", lambda: add_edge_noise(chain, graph, 1, seed)),
-                 ("direction-flip", lambda: flip_edges(chain, graph, 1, seed))]
+        kinds = [("permutation", lambda: permute(chain, random.Random(seed))),
+                 ("edge-noise",
+                  lambda: add_edge_noise(chain, graph, 1, random.Random(seed))),
+                 ("direction-flip",
+                  lambda: flip_edges(chain, graph, 1, random.Random(seed)))]
         kind, make = kinds[seed % 3]
         if checked[kind] >= 1000:
             continue

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,19 +31,19 @@ def spatial_l1():
 
 def test_permute_identity_seed():
     chain = three_step_chain()
-    assert permute(chain, 5).story_order == [0, 1, 2]  # seed 5 draws identity
+    assert permute(chain, random.Random(5)).story_order == [0, 1, 2]  # seed 5 draws identity
 
 
 def test_permute_pinned_reordering():
     chain = three_step_chain()
-    assert permute(chain, 0).story_order == [0, 2, 1]
-    assert permute(chain, 7).story_order == [2, 0, 1]
+    assert permute(chain, random.Random(0)).story_order == [0, 2, 1]
+    assert permute(chain, random.Random(7)).story_order == [2, 0, 1]
 
 
 @given(st.integers(0, 10_000))
 def test_permute_preserves_triple_multiset(seed):
     chain = three_step_chain()
-    aug = permute(chain, seed)
+    aug = permute(chain, random.Random(seed))
     story = [t for _, t in aug.story_items()]
     assert sorted(story, key=repr) == sorted(chain.steps, key=repr)
     assert aug.chain.walk == chain.walk
@@ -53,7 +55,7 @@ def test_permute_preserves_triple_multiset(seed):
 def test_noise_zero_is_identity():
     g = spatial_l1()
     chain = sample_chain(g, 2, 1)
-    aug = add_edge_noise(chain, g, 0, seed=4)
+    aug = add_edge_noise(chain, g, 0, random.Random(4))
     assert aug.distractors == []
     assert [t for _, t in aug.story_items()] == chain.steps
 
@@ -63,7 +65,7 @@ def test_noise_structure_and_oracle_labels():
     world = SpatialWorld(pos=dict(g.engine.pos))
     for seed in range(40):
         chain = sample_chain(g, 2, seed)
-        aug = add_edge_noise(chain, g, 2, seed=seed)
+        aug = add_edge_noise(chain, g, 2, random.Random(seed))
         assert len(aug.distractors) == 2
         on_chain = set(chain.walk)
         offs = set()
@@ -88,13 +90,13 @@ def test_noise_unavailable():
     chain = ReasoningChain(walk=[2, 1, 0], steps=[
         Triple(2, "above", 1), Triple(1, "above", 0)])
     with pytest.raises(NoiseUnavailable):
-        add_edge_noise(chain, g, 1, seed=0)
+        add_edge_noise(chain, g, 1, random.Random(0))
 
 
 def test_noise_interleaves_at_recorded_slots():
     g = spatial_l1()
     chain = sample_chain(g, 3, 2)
-    aug = add_edge_noise(chain, g, 2, seed=9)
+    aug = add_edge_noise(chain, g, 2, random.Random(9))
     items = aug.story_items()
     assert len(items) == 5
     core_positions = [i for i, (kind, _) in enumerate(items) if kind == "core"]
@@ -106,7 +108,7 @@ def test_noise_interleaves_at_recorded_slots():
 def test_flip_zero_is_identity():
     g = spatial_l1()
     chain = sample_chain(g, 2, 0)
-    aug = flip_edges(chain, g, 0, seed=1)
+    aug = flip_edges(chain, g, 0, random.Random(1))
     assert aug.chain.steps == chain.steps
 
 
@@ -128,7 +130,7 @@ def test_flip_count_bounds():
     g = spatial_l1()
     chain = sample_chain(g, 2, 0)
     with pytest.raises(ValueError):
-        flip_edges(chain, g, 3, seed=0)
+        flip_edges(chain, g, 3, random.Random(0))
 
 
 def test_flip_preserves_facts():
@@ -136,7 +138,7 @@ def test_flip_preserves_facts():
     world = SpatialWorld(pos=dict(g.engine.pos))
     for seed in range(40):
         chain = sample_chain(g, 3, seed)
-        aug = flip_edges(chain, g, 2, seed=seed)
+        aug = flip_edges(chain, g, 2, random.Random(seed))
         assert aug.chain.walk == chain.walk
         for t in aug.chain.steps:
             assert coordinate_relation(world, t.subject, t.object) == t.relation
@@ -151,9 +153,9 @@ def test_augmentations_keep_head_tail_answer():
     for seed in range(60):
         chain = sample_chain(g, 3, seed)
         answer = corrupt(chain, g)
-        for aug in (permute(chain, seed),
-                    add_edge_noise(chain, g, 1, seed),
-                    flip_edges(chain, g, 1, seed)):
+        for aug in (permute(chain, random.Random(seed)),
+                    add_edge_noise(chain, g, 1, random.Random(seed)),
+                    flip_edges(chain, g, 1, random.Random(seed))):
             triples = aug.core_story_triples() + [t for t, _ in aug.distractors]
             world = spatial_world_from_triples(
                 (t.subject, t.relation, t.object) for t in triples)
@@ -167,7 +169,7 @@ def test_kinship_flip_keeps_derivation():
         g = grow_graph(eng, 1, seed=seed)
         world = kinship_world_from_genealogy(eng.genealogy)
         chain = sample_chain(g, 2, seed)
-        aug = flip_edges(chain, g, 1, seed=seed)
+        aug = flip_edges(chain, g, 1, random.Random(seed))
         for t in aug.chain.steps:
             assert genealogy_relation(world, t.subject, t.object) == t.relation
 
@@ -211,9 +213,15 @@ def test_each_kind_of_the_table(tmp_path, capsys, kind):
         if kind == "flip":  # a flip count is clamped to the hop
             assert [e.augmentation["count"] for e in three] == [min(3, e.hop) for e in three]
 
-    spec = DatasetSpec.make("kinship", {2: 1}, augmentation_mix=((kind, 2, 0.5),))
+    n = 2 if takes_n else 1
+    spec = DatasetSpec.make("kinship", {2: 1}, augmentation_mix=((kind, n, 0.5),))
     assert hash(spec) == hash(DatasetSpec.make("kinship", {2: 1},
-                                               augmentation_mix=((kind, 2, 0.5),)))
+                                               augmentation_mix=((kind, n, 0.5),)))
+    # a kind that takes no count holds n = 1, so no two specs of one dataset
+    # differ only in an n that nothing reads
+    for n in () if takes_n else (0, 2):
+        with pytest.raises(ValueError, match=f"{kind} takes no n, so n must be 1, got {n}"):
+            DatasetSpec.make("kinship", {2: 1}, augmentation_mix=((kind, n, 1.0),))
     for n in (1.5, True):
         with pytest.raises(ValueError, match=f"{kind} n must be an integer >= 0, got {n}"):
             DatasetSpec.make("kinship", {2: 1}, augmentation_mix=((kind, n, 1.0),))

@@ -155,12 +155,12 @@ def test_determinism_byte_identical(tmp_path, small_kinship):
 # changes them on purpose updates them and says why.
 RENDERS = (("std-p", 0), ("eta-p", 5), ("std-p", 5), ("eta-p", 0))
 PINNED = {
-    "kinship": ({2: 10, 6: 10, 10: 3}, "bd411285a0c41873e3f12274fa8cc31c",
-                "40e92e5cc6fcdf1938ff48a9c36f9b2e", "ad5aae0168658576198d05e8ed798ec9",
-                "d0993df6c4808f5fd1f08e178ff7a24d", "7b89456f18be30877c91221061b6e333"),
-    "spatial": ({2: 10, 10: 10}, "bdbde84454cffa7d62d473244249aeef",
-                "71f0865af94712e8a5afdfc1d1250711", "4ff6739479908c00936459bf4040fbd2",
-                "422092a9117c6345b98fe66e6de87bc4", "2c7dedf50da34975f1664ae584004ceb"),
+    "kinship": ({2: 10, 6: 10, 10: 3}, "4f4b2a61175ae68bc089ca5d46c9ba2f",
+                "f3dd3e207946ad88bc28d679585604fd", "9d1cbc6feb26b0a1ffe0082a77847838",
+                "c232c717adf60009ef49993f1e755f7d", "7a020d64fa7a1a9e642417b1986e78d0"),
+    "spatial": ({2: 10, 10: 10}, "68885fc4f864575405cebe3d6143db32",
+                "2d1ce2d4c2bea2322dda3f7ade757cba", "86d5b9ac0cb8e242cb72e5892628808c",
+                "35600c2be60fda7ddcf79b6ad3f6219d", "cb8bda9955c15a3775575106d5939d02"),
 }
 
 
