@@ -39,18 +39,17 @@ class AugmentedChain:
     distractors: list[tuple[Triple, int]] = field(default_factory=list)
     record: dict = field(default_factory=lambda: {"kind": "none"})
 
-    def story_items(self) -> list[tuple[str, Triple]]:
+    def story_items(self) -> list[Triple]:
         """Sentence plan: core and noise triples in story order."""
         hop = self.chain.hop
         by_slot: dict[int, list[Triple]] = {}
         for triple, slot in self.distractors:
             by_slot.setdefault(slot, []).append(triple)
-        items: list[tuple[str, Triple]] = []
+        items: list[Triple] = []
         for pos in range(hop + 1):
-            for triple in by_slot.get(pos, ()):
-                items.append(("noise", triple))
+            items.extend(by_slot.get(pos, ()))
             if pos < hop:
-                items.append(("core", self.chain.steps[self.story_order[pos]]))
+                items.append(self.chain.steps[self.story_order[pos]])
         return items
 
     def core_story_triples(self) -> list[Triple]:

@@ -17,13 +17,12 @@ from pathlib import Path
 
 from .augment import AUGMENTATIONS
 from .evalkit import read_predictions, score, stats_table
-from .promptkit import PromptRenderer, draw_shots
+from .promptkit import STYLES, PromptRenderer, draw_shots
 from .taskgen import (DatasetSpec, GenerationExhausted, build_dataset,
                       derive_seed, read_jsonl, verify_dataset, write_jsonl)
 from .verbalizer import AssetError, TemplatePool, load_name_pools, read_asset
 
 TASK_ALIASES = {"clutrr": "kinship", "stepgame": "spatial"}
-PRESET_FILES = {"kinship": "clutrr_{name}.json", "spatial": "stepgame_{name}.json"}
 
 
 class ConfigError(Exception):
@@ -78,8 +77,8 @@ def parse_aug(text: str) -> tuple[tuple[str, int, float], ...]:
 
 
 def load_preset(task: str, name: str) -> dict:
-    """Per-hop counts of a named preset, a JSON object {"counts": {hop: n}}."""
-    file = PRESET_FILES[task].format(name=name)
+    """Per-hop counts of presets/<--task>_<name>.json, {"counts": {hop: n}}."""
+    file = f"{task}_{name}.json"
     preset = read_asset("presets/" + file, json.loads)
     if not (isinstance(preset, dict) and list(preset) == ["counts"]
             and isinstance(preset["counts"], dict)
@@ -145,7 +144,7 @@ def build_spec(args) -> DatasetSpec:
     if not args.task:
         raise ConfigError("choose a task: clutrr or stepgame")
     task = TASK_ALIASES[args.task]
-    counts = load_preset(task, args.preset) if args.preset else None
+    counts = load_preset(args.task, args.preset) if args.preset else None
     if args.counts is not None:
         counts = parse_counts(args.counts)
     if counts is None:
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
 
     render = command("render", help="render prompts and gold targets")
     render.add_argument("--dataset", required=True)
-    render.add_argument("--style", choices=("std-p", "eta-p"), required=True)
+    render.add_argument("--style", choices=STYLES, required=True)
     render.add_argument("-k", "--shots", type=int, default=0)
     render.add_argument("--shots-file", help="dataset JSONL to draw shots from")
     render.add_argument("--seed", type=int, default=0)
@@ -306,7 +305,7 @@ def main(argv=None) -> int:
     scorer.add_argument("--predictions", required=True,
                         help="JSONL of {id, response}")
     scorer.add_argument("--gold", required=True, help="dataset JSONL")
-    scorer.add_argument("--style", choices=("std-p", "eta-p"), default="eta-p")
+    scorer.add_argument("--style", choices=STYLES, default="eta-p")
     scorer.add_argument("--report", help="path for the JSON report")
     scorer.set_defaults(func=cmd_score)
 

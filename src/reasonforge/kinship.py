@@ -86,9 +86,8 @@ class Genealogy:
     def __init__(self) -> None:
         self.gender: dict[int, str] = {}
         self.spouse: dict[int, int] = {}
-        self.units: list[FamilyUnit] = []
-        self.child_unit: dict[int, int] = {}   # person -> unit they are a child of
-        self.parent_unit: dict[int, int] = {}  # person -> unit they are a parent in
+        self.child_unit: dict[int, FamilyUnit] = {}   # person -> unit they are a child of
+        self.parent_unit: dict[int, FamilyUnit] = {}  # person -> unit they are a parent in
 
     def new_person(self, gender: str) -> int:
         person = len(self.gender)
@@ -98,42 +97,37 @@ class Genealogy:
     # -- primitive queries ---------------------------------------------------
 
     def children_of(self, person: int) -> list[int]:
-        uid = self.parent_unit.get(person)
-        return self.units[uid].children if uid is not None else []
+        unit = self.parent_unit.get(person)
+        return unit.children if unit is not None else []
 
     def parents_of(self, person: int) -> tuple[int, ...]:
-        uid = self.child_unit.get(person)
-        return self.units[uid].parent_pair() if uid is not None else ()
+        unit = self.child_unit.get(person)
+        return unit.parent_pair() if unit is not None else ()
 
     def siblings_of(self, person: int) -> list[int]:
-        uid = self.child_unit.get(person)
-        if uid is None:
+        unit = self.child_unit.get(person)
+        if unit is None:
             return []
-        return [c for c in self.units[uid].children if c != person]
+        return [c for c in unit.children if c != person]
 
     # -- unit plumbing -------------------------------------------------------
 
     def _own_child_unit(self, person: int) -> FamilyUnit:
-        uid = self.child_unit.get(person)
-        if uid is None:
-            uid = len(self.units)
-            self.units.append(FamilyUnit(children=[person]))
-            self.child_unit[person] = uid
-        return self.units[uid]
+        unit = self.child_unit.get(person)
+        if unit is None:
+            unit = self.child_unit[person] = FamilyUnit(children=[person])
+        return unit
 
     def _own_parental_unit(self, person: int) -> FamilyUnit:
-        uid = self.parent_unit.get(person)
-        if uid is None:
-            uid = len(self.units)
-            unit = FamilyUnit()
+        unit = self.parent_unit.get(person)
+        if unit is None:
+            unit = self.parent_unit[person] = FamilyUnit()
             self._seat_parent(unit, person)
-            self.units.append(unit)
-            self.parent_unit[person] = uid
             partner = self.spouse.get(person)
             if partner is not None and partner not in self.parent_unit:
                 self._seat_parent(unit, partner)
-                self.parent_unit[partner] = uid
-        return self.units[uid]
+                self.parent_unit[partner] = unit
+        return unit
 
     def _seat_parent(self, unit: FamilyUnit, person: int) -> None:
         if self.gender[person] == "m":
@@ -161,7 +155,7 @@ class Genealogy:
             raise Unrealizable("parent of that gender exists")
         person = self.new_person(gender)
         self._seat_parent(unit, person)
-        self.parent_unit[person] = self.child_unit[child]
+        self.parent_unit[person] = unit
         other = unit.mother if gender == "m" else unit.father
         if other is not None:
             self._marry(person, other)
@@ -171,7 +165,7 @@ class Genealogy:
         unit = self._own_parental_unit(parent)
         person = self.new_person(gender)
         unit.children.append(person)
-        self.child_unit[person] = self.parent_unit[parent]
+        self.child_unit[person] = unit
         return person
 
     def add_sibling(self, person: int, gender: str) -> int:
@@ -184,7 +178,7 @@ class Genealogy:
             self.add_parent(person, "f")
         sibling = self.new_person(gender)
         unit.children.append(sibling)
-        self.child_unit[sibling] = self.child_unit[person]
+        self.child_unit[sibling] = unit
         return sibling
 
     def add_spouse(self, person: int) -> int:
@@ -193,10 +187,10 @@ class Genealogy:
         partner = self.new_person("f" if self.gender[person] == "m" else "m")
         self._marry(person, partner)
         # spouses co-parent: seat the partner beside an existing parental unit
-        uid = self.parent_unit.get(person)
-        if uid is not None:
-            self._seat_parent(self.units[uid], partner)
-            self.parent_unit[partner] = uid
+        unit = self.parent_unit.get(person)
+        if unit is not None:
+            self._seat_parent(unit, partner)
+            self.parent_unit[partner] = unit
         return partner
 
 

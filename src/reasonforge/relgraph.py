@@ -27,10 +27,11 @@ examples and across threads, memo and all.
 
 A `GraphTable` serves the graph of each growth seed and grows each
 distinct graph once.  Growth draws only through `rng.choice`, so a graph
-is a function of its sequence of (options, index) draws: the table files
-each graph under that sequence, and a seed replays its own draws down the
-table until it reaches a graph, growing one only on a path that no earlier
-seed took.  The graphs of one table share their edge-key and move tuples.
+is a function of the indices it draws: the table maps the indices drawn so
+far to the next draw's number of options, or to the graph grown once the
+draws end.  A seed replays its own draws down the table until it reaches a
+graph, growing one only on a path that no earlier seed took.  The graphs
+of one table share their edge-key and move tuples.
 """
 
 from __future__ import annotations
@@ -89,46 +90,39 @@ class RelationalGraph:
         return self._dead_heads.setdefault(length, set())
 
 
-def _attach(graph: RelationalGraph, node: int) -> list[tuple[int, str, str]]:
-    """Add a node and its edges to every related node already in the graph;
-    return the engine's links, (other, label to other, label to node)."""
+def _attach(graph: RelationalGraph, node: int) -> None:
+    """Add a node and its edges to every related node already in the graph."""
     links = graph.engine.links(node, graph)
     graph.add_node(node)
     for other, forward, backward in links:
         graph.add_edge(node, forward, other)
         graph.add_edge(other, backward, node)
-    return links
 
 
-def grow_graph(engine: Engine, iterations: int, seed: int = 0, *,
-               rng=None) -> RelationalGraph:
+def grow_graph(engine: Engine, iterations: int, rng) -> RelationalGraph:
     """Run `iterations` rounds of the construction over the engine's
-    default growth labels and return the closed graph.  Growth draws from
-    `rng` if given, else from Random(seed)."""
+    default growth labels, drawing from `rng`, and return the closed graph."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
 
-    rng = random.Random(seed) if rng is None else rng
     graph = RelationalGraph(engine)
-    root = engine.new_root(rng)
-    graph.add_node(root)
-    incoming = {root: set()}  # node -> labels of edges into it
+    graph.add_node(engine.new_root(rng))
+    edges, outgoing = graph.edges, graph.outgoing
     for _ in range(iterations):
-        snapshot = sorted(graph.outgoing)
+        snapshot = sorted(outgoing)
         for node in snapshot:
             for relation in engine.default_growth:
-                if relation in incoming[node]:
+                # every pair is stored both ways: an edge into node is the
+                # reverse of one of node's own
+                if any(edges[other, node] == relation for other, _ in outgoing[node]):
                     continue
                 realized = engine.realize(node, relation, rng)
                 if realized is None:
                     continue
                 subject, created = realized
                 for fresh in created:
-                    into = incoming[fresh] = set()
-                    for other, forward, backward in _attach(graph, fresh):
-                        into.add(backward)
-                        incoming[other].add(forward)
-                if graph.edges.get((subject, node)) != relation:
+                    _attach(graph, fresh)
+                if edges.get((subject, node)) != relation:
                     raise AssertionError(
                         f"realized {relation} edge missing for ({subject}, {node})")
     return graph
@@ -153,49 +147,42 @@ class _Draws:
                         "replays only rng.choice draws")
 
 
-class _Fork:
-    """A point in a `GraphTable` where growth draws randrange(n): index ->
-    the next fork, or the graph grown once the draws end."""
-
-    __slots__ = ("n", "next")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.next: dict[int, Union["_Fork", RelationalGraph]] = {}
-
-
 class GraphTable:
-    """Growth seed -> the graph `grow_graph(engine(), iterations, seed)`
-    grows, each distinct graph grown once.  The graphs it holds live as
-    long as the table."""
+    """Growth seed -> the graph `grow_graph(engine(), iterations,
+    Random(seed))` grows, each distinct graph grown once.  The graphs it
+    holds live as long as the table."""
 
     def __init__(self, engine: type[Engine]) -> None:
         self.engine = engine
-        # {0: the first fork, or the one graph of a growth that draws nothing}
-        self._top: dict[int, Union[_Fork, RelationalGraph]] = {}
+        # the indices drawn so far -> the next draw's n, or the graph grown
+        # once the draws end
+        self._table: dict[tuple[int, ...], Union[int, RelationalGraph]] = {}
         # edge keys and moves shared by this table's graphs
         self._pairs: dict[tuple[int, int], tuple[int, int]] = {}
         self._moves: dict[tuple[int, str], tuple[int, str]] = {}
 
     def __call__(self, seed: int) -> RelationalGraph:
-        node = self._top.get(0)
-        if type(node) is _Fork:
+        table, drawn = self._table, ()
+        entry = table.get(drawn)
+        if type(entry) is int:
             randrange = random.Random(seed).randrange
-            while type(node) is _Fork:
-                node = node.next.get(randrange(node.n))
-        return self._grow(seed) if node is None else node
+            while type(entry) is int:
+                drawn += (randrange(entry),)
+                entry = table.get(drawn)
+        return self._grow(seed) if entry is None else entry
 
     def _grow(self, seed: int) -> RelationalGraph:
         draws = _Draws(seed)
-        graph = grow_graph(self.engine(), self.engine.growth_iterations, rng=draws)
+        graph = grow_graph(self.engine(), self.engine.growth_iterations, draws)
         pairs, moves = self._pairs, self._moves
         graph.edges = {pairs.setdefault(key, key): relation
                        for key, relation in graph.edges.items()}
         for out in graph.outgoing.values():
             out[:] = [moves.setdefault(move, move) for move in out]
         # file the graph under its draws
-        slots, key = self._top, 0
+        drawn = ()
         for n, index in draws.taken:
-            slots, key = slots.setdefault(key, _Fork(n)).next, index
-        slots[key] = graph
+            self._table[drawn] = n
+            drawn += (index,)
+        self._table[drawn] = graph
         return graph

@@ -159,7 +159,7 @@ def verbalize_story(
     if not items:
         raise ValueError("cannot verbalize an empty chain")
     sentences = []
-    for _, triple in items:
+    for triple in items:
         if triple.subject not in names or triple.object not in names:
             raise KeyError(f"no name for nodes of {triple}")
         sentences.append(

@@ -150,7 +150,7 @@ def test_kinship_compose_validation(acceptance_report):
     verify = VERIFIERS["kinship"]
     involution = set()
     for seed in range(4):
-        g = grow_graph(KinshipEngine(), 1, seed=seed)
+        g = grow_graph(KinshipEngine(), 1, random.Random(seed))
         genders = g.engine.genders
         for (a, b), r in g.edges.items():
             back = g.edges[(b, a)]
@@ -163,9 +163,9 @@ def test_kinship_compose_validation(acceptance_report):
 
 
 def test_sampler_invariants(acceptance_report):
-    spatial_graph = grow_graph(SpatialEngine(), 2)
+    spatial_graph = grow_graph(SpatialEngine(), 2, random.Random(0))
     kinship_graphs = [
-        grow_graph(KinshipEngine(), 1, seed=s)
+        grow_graph(KinshipEngine(), 1, random.Random(s))
         for s in range(4)
     ]
     total = 0
@@ -203,7 +203,7 @@ def test_sampler_invariants(acceptance_report):
 
 def test_augmentation_answer_invariance(acceptance_report):
     checked = Counter()
-    spatial_graph = grow_graph(SpatialEngine(), 2)
+    spatial_graph = grow_graph(SpatialEngine(), 2, random.Random(0))
 
     def oracle_answer(graph, aug, head, tail):
         triples = [(t.subject, t.relation, t.object) for t in aug.chain.steps]
@@ -225,7 +225,7 @@ def test_augmentation_answer_invariance(acceptance_report):
         if task == "spatial":
             graph = spatial_graph
         else:
-            graph = grow_graph(KinshipEngine(), 1, seed=seed)
+            graph = grow_graph(KinshipEngine(), 1, random.Random(seed))
         try:
             chain = sample_chain(graph, hop, seed, budget=1200)
         except SamplingExhausted:

@@ -318,7 +318,7 @@ def test_late_parent_applies_to_all_siblings():
     first = g.add_child(root, "m")
     second = g.add_child(root, "f")
     mother = g.add_parent(first, "f")
-    assert g.child_unit[second] == g.child_unit[first]
-    assert g.units[g.child_unit[second]].parent_pair() == (root, mother)
+    assert g.child_unit[second] is g.child_unit[first]
+    assert g.child_unit[second].parent_pair() == (root, mother)
     assert eng.derive(mother, second) == "mother"
     assert g.spouse[mother] == root

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from worlds import (kinship_world_from_genealogy, kinship_world_from_primitives,
@@ -133,7 +135,7 @@ def test_reconstruction_does_not_overreach():
 def test_oracle_matches_engine_everywhere():
     for seed in range(20):
         eng = KinshipEngine()
-        grow_graph(eng, 1, seed=seed)
+        grow_graph(eng, 1, random.Random(seed))
         world = kinship_world_from_genealogy(eng.genealogy)
         people = sorted(eng.genealogy.gender)
         for u in people:

@@ -15,11 +15,11 @@ from reasonforge.spatial import SpatialEngine, relation_of_displacement
 
 
 def spatial_graph(iterations, seed=0):
-    return grow_graph(SpatialEngine(), iterations, seed=seed)
+    return grow_graph(SpatialEngine(), iterations, random.Random(seed))
 
 
 def kinship_graph(iterations, seed=0):
-    return grow_graph(KinshipEngine(), iterations, seed=seed)
+    return grow_graph(KinshipEngine(), iterations, random.Random(seed))
 
 
 def labels_into(g, node):
@@ -126,7 +126,7 @@ def test_growth_monotonic_and_absence_sound():
         previous_nodes: set[int] = set()
         previous_edges: set = set()
         for iterations in range(3):
-            g = grow_graph(RefusalLog(), iterations, seed=seed)
+            g = grow_graph(RefusalLog(), iterations, random.Random(seed))
             nodes = set(g.outgoing)
             edges = set(g.edges.items())
             assert previous_nodes <= nodes
@@ -144,7 +144,7 @@ def test_growth_monotonic_and_absence_sound():
 def test_deduction_consistency_kinship():
     for seed in range(30):
         eng = KinshipEngine()
-        g = grow_graph(eng, 1, seed=seed)
+        g = grow_graph(eng, 1, random.Random(seed))
         world = kinship_world_from_genealogy(eng.genealogy)
         for (s, o), r in g.edges.items():
             assert genealogy_relation(world, s, o) == r
@@ -157,7 +157,7 @@ def test_deduction_consistency_deeper_growth():
     for iterations, seeds in ((2, range(25)), (3, range(3))):
         for seed in seeds:
             eng = KinshipEngine()
-            g = grow_graph(eng, iterations, seed=seed)
+            g = grow_graph(eng, iterations, random.Random(seed))
             world = kinship_world_from_genealogy(eng.genealogy)
             for (s, o), r in g.edges.items():
                 assert genealogy_relation(world, s, o) == r
@@ -171,7 +171,7 @@ def test_kinship_closure_complete_in_scan_order(iterations, seeds):
     # A two-iteration graph has ~270 people, ~0.7 s of oracle calls each.
     for seed in seeds:
         eng = KinshipEngine()
-        g = grow_graph(eng, iterations, seed=seed)
+        g = grow_graph(eng, iterations, random.Random(seed))
         world = kinship_world_from_genealogy(eng.genealogy)
         nodes = list(g.outgoing)
         scan = []
@@ -214,7 +214,7 @@ def test_every_spatial_edge_has_its_reverse():
 def test_deduction_consistency_spatial():
     for iterations in (1, 2):
         eng = SpatialEngine()
-        g = grow_graph(eng, iterations)
+        g = grow_graph(eng, iterations, random.Random(0))
         world = SpatialWorld(pos=dict(eng.pos))
         for (s, o), r in g.edges.items():
             assert coordinate_relation(world, s, o) == r
@@ -263,7 +263,7 @@ def test_graph_table_serves_each_seeds_own_graph(monkeypatch, engine, seeds):
     table = GraphTable(engine)
     for seed in seeds:
         g = table(seed)
-        fresh = grow_graph(engine(), engine.growth_iterations, seed)
+        fresh = grow_graph(engine(), engine.growth_iterations, random.Random(seed))
         assert g.outgoing == fresh.outgoing
         assert list(g.edges.items()) == list(fresh.edges.items())
         assert g.engine.genders == fresh.engine.genders
@@ -292,6 +292,6 @@ def test_graph_table_refuses_growth_that_draws_otherwise():
             rng.random()
             return super().new_root(rng)
 
-    grow_graph(RandomRoot(), 1, seed=3)  # fine on a plain Random
+    grow_graph(RandomRoot(), 1, random.Random(3))  # fine on a plain Random
     with pytest.raises(TypeError, match="rng.random"):
         GraphTable(RandomRoot)(3)

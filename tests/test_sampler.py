@@ -34,7 +34,7 @@ def path_graph(n):
 
 
 def spatial_l1():
-    return grow_graph(SpatialEngine(), 1)
+    return grow_graph(SpatialEngine(), 1, random.Random(0))
 
 
 def test_transition_point_mass():
@@ -70,7 +70,7 @@ def test_dead_end_backtracks():
 
 
 def test_fold_keeps_kinship_chains_entailed():
-    graphs = [grow_graph(KinshipEngine(), 1, seed=s)
+    graphs = [grow_graph(KinshipEngine(), 1, random.Random(s))
               for s in range(3)]
     drawn = 0
     for seed in range(60):
@@ -123,7 +123,7 @@ def test_kinship_search_finds_a_chain_exactly_when_one_exists():
     outcomes = Counter()
     recorded = 0
     for s in range(30):
-        full = grow_graph(KinshipEngine(), 1, seed=s)
+        full = grow_graph(KinshipEngine(), 1, random.Random(s))
         sub = induced(full, set(random.Random(s).sample(list(full.outgoing), 10)))
         for g, hops in ((full, range(2, 6)), (sub, range(2, 8))):
             for hop in hops:
@@ -168,7 +168,7 @@ def test_dead_head_memo_never_changes_a_chain(hop):
 
             def fresh():
                 return grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
-                                  graph_seed)
+                                  random.Random(graph_seed))
 
             seeds = [derive_seed(0, "kinship", hop, index, attempt, "walk")
                      for attempt in range(46)]
@@ -191,8 +191,8 @@ def test_walk_bound_never_rejects_a_head_with_a_chain():
     # all the budget it wants, finds no walk.  The bound is counted on the
     # fold's states, so it holds whether or not composition is exact on
     # the graph; the two-iteration graphs are larger and less regular.
-    graphs = ([grow_graph(KinshipEngine(), 1, seed=s) for s in range(30)]
-              + [grow_graph(KinshipEngine(), 2, seed=s) for s in range(3)])
+    graphs = ([grow_graph(KinshipEngine(), 1, random.Random(s)) for s in range(30)]
+              + [grow_graph(KinshipEngine(), 2, random.Random(s)) for s in range(3)])
     rejected = Counter()
     for g in graphs:
         for head in g.outgoing:
@@ -211,7 +211,7 @@ def test_heads_the_bound_rejects_are_recorded():
     # ran out of budget
     recorded = 0
     for s in range(5):
-        g = grow_graph(KinshipEngine(), 1, seed=s)
+        g = grow_graph(KinshipEngine(), 1, random.Random(s))
         for length in (6, 8, 10):
             rejected = {head for head in g.outgoing
                         if _longest_walk(g, head, length, {}) < length}
@@ -234,12 +234,12 @@ def test_walk_bound_never_changes_a_chain(hop, monkeypatch):
             seeds = [derive_seed(0, "kinship", hop, index, attempt, "walk")
                      for attempt in range(46)]
             bounded = grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
-                                 graph_seed)
+                                 random.Random(graph_seed))
             walks = [outcome(bounded, hop, seed, budget) for seed in seeds]
             with monkeypatch.context() as patch:
                 patch.setattr(sampler, "_longest_walk", lambda *args: float("inf"))
-                unbounded = grow_graph(KinshipEngine(),
-                                       KinshipEngine.growth_iterations, graph_seed)
+                unbounded = grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
+                                       random.Random(graph_seed))
                 assert [outcome(unbounded, hop, seed, budget)
                         for seed in seeds] == walks, (budget, index)
             assert any(walks)

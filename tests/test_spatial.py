@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given
@@ -54,7 +55,7 @@ def test_bijection():
 def test_invert_fixed_point_and_involution():
     # the grid stores each pair's reverse edge: the point reflection of the
     # edge's label, one reverse per label, read back into the label
-    g = grow_graph(SpatialEngine(), 2)
+    g = grow_graph(SpatialEngine(), 2, random.Random(0))
     reverse = {}
     for (a, b), r in g.edges.items():
         reverse.setdefault(r, set()).add(g.edges[(b, a)])
@@ -113,7 +114,7 @@ def test_answer_is_unit_offset_sum_not_grid_relation():
     # StepGame's reading: each story sentence is one unit step.  Chain steps
     # join grid cells that need not be adjacent, so the grid's own
     # head-to-tail relation is not the answer.
-    graph = grow_graph(SpatialEngine(), SpatialEngine.growth_iterations)
+    graph = grow_graph(SpatialEngine(), SpatialEngine.growth_iterations, random.Random(0))
     engine = graph.engine
     differs = 0
     for hop in range(2, 11):

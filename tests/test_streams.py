@@ -16,7 +16,7 @@ SPEC = DatasetSpec.make("kinship", {10: 1}, seed=0, graphs_per_hop=1)
 
 def hop10_graph():
     return grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
-                      _graph_seed(SPEC, 10, 0, 0))
+                      random.Random(_graph_seed(SPEC, 10, 0, 0)))
 
 
 def warm_hop10_graph():

@@ -50,7 +50,7 @@ def test_corrupt_one_hop_degenerate():
 
 
 def test_corrupt_spatial_uses_offset_sum():
-    g = grow_graph(SpatialEngine(), 1)
+    g = grow_graph(SpatialEngine(), 1, random.Random(0))
     at = {xy: node for node, xy in g.engine.pos.items()}
     # walk right then up: (0,0) <- (1,0) <- (1,1) read head-first
     chain = ReasoningChain(
@@ -62,7 +62,7 @@ def test_corrupt_spatial_uses_offset_sum():
 
 def test_corrupt_kinship_daughter_sister_niece():
     eng = KinshipEngine()
-    g = grow_graph(eng, 0, seed=0)
+    g = grow_graph(eng, 0, random.Random(0))
     root = 0
     assert eng.genealogy.gender[root] == "f"
     sister, created = eng.realize(root, "sister", random.Random(0))

@@ -88,7 +88,7 @@ def test_assign_names_spatial_letters():
 
 
 def test_story_one_sentence_per_triple_and_deterministic(spatial_pool):
-    g = grow_graph(SpatialEngine(), 1)
+    g = grow_graph(SpatialEngine(), 1, random.Random(0))
     chain = sample_chain(g, 3, 8)
     aug = add_edge_noise(chain, g, 1, random.Random(8))
     nodes = list(chain.walk) + [t.object for t, _ in aug.distractors]
@@ -98,12 +98,12 @@ def test_story_one_sentence_per_triple_and_deterministic(spatial_pool):
     assert story.count(".") == 4
     recovered = spatial_pool.extract(story)
     expected = [(names[t.subject], t.relation, names[t.object])
-                for _, t in aug.story_items()]
+                for t in aug.story_items()]
     assert recovered == expected
 
 
 def test_story_follows_permuted_order(spatial_pool):
-    g = grow_graph(SpatialEngine(), 1)
+    g = grow_graph(SpatialEngine(), 1, random.Random(0))
     chain = sample_chain(g, 3, 4)
     aug = permute(chain, random.Random(0))
     names = assign_names(chain.walk, random.Random(4), SpatialEngine.genders)

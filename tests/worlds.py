@@ -42,7 +42,9 @@ def kinship_world_from_primitives(gender, parent_pairs, spouse_pairs) -> Kinship
 
 def kinship_world_from_genealogy(genealogy) -> KinshipWorld:
     parent_pairs = []
-    for unit in genealogy.units:
+    # every unit has a child; FamilyUnit compares by value, so lift by identity
+    units = {id(unit): unit for unit in genealogy.child_unit.values()}
+    for unit in units.values():
         for child in unit.children:
             for parent in (unit.father, unit.mother):
                 if parent is not None:
