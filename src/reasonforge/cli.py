@@ -2,7 +2,9 @@
 
 All randomness flows from --seed; identical invocations write byte-identical
 files.  A named preset holds per-hop counts only.  Data assets resolve
-through REASONFORGE_DATA_DIR when set; each command reads its own first.
+through REASONFORGE_DATA_DIR when set; gen and verify read theirs first,
+render and score a task's when its first row arrives.  verify, stats,
+zero-shot render and score's gold file are read one row at a time.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
+from typing import Iterator
 
+from . import promptkit
 from .augment import AUGMENTATIONS
 from .evalkit import read_predictions, score, stats_table
-from .promptkit import STYLES, PromptRenderer, draw_shots
+from .promptkit import STYLES, draw_shots, join_prompt, prompt_rows
 from .taskgen import (DatasetSpec, GenerationExhausted, build_dataset,
                       derive_seed, read_jsonl, verify_dataset, write_jsonl)
 from .verbalizer import AssetError, TemplatePool, load_name_pools, read_asset
@@ -88,11 +92,11 @@ def load_preset(task: str, name: str) -> dict:
     return preset["counts"]
 
 
-def read_input(path, reader=None) -> list:
-    """reader(path), read_jsonl by default, with an unreadable file or a
-    malformed line as a ConfigError."""
+def read_input(path, reader=None) -> Iterator:
+    """The rows of reader(path), read_jsonl by default, as they are taken,
+    with an unreadable file or a malformed row as a ConfigError."""
     try:
-        return (reader or read_jsonl)(path)
+        yield from (reader or read_jsonl)(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:
@@ -184,63 +188,55 @@ def cmd_render(args) -> int:
         raise ConfigError("-k must be >= 0")
     if args.shots > 0 and not args.shots_file:
         raise ConfigError("--shots-file is required when -k > 0")
-    examples = read_input(args.dataset)
-    shots_pool = []
+
+    def rows_of(path):  # a malformed gold triple is a malformed row
+        return read_input(path, lambda path: prompt_rows(read_jsonl(path), args.style))
+
+    # std-p and eta-p stream the dataset; -k > 0 holds each file's rows,
+    # strings only, and a shots file that is the dataset is read once
+    rows, pool, positions = rows_of(args.dataset), [], {}
     if args.shots > 0:
+        rows = list(rows)
         same_file = Path(args.shots_file).resolve() == Path(args.dataset).resolve()
-        shots_pool = examples if same_file else read_input(args.shots_file)
-        tasks = {e.task for e in examples} | {shot.task for shot in shots_pool}
+        pool = rows if same_file else list(rows_of(args.shots_file))
+        tasks = {task for _, task, _, _ in rows} | {task for _, task, _, _ in pool}
         if len(tasks) > 1:
             raise ConfigError(f"{args.shots_file} and {args.dataset} mix tasks: "
                               + ", ".join(sorted(tasks)))
-    # one renderer per command: it builds each example's target and shot
-    # block once, and is freed when the command returns
-    renderer = PromptRenderer(args.style)
-    for task in {e.task for e in examples}:
-        renderer.instruction(task)
-        renderer.pool(task)  # targets are written with the templates
-    positions: dict[str, list[int]] = {}
-    for position, shot in enumerate(shots_pool):
-        positions.setdefault(shot.id, []).append(position)
-    if args.shots and examples:
-        # draw_shots skips the query's own id in the pool
-        usable = len(shots_pool) - max(len(positions.get(e.id, ())) for e in examples)
-        if usable < args.shots:
-            raise ConfigError(f"-k {args.shots} exceeds the {usable} shots "
-                              f"{args.shots_file} can give")
+        for position, (shot_id, *_) in enumerate(pool):
+            positions.setdefault(shot_id, []).append(position)
+        if rows:  # draw_shots skips the query's own id in the pool
+            usable = len(pool) - max(len(positions.get(row[0], ())) for row in rows)
+            if usable < args.shots:
+                raise ConfigError(f"-k {args.shots} exceeds the {usable} shots "
+                                  f"{args.shots_file} can give")
+    instruction = cache(partial(promptkit.load_prompt_asset, style=args.style))
+    written = 0
     with staged_output(args.output) as staged, \
             open(staged, "w", encoding="utf-8") as handle:
-        for example in examples:
+        for row_id, task, block, target in rows:
             shots = []
             if args.shots:
-                shots = draw_shots(shots_pool, args.shots,
-                                   derive_seed(args.seed, example.id),
-                                   positions.get(example.id, ()))
-            try:
-                record = {
-                    "id": example.id,
-                    "prompt": renderer.prompt(example, shots),
-                    "target": renderer.target(example),
-                }
-            except ValueError as exc:  # a malformed gold triple
-                raise ConfigError(str(exc)) from None
-            handle.write(json.dumps(record) + "\n")
-    print(f"wrote {len(examples)} prompts to {args.output}")
+                shots = draw_shots(pool, args.shots, derive_seed(args.seed, row_id),
+                                   positions.get(row_id, ()))
+            handle.write(json.dumps({"id": row_id,
+                                     "prompt": join_prompt(instruction(task), shots, block),
+                                     "target": target}) + "\n")
+            written += 1
+    print(f"wrote {written} prompts to {args.output}")
     return 0
 
 
 def cmd_score(args) -> int:
-    gold = read_input(args.gold)
     predictions = read_input(args.predictions, read_predictions)
-    if args.style == "eta-p":  # eta-p parsing extracts the triples
-        for task in {e.task for e in gold}:
-            TemplatePool.for_task(task)
     report_path = args.report or f"{args.predictions}.report.json"
     try:
         with staged_output(report_path) as staged:
-            report = score(predictions, gold, args.style)
+            report = score(predictions, read_input(args.gold), args.style)
             with open(staged, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(report.to_dict(), indent=2) + "\n")
+    except AssetError:  # a ValueError, but bad input like any asset
+        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -250,9 +246,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    examples = read_input(args.dataset)
     try:
-        report = verify_dataset(examples)
+        report = verify_dataset(read_input(args.dataset))
     except ValueError as exc:  # a malformed triple
         raise ConfigError(str(exc)) from None
     print(f"{report.total} examples, {report.mismatch_count} mismatches")

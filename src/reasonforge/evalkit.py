@@ -10,7 +10,7 @@ responses whose extracted triple list is exactly the gold one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .promptkit import parse_response
 from .taskgen import Example, read_records
@@ -61,39 +61,46 @@ def _prediction(record: dict) -> dict:
     return {"id": pid, "response": response}
 
 
-def read_predictions(path) -> list[dict]:
-    """{id, response} records; a malformed line raises ValueError naming
-    its file:line."""
+def read_predictions(path) -> Iterator[dict]:
+    """{id, response} records, read as they are taken; a malformed line
+    raises ValueError naming its file:line."""
     return read_records(path, _prediction)
 
 
 def score(
     predictions: Iterable[dict],
-    gold: Sequence[Example],
+    gold: Iterable[Example],
     style: str,
 ) -> ScoreReport:
     """Exact label match per prediction, aggregated by hop, and under
     eta-p the count of exactly extracted gold triple lists.
 
-    Every prediction id must name a unique gold example; unknown or
-    duplicate ids raise ValueError, not skips.
+    The predictions are indexed by id and the gold examples stream past
+    that index.  Every prediction id must name a gold example, and no id
+    may repeat among the predictions or the gold examples; an unknown or
+    repeated id raises ValueError, not a skip.
     """
-    by_id = {e.id: e for e in gold}
-    tasks = {e.task for e in gold} if style == "eta-p" else ()  # eta-p reads triples
-    pools = {task: TemplatePool.for_task(task) for task in tasks}
+    responses: dict[str, str] = {}
+    for item in predictions:
+        pid = item["id"]
+        if pid in responses:
+            raise ValueError(f"duplicate prediction id {pid}")
+        responses[pid] = item["response"]
+    pools: dict[str, TemplatePool] = {}  # eta-p reads triples
 
     report = ScoreReport()
     seen: set[str] = set()
-    for item in predictions:
-        pid = item["id"]
-        if pid in seen:
-            raise ValueError(f"duplicate prediction id {pid}")
-        seen.add(pid)
-        example = by_id.get(pid)
-        if example is None:
-            raise ValueError(f"prediction id {pid} not in gold dataset")
-        parsed = parse_response(item["response"], style, example.task,
-                                pools.get(example.task))
+    for example in gold:
+        if example.id in seen:
+            raise ValueError(f"duplicate gold id {example.id}")
+        seen.add(example.id)
+        response = responses.pop(example.id, None)
+        if response is None:
+            continue
+        pool = pools.get(example.task)
+        if pool is None and style == "eta-p":
+            pool = pools[example.task] = TemplatePool.for_task(example.task)
+        parsed = parse_response(response, style, example.task, pool)
         row = report.per_hop.setdefault(
             example.hop, {"n": 0, "correct": 0, "accuracy": 0.0, "triples_exact": 0})
         row["n"] += 1
@@ -106,12 +113,14 @@ def score(
         if parsed.triples == example.gold_triples:
             row["triples_exact"] += 1
             report.triples_exact += 1
+    if responses:  # the first unknown id, in prediction order
+        raise ValueError(f"prediction id {next(iter(responses))} not in gold dataset")
     for row in report.per_hop.values():
         row["accuracy"] = row["correct"] / row["n"] if row["n"] else 0.0
     return report
 
 
-def stats_table(examples: Sequence[Example]) -> str:
+def stats_table(examples: Iterable[Example]) -> str:
     """Per-hop dataset counts in the standard row layout (hops 2-10, Total)."""
     counts: dict[int, int] = {}
     for example in examples:

@@ -4,7 +4,8 @@ std-p instructs the model to answer directly; eta-p asks it to list the
 ordered structured triples before answering.  The instruction text lives in
 versioned text assets (one per task and style); the story, query and
 output layout is built here, and a few-shot context completes each shot's
-block with that shot's gold target.
+block with that shot's gold target.  A render reads each example into a
+PromptRow of plain strings, so the rows it holds keep no Example alive.
 
 Parsing prefers the text after the last "therefore", in any case; failing
 that it scans the final sentence.  Relation mentions match longest-first
@@ -18,8 +19,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import cache
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .kinship import KINSHIP_LABELS
 from .taskgen import Example
@@ -42,12 +42,11 @@ def load_prompt_asset(task: str, style: str) -> str:
     return read_asset(f"prompts/{task}_{style}.txt", _instruction)
 
 
-def draw_shots(
-    pool: Sequence[Example], k: int, seed: int, skip: Sequence[int]
-) -> list[Example]:
-    """Deterministically pick k in-context examples from `pool`, never one
-    at the ascending positions in `skip` (those holding the query's id):
-    the draw `random.Random(seed).sample` makes from the pool without them."""
+def draw_shots(pool: Sequence, k: int, seed: int, skip: Sequence[int]) -> list:
+    """Deterministically pick k shots (Examples or PromptRows) from `pool`,
+    never one at the ascending positions in `skip` (those holding the
+    query's id): the draw `random.Random(seed).sample` makes from the pool
+    without them."""
     eligible = len(pool) - len(skip)
     if eligible < k:
         raise ValueError(f"shot pool has {eligible} usable examples; need {k}")
@@ -87,59 +86,42 @@ def _open_block(example: Example) -> str:
             "### Output:\n")
 
 
+# What a render needs of an example, as plain strings:
+# (id, task, open query block, gold target).
+PromptRow = tuple[str, str, str, str]
+
+
+def prompt_rows(examples: Iterable[Example], style: str) -> Iterator[PromptRow]:
+    """The PromptRow of each example, built as the examples are taken, with
+    each task's template pool looked up once."""
+    pools: dict[str, TemplatePool] = {}
+    for example in examples:
+        pool = pools.get(example.task)
+        if pool is None:
+            pool = pools[example.task] = TemplatePool.for_task(example.task)
+        yield (example.id, example.task, _open_block(example),
+               render_target(example, style, pool))
+
+
+def join_prompt(instruction: str, shots: Iterable[PromptRow], block: str) -> str:
+    """The instruction, each shot's open block completed with its target,
+    then the query's open `block`."""
+    return "".join([instruction, *(f"{shot_block}{target}\n\n"
+                                   for _, _, shot_block, target in shots), block])
+
+
 def render_prompt(
     example: Example, style: str, shots: Sequence[Example] = ()
 ) -> str:
     """Instruction, each shot's block completed with its gold target, then
     the open query block."""
-    return PromptRenderer(style).prompt(example, shots)
-
-
-class PromptRenderer:
-    """Prompts and targets of one style, for one run over a dataset.
-
-    Each example's target and completed shot block is built at most once,
-    so a shot drawn for many prompts, or a query that is also drawn as a
-    shot, is rendered once; each task's instruction and pool are read once.
-    The built text is keyed by the example object and lives as long as the
-    renderer, so the examples must not change while it is in use.
-    """
-
-    def __init__(self, style: str) -> None:
-        if style not in STYLES:
-            raise ValueError(f"unknown prompt style {style!r}")
-        self.style = style
-        self.instruction = cache(lambda task: load_prompt_asset(task, style))
-        self.pool = cache(TemplatePool.for_task)
-        # id(example) -> (example, target); holding the example keeps its
-        # id from passing to another object while the renderer lives
-        self._targets: dict[int, tuple[Example, str]] = {}
-        self._blocks: dict[int, str] = {}
-
-    def target(self, example: Example) -> str:
-        entry = self._targets.get(id(example))
-        if entry is None:
-            entry = self._targets[id(example)] = (
-                example, render_target(example, self.style, self.pool(example.task)))
-        return entry[1]
-
-    def prompt(self, example: Example, shots: Sequence[Example] = ()) -> str:
-        """render_prompt(example, style, shots), from the built blocks."""
-        for shot in shots:
-            if shot.id == example.id:
-                raise ValueError(f"shot {shot.id} is the query example")
-            if shot.task != example.task:
-                raise ValueError("shots must come from the same task")
-        parts = [self.instruction(example.task)]
-        for shot in shots:
-            block = self._blocks.get(id(shot))
-            if block is None:
-                # self.target holds the shot, so its id stays its own
-                block = self._blocks[id(shot)] = (
-                    f"{_open_block(shot)}{self.target(shot)}\n\n")
-            parts.append(block)
-        parts.append(_open_block(example))
-        return "".join(parts)
+    instruction = load_prompt_asset(example.task, style)
+    for shot in shots:
+        if shot.id == example.id:
+            raise ValueError(f"shot {shot.id} is the query example")
+        if shot.task != example.task:
+            raise ValueError("shots must come from the same task")
+    return join_prompt(instruction, prompt_rows(shots, style), _open_block(example))
 
 
 # --------------------------------------------------------------------------

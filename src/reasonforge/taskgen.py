@@ -35,7 +35,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .augment import AUGMENTATIONS, NoiseUnavailable
 from .kinship import KinshipEngine
@@ -311,26 +311,27 @@ def write_jsonl(examples: Iterable[Example], path) -> None:
             handle.write(json.dumps(example.to_dict()) + "\n")
 
 
-def read_jsonl(path) -> list[Example]:
-    """Examples of a dataset file; a malformed line raises ValueError
-    naming its file:line."""
+def read_jsonl(path) -> Iterator[Example]:
+    """Examples of a dataset file, parsed one line at a time as they are
+    taken; `list(read_jsonl(path))` holds them all.  A malformed line
+    raises ValueError naming its file:line."""
     return read_records(path, Example.from_dict)
 
 
-def read_records(path, record: Callable[[dict], object]) -> list:
-    """record(object) for the JSON object on each nonblank line."""
-    records = []
+def read_records(path, record: Callable[[dict], object]) -> Iterator:
+    """record(object) for the JSON object on each nonblank line, read as
+    the rows are taken: the file is opened at the first one."""
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
                 continue
             try:
-                records.append(record(json.loads(line)))
+                row = record(json.loads(line))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return records
+            yield row
 
 
 # --------------------------------------------------------------------------

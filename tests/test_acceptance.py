@@ -58,7 +58,7 @@ def preset_files(tmp_path_factory):
 @pytest.fixture(scope="session")
 def preset_examples(preset_files):
     paths, _ = preset_files
-    return {task: read_jsonl(path) for task, path in paths.items()}
+    return {task: list(read_jsonl(path)) for task, path in paths.items()}
 
 
 def test_dataset_shape_reproduction(preset_files, preset_examples,

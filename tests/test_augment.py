@@ -188,7 +188,7 @@ def test_each_kind_of_the_table(tmp_path, capsys, kind):
         out = tmp_path / f"{aug}.jsonl"
         status = main(["gen", "--task", "clutrr", "--counts", "2:3=6", "--seed", "2",
                        "--aug", aug, "-o", str(out)])
-        return status, read_jsonl(out) if status == 0 else None
+        return status, list(read_jsonl(out)) if status == 0 else None
 
     takes_n, _ = AUGMENTATIONS[kind]
     assert sorted(ZERO_RECORD) == sorted(k for k, (counted, _) in AUGMENTATIONS.items()

@@ -433,6 +433,32 @@ def test_score_unknown_id_keeps_earlier_report(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "preds.jsonl", "r.json"]
 
 
+def test_score_repeated_gold_id_keeps_earlier_report(tmp_path, capsys):
+    # a gold id on two rows with different answers is refused, whichever
+    # row the prediction answers
+    dataset = tmp_path / "d.jsonl"
+    run(["gen", "--task", "stepgame", "--counts", "2=6",
+         "--seed", "3", "-o", str(dataset)])
+    rows = [json.loads(line) for line in dataset.read_text().splitlines()]
+    first = rows[0]
+    second = next(row for row in rows[1:] if row["answer"] != first["answer"])
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps(first) + "\n" + json.dumps({**second, "id": first["id"]})
+                    + "\n")
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text(json.dumps(
+        {"id": first["id"], "response": f"Therefore, {first['answer']}."}) + "\n")
+    report = tmp_path / "r.json"
+    report.write_bytes(b"earlier\n")
+    capsys.readouterr()
+    assert run(["score", "--predictions", str(predictions), "--gold", str(gold),
+                "--style", "std-p", "--report", str(report)]) == 1
+    assert capsys.readouterr() == ("", f"error: duplicate gold id {first['id']}\n")
+    assert report.read_bytes() == b"earlier\n"
+    assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "gold.jsonl", "preds.jsonl",
+                                            "r.json"]
+
+
 def test_verify_clean_and_corrupted(tmp_path, capsys):
     dataset = tmp_path / "d.jsonl"
     run(["gen", "--task", "clutrr", "--counts", "2:3=4",

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -70,6 +71,22 @@ def test_unknown_and_duplicate_ids(gold):
            {"id": gold[0].id, "response": "y"}]
     with pytest.raises(ValueError):
         score(dup, gold, "std-p")
+
+
+def test_repeated_gold_id_is_refused(gold):
+    # two gold rows share an id: neither is scored against the other's
+    # answer, the repeat is refused by name
+    first = gold[0]
+    second = next(e for e in gold[1:] if e.answer != first.answer)
+    repeat = replace(second, id=first.id)
+    preds = [{"id": first.id, "response": render_target(first, "std-p")}]
+    assert score(preds, [first], "std-p").correct == 1
+    for rows in ([first, repeat], [repeat, first]):
+        with pytest.raises(ValueError, match=f"^duplicate gold id {first.id}$"):
+            score(preds, rows, "std-p")
+    # a repeat that no prediction names is refused too
+    with pytest.raises(ValueError, match=f"duplicate gold id {first.id}"):
+        score([], [first, first], "std-p")
 
 
 def test_stats_table(gold):

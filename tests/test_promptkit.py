@@ -130,7 +130,7 @@ def test_each_query_parsed_once(tmp_path, monkeypatch, kinship_examples):
         return query_endpoints(query, task)
 
     monkeypatch.setattr(taskgen, "query_endpoints", counting)
-    examples = read_jsonl(path)
+    examples = list(read_jsonl(path))
     assert verify_dataset(examples).mismatch_count == 0
     for position, e in enumerate(examples):
         render_prompt(e, "eta-p", draw_shots(examples, 3, position, [position]))
@@ -154,7 +154,7 @@ def test_render_command_equals_public_path(tmp_path, request, task, style):
     path = tmp_path / "d.jsonl"
     write_jsonl(request.getfixturevalue(f"{task}_examples"), path)
     written = render_file(path, tmp_path / "p.jsonl", style)
-    pool = read_jsonl(path)
+    pool = list(read_jsonl(path))
     expected = []
     for e in pool:
         skip = [i for i, shot in enumerate(pool) if shot.id == e.id]

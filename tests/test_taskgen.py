@@ -190,7 +190,7 @@ def test_jsonl_field_order(tmp_path, small_spatial):
     write_jsonl(small_spatial, path)
     first = path.read_text().splitlines()[0]
     assert list(json.loads(first)) == list(JSONL_FIELDS)
-    assert read_jsonl(path) == small_spatial
+    assert list(read_jsonl(path)) == small_spatial
 
 
 def test_no_leakage_in_stories(small_kinship, small_spatial):
