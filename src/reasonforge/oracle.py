@@ -17,7 +17,7 @@ unit grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import AbstractSet, Hashable, Iterable, Mapping, Optional
 
 Person = Hashable
 
@@ -29,6 +29,8 @@ class InconsistentWorld(Exception):
 # --------------------------------------------------------------------------
 # kinship
 # --------------------------------------------------------------------------
+
+_NO_PARENTS: frozenset = frozenset()
 
 _MALE_LABELS = frozenset({
     "brother", "father", "father-in-law", "grandfather", "grandson",
@@ -119,8 +121,10 @@ class KinshipWorld:
                         self._merge_groups(seen, root)
                         changed = True
 
-    def parents_of(self, person: Person) -> frozenset[Person]:
-        return frozenset(self._group_parents.get(self._find(person), ()))
+    def parents_of(self, person: Person) -> AbstractSet[Person]:
+        """The parents of `person`'s sibling group: the stored set itself,
+        not a copy, so callers only read it."""
+        return self._group_parents.get(self._find(person), _NO_PARENTS)
 
     def siblings(self, a: Person, b: Person) -> bool:
         return a != b and self._find(a) == self._find(b)

@@ -24,16 +24,24 @@ full: a subtree is fixed by (node, accumulator, visited set) under its
 head, so skipping one that held no chain loses no walk.  The walk is a
 bitmask, so an untried move is one that is not on it.
 
-Heads are searched one at a time, each within its own node-expansion
-budget; a skipped dead state costs none.  The first head is drawn and
-walked on `random.Random(seed)`; the later heads are ordered by a second
-stream of the seed, and each walks on a stream of (seed, head), seeded only
-once that head is searched.  A head whose whole subtree held no chain holds
+Each head has its own node-expansion budget, spent in two passes over the
+heads in one fixed order; a skipped dead state costs none.  The first pass
+gives each head the first `FIRST_SLICE` expansions of its budget, and the
+first head to find a chain wins.  Otherwise the heads whose slice ran out
+resume, in the same order, with the rest of their budget.  A search is a
+generator that keeps its walk, dead states and untried moves while paused,
+so a resumed search draws as one search given the whole budget would.  So
+a dead head ahead of a live one no longer has its whole subtree searched
+before the live head is tried.  The first head is drawn and walked on
+`random.Random(seed)`; the later heads are ordered by a second stream of
+the seed, and each walks on a stream of (seed, head), seeded only once
+that head is searched.  A head whose whole subtree held no chain holds
 none for any seed or budget, so the graph remembers it per walk length
-(`RelationalGraph.dead_heads`) and later calls skip it at no cost.  No
-head's search reads another head's stream or budget, so skipping a dead
-head changes no result: a call returns the same chain whatever the memo
-holds.
+(`RelationalGraph.dead_heads`) and later calls skip it at no cost; a head
+paused or out of budget is not remembered.  No head's search reads another
+head's stream or budget, and a dead head finds no chain in either pass, so
+skipping one changes no result: a call returns the same chain whatever the
+memo holds.
 
 With a fold, each head is first bounded (`_longest_walk`): its (node, acc)
 states, never re-entering the head, are condensed into strongly connected
@@ -55,12 +63,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Iterator, Optional
 
 from .relgraph import RelationalGraph, Triple
 
 
 NO_WALK = float("-inf")  # the bound of a head no answerable walk leaves
+# the expansions each head searches before any head gets the rest of its
+# budget: near the 90th percentile of what a found hop-10 kinship walk takes
+FIRST_SLICE = 500
 
 
 class SamplingExhausted(Exception):
@@ -88,7 +99,8 @@ class ReasoningChain:
 def sample_chain(graph: RelationalGraph, length: int, seed: int,
                  budget: int = 800) -> ReasoningChain:
     """Draw one chain of `length` steps, each head searched within `budget`
-    node expansions.
+    node expansions: first `FIRST_SLICE` of them for every head, then the
+    rest for the heads that ran out of that slice.
 
     Deterministic for a fixed (graph, length, seed, budget), whatever the
     graph's dead-head memo holds.  Raises SamplingExhausted when every head
@@ -104,18 +116,31 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
     dead_heads = graph.dead_heads(length)
     moves: dict[tuple, list[tuple[int, str]]] = {}
     bounded = graph.engine.fold is not None
+    first_slice = min(budget, FIRST_SLICE)
+    paused = []  # the searches whose first slice ran out, in head order
     for head, stream in _heads(sorted(graph.outgoing), seed):
         if head in dead_heads:
             continue
         if bounded and _longest_walk(graph, head, length, moves) < length:
             dead_heads.add(head)
             continue
-        walk = _walk_from(graph, length, head, stream(), budget, moves, dead_heads)
+        search = _walk_from(graph, length, head, stream(), first_slice, moves, dead_heads)
+        walk = next(search)
         if walk is not None:
-            edges = graph.edges
-            return ReasoningChain(walk=walk, steps=[
-                Triple(a, edges[(a, b)], b) for a, b in zip(walk, walk[1:])])
+            return _chain(graph, walk)
+        if head not in dead_heads:
+            paused.append(search)
+    for search in paused:
+        walk = search.send(budget - first_slice)
+        if walk is not None:
+            return _chain(graph, walk)
     raise SamplingExhausted(f"no walk of length {length} within the search budget")
+
+
+def _chain(graph: RelationalGraph, walk: list[int]) -> ReasoningChain:
+    edges = graph.edges
+    return ReasoningChain(walk=walk, steps=[
+        Triple(a, edges[(a, b)], b) for a, b in zip(walk, walk[1:])])
 
 
 def _heads(nodes: list[int], seed: int):
@@ -214,11 +239,13 @@ def _longest_walk(graph: RelationalGraph, head: int, length: int,
 def _walk_from(graph: RelationalGraph, length: int, head: int,
                rng: random.Random, budget: int,
                moves: dict[tuple, list[tuple[int, str]]],
-               dead_heads: set[int]) -> Optional[list[int]]:
-    """A walk of length+1 nodes from `head` drawn on `rng`, or None when the
-    search runs out of `budget` expansions or of moves; a head whose every
-    move was tried joins `dead_heads`.  `moves` caches, per (node, acc), the
-    moves the fold admits."""
+               dead_heads: set[int]) -> Iterator[Optional[list[int]]]:
+    """The search for a walk of length+1 nodes from `head` drawn on `rng`,
+    as a generator: it yields the walk once found, or None once `budget`
+    expansions are spent, and `send(n)` resumes it with n more, drawing as
+    one search with the summed budget would.  A head whose every move was
+    tried joins `dead_heads`, and its search yields None and ends.  `moves`
+    caches, per (node, acc), the moves the fold admits."""
     getrandbits = rng.getrandbits
     outgoing = graph.outgoing
     edges = graph.edges
@@ -236,7 +263,8 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
         mask |= 1 << node
         walk.append(node)
         if len(walk) == length + 1:
-            return walk
+            yield walk
+            return
         keys.append(key)
         budget -= 1
         if fold is None or acc is None:
@@ -254,7 +282,8 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
         # draw the next move, backing out of levels whose moves are spent
         while True:
             if budget <= 0:
-                return None
+                budget = yield None
+                continue
             top = stack[-1]
             if not top:
                 stack.pop()
@@ -262,7 +291,8 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
                 dead.add(keys.pop())
                 if not stack:
                     dead_heads.add(head)
-                    return None
+                    yield None
+                    return
                 continue
             # rng.randrange(n), as CPython draws it: the same values from
             # the same stream, without the call's argument checks

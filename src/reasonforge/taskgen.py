@@ -195,7 +195,8 @@ def generate_candidate(
     base = (spec.seed, spec.task, hop, index, attempt)
     try:
         # ten-hop entailed kinship walks are scarce: each head gets a deeper
-        # search
+        # search, of which sample_chain spends the first slice on every head
+        # before it gives any head the rest
         chain = sample_chain(graph, hop, derive_seed(*base, "walk"),
                              budget=3500 if hop >= 10 else 800)
     except SamplingExhausted:

@@ -7,7 +7,8 @@ from reasonforge import sampler
 from reasonforge.augment import flip_step
 from reasonforge.kinship import KinshipEngine, chain_relation
 from reasonforge.relgraph import RelationalGraph, Triple, _attach, grow_graph
-from reasonforge.sampler import SamplingExhausted, _longest_walk, _walk_from, sample_chain
+from reasonforge.sampler import (SamplingExhausted, _heads, _longest_walk, _walk_from,
+                                 sample_chain)
 from reasonforge.spatial import SpatialEngine
 from reasonforge.taskgen import derive_seed
 
@@ -154,15 +155,20 @@ def outcome(graph, hop, seed, budget):
 
 
 @pytest.mark.parametrize("hop", [7, 8, 9, 10])
-def test_dead_head_memo_never_changes_a_chain(hop):
+def test_dead_head_memo_never_changes_a_chain(hop, monkeypatch):
     # each seed gives the same chain, or fails alike, on a graph with an
     # empty memo, with a memo warmed by 40 other seeds, and with one warmed
     # in reverse order; the warm-up also searches the other lengths, whose
     # dead heads must not leak into this one.  The graphs are those gen
     # reuses with graphs_per_hop 3; gen's budget lets every dead head be
     # recorded, and a tight one leaves heads that run out of it unrecorded.
+    # A first slice of 40 expansions leaves most heads to the second pass,
+    # where a cold graph proves dead the heads a warm one skips.
     walks = Counter()
-    for budget in (3500 if hop >= 10 else 800, 150):
+    gen_budget = 3500 if hop >= 10 else 800
+    for budget, first_slice in ((gen_budget, sampler.FIRST_SLICE), (gen_budget, 40),
+                                (150, sampler.FIRST_SLICE)):
+        monkeypatch.setattr(sampler, "FIRST_SLICE", first_slice)
         for index in range(3):
             graph_seed = derive_seed(0, "kinship", "graph", hop, index)
 
@@ -182,8 +188,8 @@ def test_dead_head_memo_never_changes_a_chain(hop):
                         outcome(graph, length, seed, budget)
                 assert graph.dead_heads(hop)
                 assert [outcome(graph, hop, seed, budget)
-                        for seed in targets] == cold, (budget, index)
-    assert walks[True] >= 18
+                        for seed in targets] == cold, (budget, first_slice, index)
+    assert walks[True] >= 27
 
 
 def test_walk_bound_never_rejects_a_head_with_a_chain():
@@ -199,8 +205,10 @@ def test_walk_bound_never_rejects_a_head_with_a_chain():
             for length in range(2, 11):
                 if _longest_walk(g, head, length, {}) < length:
                     rejected[length] += 1
-                    assert _walk_from(g, length, head, random.Random(0), 10**9,
-                                      {}, set()) is None, (head, length)
+                    dead = set()
+                    search = _walk_from(g, length, head, random.Random(0), 10**9,
+                                        {}, dead)
+                    assert next(search) is None and dead == {head}, (head, length)
     assert all(rejected[length] for length in range(3, 11))
     assert rejected[10] >= 300
 
@@ -244,6 +252,136 @@ def test_walk_bound_never_changes_a_chain(hop, monkeypatch):
                         for seed in seeds] == walks, (budget, index)
             assert any(walks)
             assert bounded.dead_heads(hop) >= unbounded.dead_heads(hop)
+
+
+def hop10_graph(index):
+    # the graph gen grows for its index-th hop-10 candidate's first attempt
+    return grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
+                      random.Random(derive_seed(0, "kinship", "graph", 10, index)))
+
+
+def search_in_parts(graph, length, head, seed, grants):
+    """What the search from `head` on `random.Random(seed)` yields when it is
+    given `grants[0]` expansions, then resumed with each later grant while
+    it is paused; with the stream's state and the dead heads after it."""
+    rng, dead = random.Random(seed), set()
+    search = _walk_from(graph, length, head, rng, grants[0], {}, dead)
+    walk = next(search)
+    for grant in grants[1:]:
+        if walk is not None or dead:
+            break
+        walk = search.send(grant)
+    return walk, rng.getstate(), dead
+
+
+def test_a_resumed_search_draws_as_one_search():
+    # pausing a head's search and resuming it gives the walk, the draws and
+    # the dead-head verdict of one search given the summed budget, on
+    # kinship graphs of one iteration and of gen's, and on a spatial grid
+    graphs = ([(grow_graph(KinshipEngine(), 1, random.Random(s)), range(3, 9, 2))
+               for s in range(3)]
+              + [(hop10_graph(index), (7, 10)) for index in range(3)]
+              + [(spatial_l1(), (4, 8))])
+    resumed = Counter()
+    for g, hops in graphs:
+        for hop in hops:
+            for head in sorted(g.outgoing)[::3]:
+                for seed in range(2):
+                    for budget in (60, 900):
+                        whole = search_in_parts(g, hop, head, seed, [budget])
+                        for grants in ([1, budget - 1], [budget // 2, budget - budget // 2],
+                                       [7, 0, 20, budget - 27]):
+                            parts = search_in_parts(g, hop, head, seed, grants)
+                            assert parts == whole, (head, hop, seed, grants)
+                        resumed[whole[0] is not None, bool(whole[2])] += 1
+    # searches that found a walk, proved their head dead, or ran out
+    assert min(resumed[True, False], resumed[False, True], resumed[False, False]) >= 20
+
+
+def test_a_head_found_within_the_first_slice_wins_over_an_earlier_one(monkeypatch):
+    # where an earlier head needs more than the first slice to find a walk,
+    # a later head whose slice finds one wins; given the whole budget at
+    # once, the earlier head would have won
+    overtaken = 0
+    for index in range(40):
+        seed = derive_seed(0, "kinship", 10, index, 0, "walk")
+        staged = sample_chain(hop10_graph(index), 10, seed, budget=3500)
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "FIRST_SLICE", 3500)
+            whole = sample_chain(hop10_graph(index), 10, seed, budget=3500)
+        if staged.walk == whole.walk:
+            continue
+        overtaken += 1
+        g = hop10_graph(index)
+        order = [head for head, _ in _heads(sorted(g.outgoing), seed)]
+        assert order.index(whole.head) < order.index(staged.head)
+        streams = dict(_heads(sorted(g.outgoing), seed))
+        for head, walk in ((whole.head, None), (staged.head, staged.walk)):
+            dead = set()
+            assert next(_walk_from(g, 10, head, streams[head](), sampler.FIRST_SLICE,
+                                   {}, dead)) == walk and not dead
+    assert overtaken >= 3
+
+
+def test_a_slice_every_head_overruns_leaves_the_chain_to_the_second_pass(monkeypatch):
+    # a first slice shorter than the walk finds no chain, so every head the
+    # first pass searches is paused or dead, and the second pass resumes the
+    # paused ones in order: the chain is the one a single pass with the
+    # whole budget gives, and no head is granted more than the budget
+    grants: dict[int, list[int]] = {}
+
+    def walk_from(graph, length, head, rng, budget, *args, real=sampler._walk_from):
+        grants[head] = [budget]
+        search = real(graph, length, head, rng, budget, *args)
+        walk = next(search)
+        while True:
+            more = yield walk
+            grants[head].append(more)
+            walk = search.send(more)
+
+    graphs = ([grow_graph(KinshipEngine(), 1, random.Random(s)) for s in range(4)]
+              + [hop10_graph(index) for index in range(2)])
+    resumed = 0
+    for g in graphs:
+        for hop in (4, 7, 10):
+            for seed in range(4):
+                for budget in (150, 800):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(sampler, "FIRST_SLICE", budget)
+                        whole = outcome(g, hop, seed, budget)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(sampler, "FIRST_SLICE", 3)
+                        patch.setattr(sampler, "_walk_from", walk_from)
+                        grants.clear()
+                        assert outcome(g, hop, seed, budget) == whole, (hop, seed, budget)
+                    assert all(spent[0] == 3 and sum(spent) <= budget
+                               for spent in grants.values())
+                    resumed += sum(len(spent) == 2 for spent in grants.values())
+                    if whole is not None:
+                        assert grants[whole[0]] == [3, budget - 3]
+    assert resumed >= 100
+
+
+def test_staging_proves_fewer_heads_dead_at_hop_10(monkeypatch):
+    # a cost guard: on gen's first-attempt hop-10 graphs and walk seeds, a
+    # search that runs to its dead end is the cost staging avoids.  With
+    # every head given its whole budget at once, earlier heads are proven
+    # dead before a later one finds the chain; staged, fewer are, and every
+    # seed still gives a chain.  Dead proofs are the recorded dead heads
+    # the bound did not reject.
+    def dead_proofs(first_slice):
+        proofs = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "FIRST_SLICE", first_slice)
+            for index in range(40):
+                g = hop10_graph(index)
+                seed = derive_seed(0, "kinship", 10, index, 0, "walk")
+                assert outcome(g, 10, seed, 3500) is not None, (first_slice, index)
+                proofs += len({head for head in g.dead_heads(10)
+                               if _longest_walk(g, head, 10, {}) >= 10})
+        return proofs
+
+    assert dead_proofs(sampler.FIRST_SLICE) < dead_proofs(3500)
 
 
 def test_walk_draw_is_randrange():

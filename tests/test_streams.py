@@ -8,7 +8,7 @@ import types
 from reasonforge import sampler
 from reasonforge.kinship import KinshipEngine
 from reasonforge.relgraph import grow_graph
-from reasonforge.sampler import SamplingExhausted, _longest_walk, sample_chain
+from reasonforge.sampler import SamplingExhausted, _longest_walk, _walk_from, sample_chain
 from reasonforge.taskgen import DatasetSpec, _graph_seed, derive_seed, generate_candidate
 
 SPEC = DatasetSpec.make("kinship", {10: 1}, seed=0, graphs_per_hop=1)
@@ -20,13 +20,12 @@ def hop10_graph():
 
 
 def warm_hop10_graph():
-    # forty other walks fill the graph's hop-10 dead-head memo
+    # a search of every head with gen's whole hop-10 budget at once fills
+    # the graph's hop-10 dead-head memo with the heads it proves dead
     graph = hop10_graph()
-    for seed in range(40):
-        try:
-            sample_chain(graph, 10, seed, budget=3500)
-        except SamplingExhausted:
-            pass
+    for head in sorted(graph.outgoing):
+        next(_walk_from(graph, 10, head, random.Random(head), 3500, {},
+                        graph.dead_heads(10)))
     assert graph.dead_heads(10)
     return graph
 
