@@ -24,35 +24,32 @@ full: a subtree is fixed by (node, accumulator, visited set) under its
 head, so skipping one that held no chain loses no walk.  The walk is a
 bitmask, so an untried move is one that is not on it.
 
-Each head has its own node-expansion budget, spent in two passes over the
-heads in one fixed order; a skipped dead state costs none.  The first pass
-gives each head the first `FIRST_SLICE` expansions of its budget, and the
-first head to find a chain wins.  Otherwise the heads whose slice ran out
-resume, in the same order, with the rest of their budget.  A search is a
-generator that keeps its walk, dead states and untried moves while paused,
-so a resumed search draws as one search given the whole budget would.  So
-a dead head ahead of a live one no longer has its whole subtree searched
-before the live head is tried.  The first head is drawn and walked on
-`random.Random(seed)`; the later heads are ordered by a second stream of
-the seed, and each walks on a stream of (seed, head), seeded only once
-that head is searched.  A head whose whole subtree held no chain holds
+Heads are searched one at a time, each within its own node-expansion
+budget; a skipped dead state costs none.  The first head is drawn and
+walked on `random.Random(seed)`; the later heads are ordered by a second
+stream of the seed, and each walks on a stream of (seed, head), seeded only
+once that head is searched.  A head whose whole subtree held no chain holds
 none for any seed or budget, so the graph remembers it per walk length
 (`RelationalGraph.dead_heads`) and later calls skip it at no cost; a head
-paused or out of budget is not remembered.  No head's search reads another
-head's stream or budget, and a dead head finds no chain in either pass, so
-skipping one changes no result: a call returns the same chain whatever the
-memo holds.
+out of budget is not remembered.  No head's search reads another head's
+stream or budget, so skipping a dead head changes no result: a call
+returns the same chain whatever the memo holds.
 
-With a fold, each head is first bounded (`_longest_walk`): its (node, acc)
-states, never re-entering the head, are condensed into strongly connected
-components, each weighing its distinct nodes, and the bound is the
-heaviest path from a first move to a component holding a state that can
-end a walk.  A simple walk crosses each component at most once and meets
-distinct nodes in it, so no answerable walk is longer, whatever the fold.
-A head bounded below the length holds no chain: it is recorded as dead and
-skipped, also where its search would have run out of budget first, since
-either way it gives no chain.  The bound costs one pass over the states,
-well under a search that proves a deep head dead.
+With a fold, each head is first bounded (`_longest_walk`), in one pass over
+the (node, acc) states its first moves reach, never re-entering the head.
+Condensed into strongly connected components, each weighing its distinct
+nodes, a state's bound is the heaviest path from its component to one
+holding a state that can end a walk: no answerable walk from the head
+meets more nodes from that state on, whatever the fold, since a simple walk
+crosses each component at most once and meets distinct nodes in it.  The
+search drops every move whose bound is below the nodes the walk still
+needs, so a dropped move leads into a subtree that holds no chain, and the
+dead-state memo, the dead-head memo and "a chain is found exactly when one
+exists" all stay exact.  A head none of whose first moves is bounded at
+the length holds no chain: it is recorded as dead and skipped unsearched,
+also where its search would have run out of budget first, since either
+way it gives no chain.  Pruned so, no head searched in gen's presets
+spends more than a few hundred expansions, a fraction of its budget.
 
 Step i of a sampled chain is the triple (walk[i], label, walk[i+1]); only a
 direction flip rewrites a step against the walk.
@@ -63,15 +60,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Optional
+from typing import Optional
 
 from .relgraph import RelationalGraph, Triple
 
 
-NO_WALK = float("-inf")  # the bound of a head no answerable walk leaves
-# the expansions each head searches before any head gets the rest of its
-# budget: near the 90th percentile of what a found hop-10 kinship walk takes
-FIRST_SLICE = 500
+NO_WALK = float("-inf")  # the bound of a state no answerable walk goes on from
 
 
 class SamplingExhausted(Exception):
@@ -99,8 +93,7 @@ class ReasoningChain:
 def sample_chain(graph: RelationalGraph, length: int, seed: int,
                  budget: int = 800) -> ReasoningChain:
     """Draw one chain of `length` steps, each head searched within `budget`
-    node expansions: first `FIRST_SLICE` of them for every head, then the
-    rest for the heads that ran out of that slice.
+    node expansions.
 
     Deterministic for a fixed (graph, length, seed, budget), whatever the
     graph's dead-head memo holds.  Raises SamplingExhausted when every head
@@ -116,22 +109,17 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
     dead_heads = graph.dead_heads(length)
     moves: dict[tuple, list[tuple[int, str]]] = {}
     bounded = graph.engine.fold is not None
-    first_slice = min(budget, FIRST_SLICE)
-    paused = []  # the searches whose first slice ran out, in head order
     for head, stream in _heads(sorted(graph.outgoing), seed):
         if head in dead_heads:
             continue
-        if bounded and _longest_walk(graph, head, length, moves) < length:
-            dead_heads.add(head)
-            continue
-        search = _walk_from(graph, length, head, stream(), first_slice, moves, dead_heads)
-        walk = next(search)
-        if walk is not None:
-            return _chain(graph, walk)
-        if head not in dead_heads:
-            paused.append(search)
-    for search in paused:
-        walk = search.send(budget - first_slice)
+        best = None
+        if bounded:
+            best = _longest_walk(graph, head, moves)
+            if max((best[first] for first in graph.outgoing[head]),
+                   default=NO_WALK) < length:
+                dead_heads.add(head)
+                continue
+        walk = _walk_from(graph, length, head, stream(), budget, moves, best, dead_heads)
         if walk is not None:
             return _chain(graph, walk)
     raise SamplingExhausted(f"no walk of length {length} within the search budget")
@@ -167,85 +155,86 @@ def _admitted(graph: RelationalGraph, moves: dict[tuple, list[tuple[int, str]]],
     return admitted
 
 
-def _longest_walk(graph: RelationalGraph, head: int, length: int,
-                  moves: dict[tuple, list[tuple[int, str]]]) -> float:
-    """An upper bound on the steps of an answerable walk from `head`, exact
-    below `length` (it stops once it reaches `length`).
+def _longest_walk(graph: RelationalGraph, head: int,
+                  moves: dict[tuple, list[tuple[int, str]]]) -> dict[tuple, float]:
+    """Per (node, acc) state the fold admits from `head`'s first moves, never
+    re-entering the head: an upper bound on the nodes of an answerable walk
+    from `head` that goes on from that state, the state's node included.
 
-    The states are the (node, acc) pairs the fold admits from the head's
-    first moves, never re-entering the head.  Condensed into strongly
-    connected components, each weighing its distinct nodes, the bound is
-    the heaviest path from a first move to a component holding a state that
-    can end a walk (its acc is the head's edge to its node).  A simple walk
-    crosses each component at most once and meets distinct nodes in it."""
+    Condensed into strongly connected components, each weighing its distinct
+    nodes, a state's bound is the heaviest path from its component to one
+    holding a state that can end a walk (its acc is the head's edge to its
+    node), or NO_WALK where there is none.  A simple walk crosses each
+    component at most once and meets distinct nodes in it."""
     edges = graph.edges
     index: dict[tuple, int] = {}  # states in the order the search met them
     best: dict[tuple, float] = {}  # a finished state -> its component's bound
     stack: list[tuple] = []  # Tarjan's stack of unfinished states
-    # the search path: [state, its untried moves, low link, heaviest way on]
+    # the search path: [state, its untried moves, low link, heaviest way on,
+    # its place on the stack]
     path: list[list] = []
 
-    def visit(state) -> bool:
-        """Push `state`; True once the path ends where a walk can end and
-        holds `length` distinct nodes, so the bound reaches `length`."""
+    def visit(state) -> None:
         node, acc = state
         index[state] = len(index)
-        stack.append(state)
         admitted = moves.get(state)
         if admitted is None:
             admitted = _admitted(graph, moves, node, acc)
         ends = edges.get((head, node)) == acc
-        path.append([state, iter(admitted), index[state], 0 if ends else NO_WALK])
-        return ends and len(path) >= length and len(
-            {entry[0][0] for entry in path}) >= length
+        path.append([state, iter(admitted), index[state], 0 if ends else NO_WALK,
+                     len(stack)])
+        stack.append(state)
 
     for first in graph.outgoing[head]:
         if first in index:
             continue
-        if visit(first):
-            return length
+        visit(first)
         while path:
             top = path[-1]
             for move in top[1]:
                 if move[0] == head:
                     continue
-                if move not in index:
-                    if visit(move):
-                        return length
+                value = best.get(move)
+                if value is not None:
+                    if value > top[3]:
+                        top[3] = value
+                elif move not in index:
+                    visit(move)
                     break
-                if move in best:
-                    top[3] = max(top[3], best[move])
-                else:  # on the stack, so in this state's component
-                    top[2] = min(top[2], index[move])
+                elif index[move] < top[2]:  # on the stack, so in this component
+                    top[2] = index[move]
             else:
                 path.pop()
-                state, _, low, onward = top
+                state, _, low, onward, bottom = top
                 if low < index[state]:  # the component goes on above
-                    path[-1][2] = min(path[-1][2], low)
-                    path[-1][3] = max(path[-1][3], onward)
+                    up = path[-1]
+                    up[2] = min(up[2], low)
+                    up[3] = max(up[3], onward)
                     continue
-                members = stack[stack.index(state):]
-                del stack[len(stack) - len(members):]
-                value = len({node for node, _ in members}) + onward
-                if value >= length:
-                    return value
-                for member in members:
-                    best[member] = value
-                if path:
-                    path[-1][3] = max(path[-1][3], value)
-    return max((best[first] for first in graph.outgoing[head]), default=NO_WALK)
+                if bottom == len(stack) - 1:  # a component of one state
+                    value = best[stack.pop()] = 1 + onward
+                else:
+                    members = stack[bottom:]
+                    del stack[bottom:]
+                    value = len({node for node, _ in members}) + onward
+                    for member in members:
+                        best[member] = value
+                if path and value > path[-1][3]:
+                    path[-1][3] = value
+    return best
 
 
 def _walk_from(graph: RelationalGraph, length: int, head: int,
                rng: random.Random, budget: int,
                moves: dict[tuple, list[tuple[int, str]]],
-               dead_heads: set[int]) -> Iterator[Optional[list[int]]]:
-    """The search for a walk of length+1 nodes from `head` drawn on `rng`,
-    as a generator: it yields the walk once found, or None once `budget`
-    expansions are spent, and `send(n)` resumes it with n more, drawing as
-    one search with the summed budget would.  A head whose every move was
-    tried joins `dead_heads`, and its search yields None and ends.  `moves`
-    caches, per (node, acc), the moves the fold admits."""
+               best: Optional[dict[tuple, float]],
+               dead_heads: set[int]) -> Optional[list[int]]:
+    """A walk of length+1 nodes from `head` drawn on `rng`, or None once
+    `budget` expansions are spent or every move was tried; a head whose
+    every move was tried joins `dead_heads`.  With `best`, the bounds of
+    `_longest_walk`, a move is dropped when its bound is below the nodes
+    the walk still needs.  `moves` caches, per (node, acc), the moves the
+    fold admits."""
     getrandbits = rng.getrandbits
     outgoing = graph.outgoing
     edges = graph.edges
@@ -263,8 +252,7 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
         mask |= 1 << node
         walk.append(node)
         if len(walk) == length + 1:
-            yield walk
-            return
+            return walk
         keys.append(key)
         budget -= 1
         if fold is None or acc is None:
@@ -273,7 +261,14 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
             admitted = moves.get((node, acc))
             if admitted is None:
                 admitted = _admitted(graph, moves, node, acc)
-        choices = [move for move in admitted if not mask >> move[0] & 1]
+        if best is None:
+            choices = [move for move in admitted if not mask >> move[0] & 1]
+        else:
+            # a move whose bound is below the nodes the walk still needs
+            # leads to no answerable walk of the length
+            need = length + 1 - len(walk)
+            choices = [move for move in admitted
+                       if not mask >> move[0] & 1 and best[move] >= need]
         if fold is not None and len(walk) == length:
             # last step: keep only tails whose fold is the graph's head-to-tail
             # edge, the true answer in a graph closed under deduction
@@ -282,8 +277,7 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
         # draw the next move, backing out of levels whose moves are spent
         while True:
             if budget <= 0:
-                budget = yield None
-                continue
+                return None
             top = stack[-1]
             if not top:
                 stack.pop()
@@ -291,8 +285,7 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
                 dead.add(keys.pop())
                 if not stack:
                     dead_heads.add(head)
-                    yield None
-                    return
+                    return None
                 continue
             # rng.randrange(n), as CPython draws it: the same values from
             # the same stream, without the call's argument checks

@@ -29,10 +29,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional
@@ -195,8 +193,9 @@ def generate_candidate(
     base = (spec.seed, spec.task, hop, index, attempt)
     try:
         # ten-hop entailed kinship walks are scarce: each head gets a deeper
-        # search, of which sample_chain spends the first slice on every head
-        # before it gives any head the rest
+        # search.  With the walk bound's pruning no head searched by the
+        # presets spends more than ~215 expansions, so either budget only
+        # caps the search on a graph unlike theirs
         chain = sample_chain(graph, hop, derive_seed(*base, "walk"),
                              budget=3500 if hop >= 10 else 800)
     except SamplingExhausted:
@@ -268,6 +267,9 @@ def build_dataset(spec: DatasetSpec, workers: int = 1) -> list[Example]:
             repeat(GraphTable(ENGINES[spec.task])))
     workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers > 1:
+        # imported here: a one-process run, and `import reasonforge`, skip them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             buckets = list(pool.map(_build_bucket, *args))

@@ -101,6 +101,17 @@ def test_gen_workers_match_at_deep_hops(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_import_leaves_the_process_pool_out():
+    # only `gen --workers N` with N > 1 uses a pool, so importing the CLI
+    # imports neither multiprocessing nor concurrent.futures
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, reasonforge.cli; print(sorted(m for m in "
+         "('multiprocessing', 'concurrent.futures') if m in sys.modules))"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_gen_zero_counts(tmp_path):
     out = tmp_path / "empty.jsonl"
     assert run(["gen", "--task", "clutrr", "--counts", "2:10=0",

@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -7,7 +7,7 @@ from reasonforge import sampler
 from reasonforge.augment import flip_step
 from reasonforge.kinship import KinshipEngine, chain_relation
 from reasonforge.relgraph import RelationalGraph, Triple, _attach, grow_graph
-from reasonforge.sampler import (SamplingExhausted, _heads, _longest_walk, _walk_from,
+from reasonforge.sampler import (NO_WALK, SamplingExhausted, _longest_walk, _walk_from,
                                  sample_chain)
 from reasonforge.spatial import SpatialEngine
 from reasonforge.taskgen import derive_seed
@@ -155,20 +155,15 @@ def outcome(graph, hop, seed, budget):
 
 
 @pytest.mark.parametrize("hop", [7, 8, 9, 10])
-def test_dead_head_memo_never_changes_a_chain(hop, monkeypatch):
+def test_dead_head_memo_never_changes_a_chain(hop):
     # each seed gives the same chain, or fails alike, on a graph with an
     # empty memo, with a memo warmed by 40 other seeds, and with one warmed
     # in reverse order; the warm-up also searches the other lengths, whose
     # dead heads must not leak into this one.  The graphs are those gen
     # reuses with graphs_per_hop 3; gen's budget lets every dead head be
     # recorded, and a tight one leaves heads that run out of it unrecorded.
-    # A first slice of 40 expansions leaves most heads to the second pass,
-    # where a cold graph proves dead the heads a warm one skips.
     walks = Counter()
-    gen_budget = 3500 if hop >= 10 else 800
-    for budget, first_slice in ((gen_budget, sampler.FIRST_SLICE), (gen_budget, 40),
-                                (150, sampler.FIRST_SLICE)):
-        monkeypatch.setattr(sampler, "FIRST_SLICE", first_slice)
+    for budget in (3500 if hop >= 10 else 800, 150):
         for index in range(3):
             graph_seed = derive_seed(0, "kinship", "graph", hop, index)
 
@@ -188,27 +183,36 @@ def test_dead_head_memo_never_changes_a_chain(hop, monkeypatch):
                         outcome(graph, length, seed, budget)
                 assert graph.dead_heads(hop)
                 assert [outcome(graph, hop, seed, budget)
-                        for seed in targets] == cold, (budget, first_slice, index)
-    assert walks[True] >= 27
+                        for seed in targets] == cold, (budget, index)
+    assert walks[True] >= 18
+
+
+def head_bound(graph, head):
+    """The most nodes an answerable walk from `head` meets after it, by the
+    bounds of its first moves."""
+    best = _longest_walk(graph, head, {})
+    return max((best[first] for first in graph.outgoing[head]), default=NO_WALK)
 
 
 def test_walk_bound_never_rejects_a_head_with_a_chain():
     # a bound below the walk length means the search from that head, given
-    # all the budget it wants, finds no walk.  The bound is counted on the
-    # fold's states, so it holds whether or not composition is exact on
-    # the graph; the two-iteration graphs are larger and less regular.
+    # all the budget it wants and pruning nothing, finds no walk.  The bound
+    # is counted on the fold's states, so it holds whether or not
+    # composition is exact on the graph; the two-iteration graphs are
+    # larger and less regular.
     graphs = ([grow_graph(KinshipEngine(), 1, random.Random(s)) for s in range(30)]
               + [grow_graph(KinshipEngine(), 2, random.Random(s)) for s in range(3)])
     rejected = Counter()
     for g in graphs:
         for head in g.outgoing:
+            bound = head_bound(g, head)
             for length in range(2, 11):
-                if _longest_walk(g, head, length, {}) < length:
+                if bound < length:
                     rejected[length] += 1
                     dead = set()
-                    search = _walk_from(g, length, head, random.Random(0), 10**9,
-                                        {}, dead)
-                    assert next(search) is None and dead == {head}, (head, length)
+                    assert _walk_from(g, length, head, random.Random(0), 10**9,
+                                      {}, None, dead) is None, (head, length)
+                    assert dead == {head}
     assert all(rejected[length] for length in range(3, 11))
     assert rejected[10] >= 300
 
@@ -221,8 +225,7 @@ def test_heads_the_bound_rejects_are_recorded():
     for s in range(5):
         g = grow_graph(KinshipEngine(), 1, random.Random(s))
         for length in (6, 8, 10):
-            rejected = {head for head in g.outgoing
-                        if _longest_walk(g, head, length, {}) < length}
+            rejected = {head for head in g.outgoing if head_bound(g, head) < length}
             with pytest.raises(SamplingExhausted):
                 sample_chain(g, length, s, budget=1)
             assert g.dead_heads(length) == rejected
@@ -230,158 +233,73 @@ def test_heads_the_bound_rejects_are_recorded():
     assert recorded >= 50
 
 
+def test_every_move_the_bound_drops_holds_no_answerable_walk():
+    # exhaustively, on the graphs and hops of the exactness test: below every
+    # fold-alive prefix of a walk from a head, a move the search drops (its
+    # bound is below the nodes the walk still needs) starts no completion of
+    # the prefix into an answerable walk of the hop.  Some dropped moves
+    # start fold-alive walks of the hop, which only the bound rules out.
+    dropped = Counter()
+    for s in range(30):
+        full = grow_graph(KinshipEngine(), 1, random.Random(s))
+        sub = induced(full, set(random.Random(s).sample(list(full.outgoing), 10)))
+        for g, hops in ((full, range(2, 6)), (sub, range(2, 8))):
+            fold = g.engine.fold
+            for head in sorted(g.outgoing):
+                best = _longest_walk(g, head, {})
+                truth = {tail: g.engine.derive(head, tail) for tail in g.outgoing}
+
+                def extend(walk, acc):
+                    """(the hops of answerable walks through this prefix, the
+                    hops of fold-alive ones), dropped moves checked below it"""
+                    steps = len(walk) - 1
+                    answerable = {steps} if acc == truth[walk[-1]] else set()
+                    alive = {steps}
+                    if steps == hops[-1]:
+                        return answerable, alive
+                    for nb, label in g.outgoing[walk[-1]]:
+                        after = label if acc is None else fold.get(acc, {}).get(label)
+                        if nb in walk or after is None:
+                            continue
+                        below, reached = extend(walk + [nb], after)
+                        for hop in hops:
+                            if hop > steps and best[nb, after] < hop + 1 - len(walk):
+                                assert hop not in below, (s, head, walk, nb, hop)
+                                dropped["moves"] += 1
+                                dropped["alive"] += hop in reached
+                        answerable |= below
+                        alive |= reached
+                    return answerable, alive
+
+                extend([head], None)
+    assert dropped["moves"] >= 200_000 and dropped["alive"] >= 100_000, dropped
+
+
 @pytest.mark.parametrize("hop", [7, 8, 9, 10])
 def test_walk_bound_never_changes_a_chain(hop, monkeypatch):
-    # the seeds and graphs of test_dead_head_memo_never_changes_a_chain,
-    # each searched in turn on one graph, give the same chains with the
-    # bound as with a bound that rejects nothing, and the bound's memo holds
-    # every head the other's does
-    for budget in (3500 if hop >= 10 else 800, 150):
-        for index in range(3):
-            graph_seed = derive_seed(0, "kinship", "graph", hop, index)
-            seeds = [derive_seed(0, "kinship", hop, index, attempt, "walk")
-                     for attempt in range(46)]
-            bounded = grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
-                                 random.Random(graph_seed))
-            walks = [outcome(bounded, hop, seed, budget) for seed in seeds]
-            with monkeypatch.context() as patch:
-                patch.setattr(sampler, "_longest_walk", lambda *args: float("inf"))
-                unbounded = grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
-                                       random.Random(graph_seed))
-                assert [outcome(unbounded, hop, seed, budget)
-                        for seed in seeds] == walks, (budget, index)
-            assert any(walks)
-            assert bounded.dead_heads(hop) >= unbounded.dead_heads(hop)
-
-
-def hop10_graph(index):
-    # the graph gen grows for its index-th hop-10 candidate's first attempt
-    return grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
-                      random.Random(derive_seed(0, "kinship", "graph", 10, index)))
-
-
-def search_in_parts(graph, length, head, seed, grants):
-    """What the search from `head` on `random.Random(seed)` yields when it is
-    given `grants[0]` expansions, then resumed with each later grant while
-    it is paused; with the stream's state and the dead heads after it."""
-    rng, dead = random.Random(seed), set()
-    search = _walk_from(graph, length, head, rng, grants[0], {}, dead)
-    walk = next(search)
-    for grant in grants[1:]:
-        if walk is not None or dead:
-            break
-        walk = search.send(grant)
-    return walk, rng.getstate(), dead
-
-
-def test_a_resumed_search_draws_as_one_search():
-    # pausing a head's search and resuming it gives the walk, the draws and
-    # the dead-head verdict of one search given the summed budget, on
-    # kinship graphs of one iteration and of gen's, and on a spatial grid
-    graphs = ([(grow_graph(KinshipEngine(), 1, random.Random(s)), range(3, 9, 2))
-               for s in range(3)]
-              + [(hop10_graph(index), (7, 10)) for index in range(3)]
-              + [(spatial_l1(), (4, 8))])
-    resumed = Counter()
-    for g, hops in graphs:
-        for hop in hops:
-            for head in sorted(g.outgoing)[::3]:
-                for seed in range(2):
-                    for budget in (60, 900):
-                        whole = search_in_parts(g, hop, head, seed, [budget])
-                        for grants in ([1, budget - 1], [budget // 2, budget - budget // 2],
-                                       [7, 0, 20, budget - 27]):
-                            parts = search_in_parts(g, hop, head, seed, grants)
-                            assert parts == whole, (head, hop, seed, grants)
-                        resumed[whole[0] is not None, bool(whole[2])] += 1
-    # searches that found a walk, proved their head dead, or ran out
-    assert min(resumed[True, False], resumed[False, True], resumed[False, False]) >= 20
-
-
-def test_a_head_found_within_the_first_slice_wins_over_an_earlier_one(monkeypatch):
-    # where an earlier head needs more than the first slice to find a walk,
-    # a later head whose slice finds one wins; given the whole budget at
-    # once, the earlier head would have won
-    overtaken = 0
-    for index in range(40):
-        seed = derive_seed(0, "kinship", 10, index, 0, "walk")
-        staged = sample_chain(hop10_graph(index), 10, seed, budget=3500)
+    # the bound steers the draw, so it changes which chain a seed gives, but
+    # never whether it gives one: on the graphs and seeds of
+    # test_dead_head_memo_never_changes_a_chain, each searched in turn on
+    # one graph with budget enough for any head, the pruned search finds a
+    # chain exactly where a search that prunes nothing does, from the same
+    # head, and the two dead-head memos are equal
+    for index in range(3):
+        graph_seed = derive_seed(0, "kinship", "graph", hop, index)
+        seeds = [derive_seed(0, "kinship", hop, index, attempt, "walk")
+                 for attempt in range(46)]
+        bounded = grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
+                             random.Random(graph_seed))
+        walks = [outcome(bounded, hop, seed, 10**6) for seed in seeds]
         with monkeypatch.context() as patch:
-            patch.setattr(sampler, "FIRST_SLICE", 3500)
-            whole = sample_chain(hop10_graph(index), 10, seed, budget=3500)
-        if staged.walk == whole.walk:
-            continue
-        overtaken += 1
-        g = hop10_graph(index)
-        order = [head for head, _ in _heads(sorted(g.outgoing), seed)]
-        assert order.index(whole.head) < order.index(staged.head)
-        streams = dict(_heads(sorted(g.outgoing), seed))
-        for head, walk in ((whole.head, None), (staged.head, staged.walk)):
-            dead = set()
-            assert next(_walk_from(g, 10, head, streams[head](), sampler.FIRST_SLICE,
-                                   {}, dead)) == walk and not dead
-    assert overtaken >= 3
-
-
-def test_a_slice_every_head_overruns_leaves_the_chain_to_the_second_pass(monkeypatch):
-    # a first slice shorter than the walk finds no chain, so every head the
-    # first pass searches is paused or dead, and the second pass resumes the
-    # paused ones in order: the chain is the one a single pass with the
-    # whole budget gives, and no head is granted more than the budget
-    grants: dict[int, list[int]] = {}
-
-    def walk_from(graph, length, head, rng, budget, *args, real=sampler._walk_from):
-        grants[head] = [budget]
-        search = real(graph, length, head, rng, budget, *args)
-        walk = next(search)
-        while True:
-            more = yield walk
-            grants[head].append(more)
-            walk = search.send(more)
-
-    graphs = ([grow_graph(KinshipEngine(), 1, random.Random(s)) for s in range(4)]
-              + [hop10_graph(index) for index in range(2)])
-    resumed = 0
-    for g in graphs:
-        for hop in (4, 7, 10):
-            for seed in range(4):
-                for budget in (150, 800):
-                    with monkeypatch.context() as patch:
-                        patch.setattr(sampler, "FIRST_SLICE", budget)
-                        whole = outcome(g, hop, seed, budget)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(sampler, "FIRST_SLICE", 3)
-                        patch.setattr(sampler, "_walk_from", walk_from)
-                        grants.clear()
-                        assert outcome(g, hop, seed, budget) == whole, (hop, seed, budget)
-                    assert all(spent[0] == 3 and sum(spent) <= budget
-                               for spent in grants.values())
-                    resumed += sum(len(spent) == 2 for spent in grants.values())
-                    if whole is not None:
-                        assert grants[whole[0]] == [3, budget - 3]
-    assert resumed >= 100
-
-
-def test_staging_proves_fewer_heads_dead_at_hop_10(monkeypatch):
-    # a cost guard: on gen's first-attempt hop-10 graphs and walk seeds, a
-    # search that runs to its dead end is the cost staging avoids.  With
-    # every head given its whole budget at once, earlier heads are proven
-    # dead before a later one finds the chain; staged, fewer are, and every
-    # seed still gives a chain.  Dead proofs are the recorded dead heads
-    # the bound did not reject.
-    def dead_proofs(first_slice):
-        proofs = 0
-        with monkeypatch.context() as patch:
-            patch.setattr(sampler, "FIRST_SLICE", first_slice)
-            for index in range(40):
-                g = hop10_graph(index)
-                seed = derive_seed(0, "kinship", 10, index, 0, "walk")
-                assert outcome(g, 10, seed, 3500) is not None, (first_slice, index)
-                proofs += len({head for head in g.dead_heads(10)
-                               if _longest_walk(g, head, 10, {}) >= 10})
-        return proofs
-
-    assert dead_proofs(sampler.FIRST_SLICE) < dead_proofs(3500)
+            patch.setattr(sampler, "_longest_walk",
+                          lambda *args: defaultdict(lambda: float("inf")))
+            unbounded = grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
+                                   random.Random(graph_seed))
+            unpruned = [outcome(unbounded, hop, seed, 10**6) for seed in seeds]
+        assert [walk and walk[0] for walk in walks] == [
+            walk and walk[0] for walk in unpruned], index
+        assert any(walks) and walks != unpruned
+        assert bounded.dead_heads(hop) == unbounded.dead_heads(hop)
 
 
 def test_walk_draw_is_randrange():

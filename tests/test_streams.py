@@ -19,13 +19,18 @@ def hop10_graph():
                       random.Random(_graph_seed(SPEC, 10, 0, 0)))
 
 
+def head_bound(graph, head):
+    best = _longest_walk(graph, head, {})
+    return max(best[first] for first in graph.outgoing[head])
+
+
 def warm_hop10_graph():
-    # a search of every head with gen's whole hop-10 budget at once fills
-    # the graph's hop-10 dead-head memo with the heads it proves dead
+    # a pruned search of every head with gen's hop-10 budget fills the
+    # graph's hop-10 dead-head memo with the heads it proves dead
     graph = hop10_graph()
     for head in sorted(graph.outgoing):
-        next(_walk_from(graph, 10, head, random.Random(head), 3500, {},
-                        graph.dead_heads(10)))
+        _walk_from(graph, 10, head, random.Random(head), 3500, {},
+                   _longest_walk(graph, head, {}), graph.dead_heads(10))
     assert graph.dead_heads(10)
     return graph
 
@@ -40,7 +45,7 @@ def test_candidate_draws_do_not_depend_on_the_memo():
     for attempt in range(12):
         walk_seed = derive_seed(SPEC.seed, SPEC.task, 10, 0, attempt, "walk")
         first = nodes[random.Random(walk_seed).randrange(len(nodes))]
-        if first in warm.dead_heads(10) and _longest_walk(warm, first, 10, {}) >= 10:
+        if first in warm.dead_heads(10) and head_bound(warm, first) >= 10:
             searched_dead_first += 1
         cold = generate_candidate(SPEC, 10, 0, attempt, lambda seed: hop10_graph())
         assert cold is not None
@@ -67,10 +72,10 @@ def test_a_skipped_head_seeds_no_stream(monkeypatch):
         searched.append(head)
         return real(graph, length, head, *args)
 
-    def longest_walk(graph, head, length, moves, real=sampler._longest_walk):
-        bound = real(graph, head, length, moves)
-        bounded.append(bound < length)
-        return bound
+    def longest_walk(graph, head, moves, real=sampler._longest_walk):
+        best = real(graph, head, moves)
+        bounded.append(max(best[first] for first in graph.outgoing[head]) < 10)
+        return best
 
     monkeypatch.setattr(sampler, "random", types.SimpleNamespace(Random=counting_random))
     monkeypatch.setattr(sampler, "_heads", heads)
