@@ -201,6 +201,7 @@ class KinshipEngine:
     labels = KINSHIP_LABELS
     default_growth = KINSHIP_LABELS
     growth_iterations = 1
+    rules = _RULE  # label -> rule: the fold factors by rule (see sampler)
 
     def __init__(self) -> None:
         self.genealogy = Genealogy()

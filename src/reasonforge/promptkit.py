@@ -174,9 +174,6 @@ def _last_relation(segment: str, task: str) -> Optional[str]:
     return _PHRASE_LABELS[task][matches[-1]] if matches else None
 
 
-_LIST_MARKER = re.compile(r"^\s*(?:[-*]|\d+[.)])\s*")
-
-
 def _extract_triples(text: str, lowered: str,
                      pool: TemplatePool) -> Optional[list[list[str]]]:
     # the last "triples" and the first "therefore" after it, in any case
@@ -186,12 +183,9 @@ def _extract_triples(text: str, lowered: str,
     colon = text.find(":", marker)
     start = colon + 1 if colon >= 0 else marker
     stop = lowered.find("therefore", start)
-    section = text[start:stop if stop >= 0 else len(text)]
-    lines = [_LIST_MARKER.sub("", line) for line in section.splitlines()]
-    found = pool.extract("\n".join(lines))
-    if not found:
-        return None
-    return [[a, r, b] for a, r, b in found]
+    # an answer sentence after the triple lines is not one more triple
+    found = pool.extract(text[start:stop if stop >= 0 else len(text)], lines=True)
+    return [[a, r, b] for a, r, b in found] or None
 
 
 def parse_response(text: str, style: str, task: str,

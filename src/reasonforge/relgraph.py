@@ -20,10 +20,9 @@ nodes in the order they joined, each holding its edges in the order they
 were added.  Every related pair is stored in both directions, so a fact
 read from the other endpoint is the stored reverse edge.  A completed
 graph's nodes and edges never change; one lazily filled memo rides on it,
-the heads that chain sampling has proven dead (`dead_heads`), by searching
-them in full or by a bound on their longest answerable walk.  The memo
-never changes what a call returns, so a graph is safe to share between
-examples and across threads, memo and all.
+chain sampling's bound on each head's walks and the heads it has proven
+dead (`dead_heads`).  The memo never changes what a call returns, so a
+graph is safe to share between examples and across threads, memo and all.
 
 A `GraphTable` serves the graph of each growth seed and grows each
 distinct graph once.  Growth draws only through `rng.choice`, so a graph
@@ -31,7 +30,8 @@ is a function of the indices it draws: the table maps the indices drawn so
 far to the next draw's number of options, or to the graph grown once the
 draws end.  A seed replays its own draws down the table until it reaches a
 graph, growing one only on a path that no earlier seed took.  The graphs
-of one table share their edge-key and move tuples.
+of one table share their edge-key and move tuples, and those of one rule
+skeleton their memo, exact as the sampler's docstring shows.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ class RelationalGraph:
         self.edges: dict[tuple[int, int], str] = {}
         # node -> [(object, relation), ...] in edge order; nodes in join order
         self.outgoing: dict[int, list[tuple[int, str]]] = {}
-        self._dead_heads: dict[int, set[int]] = {}
+        # chain sampling's memo: length -> dead heads, (head, gender) -> bound
+        self.memo: tuple[dict[int, set[int]], dict[tuple, dict]] = ({}, {})
 
     def add_node(self, node: int) -> None:
         if node in self.outgoing:
@@ -87,7 +88,7 @@ class RelationalGraph:
     def dead_heads(self, length: int) -> set[int]:
         """The start nodes from which chain sampling searched every walk of
         `length` steps and found no chain; filled by `sample_chain`."""
-        return self._dead_heads.setdefault(length, set())
+        return self.memo[0].setdefault(length, set())
 
 
 def _attach(graph: RelationalGraph, node: int) -> None:
@@ -160,6 +161,7 @@ class GraphTable:
         # edge keys and moves shared by this table's graphs
         self._pairs: dict[tuple[int, int], tuple[int, int]] = {}
         self._moves: dict[tuple[int, str], tuple[int, str]] = {}
+        self._memos: dict[tuple, tuple] = {}  # rule skeleton -> its memo
 
     def __call__(self, seed: int) -> RelationalGraph:
         table, drawn = self._table, ()
@@ -179,6 +181,10 @@ class GraphTable:
                        for key, relation in graph.edges.items()}
         for out in graph.outgoing.values():
             out[:] = [moves.setdefault(move, move) for move in out]
+        rules = self.engine.rules
+        if rules is not None:
+            skeleton = tuple((key, rules[label]) for key, label in graph.edges.items())
+            graph.memo = self._memos.setdefault(skeleton, graph.memo)
         # file the graph under its draws
         drawn = ()
         for n, index in draws.taken:

@@ -29,11 +29,11 @@ budget; a skipped dead state costs none.  The first head is drawn and
 walked on `random.Random(seed)`; the later heads are ordered by a second
 stream of the seed, and each walks on a stream of (seed, head), seeded only
 once that head is searched.  A head whose whole subtree held no chain holds
-none for any seed or budget, so the graph remembers it per walk length
+none for any seed or budget, so the graph's memo keeps it per walk length
 (`RelationalGraph.dead_heads`) and later calls skip it at no cost; a head
-out of budget is not remembered.  No head's search reads another head's
-stream or budget, so skipping a dead head changes no result: a call
-returns the same chain whatever the memo holds.
+out of budget is not kept.  No head's search reads another head's stream
+or budget, so skipping a dead head changes no result: a call returns the
+same chain whatever the memo holds.
 
 With a fold, each head is first bounded (`_longest_walk`), in one pass over
 the (node, acc) states its first moves reach, never re-entering the head.
@@ -50,6 +50,14 @@ the length holds no chain: it is recorded as dead and skipped unsearched,
 also where its search would have run out of budget first, since either
 way it gives no chain.  Pruned so, no head searched in gen's presets
 spends more than a few hundred expansions, a fraction of its budget.
+
+The memo also keeps each head's bounds, by head and gender, and a
+`GraphTable` gives one memo to the graphs of one rule skeleton: the same
+edges, each label read as its gender-free rule (`engine.rules`).  Kinship's
+fold factors by rule (whether acc -> step is defined, and its result's
+rule, depend on the two rules alone; the result keeps acc's gender, the
+head's), so there a head of one gender meets the same (node, acc) states
+and bounds, and answerable walks start at the same heads.
 
 Step i of a sampled chain is the triple (walk[i], label, walk[i+1]); only a
 direction flip rewrites a step against the walk.
@@ -114,7 +122,10 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
             continue
         best = None
         if bounded:
-            best = _longest_walk(graph, head, moves)
+            key = (head, graph.engine.genders[head])
+            best = graph.memo[1].get(key)
+            if best is None:
+                best = graph.memo[1][key] = _longest_walk(graph, head, moves)
             if max((best[first] for first in graph.outgoing[head]),
                    default=NO_WALK) < length:
                 dead_heads.add(head)

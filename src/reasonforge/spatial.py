@@ -65,6 +65,7 @@ class SpatialEngine:
     default_growth = tuple(r for r in SPATIAL_LABELS if r != "overlaps")
     genders = None  # letters carry no gender
     fold = None  # every chain of labels has a label: walks prune nothing
+    rules = None  # no fold to factor: each graph keeps its own memo
     growth_iterations = 2  # a 5x5 grid
 
     def __init__(self) -> None:

@@ -96,7 +96,9 @@ class TemplatePool:
                                     .replace(r"\{B\}", f"({name_pattern})") + ")")
                 self._slots[group] = (relation, group + 1, group + 1 + slot_size)
                 group += 1 + 2 * slot_size
-        self._matcher = re.compile(f"(?={name_pattern})(?:{'|'.join(alternatives)})")
+        sentence = f"(?={name_pattern})(?:{'|'.join(alternatives)})"
+        self._matcher = re.compile(sentence)
+        self._lines = re.compile(rf"^[ \t]*(?:[-*]|\d+[.)])?[ \t]*{sentence}\s*$", re.M)
 
     @classmethod
     def for_task(cls, task: str) -> "TemplatePool":
@@ -109,12 +111,17 @@ class TemplatePool:
     def render(self, relation: str, a: str, b: str, rng: random.Random) -> str:
         return rng.choice(self.templates[relation]).format(A=a, B=b)
 
-    def extract(self, text: str) -> list[tuple[str, str, str]]:
+    def extract(self, text: str, lines: bool = False) -> list[tuple[str, str, str]]:
         """Recover (subject, relation, object) triples in order of mention,
         in one scan; where two templates match at one position, the first
-        listed wins, and the scan resumes after each match."""
-        triples = []
-        for m in self._matcher.finditer(text):
+        listed wins, and the scan resumes after each match.  With `lines`,
+        only the first run of lines that are each wholly one sentence, after
+        an optional list marker, counts; blank lines do not end the run."""
+        triples, end = [], 0
+        for m in (self._lines if lines else self._matcher).finditer(text):
+            if lines and triples and text[end:m.start()].strip():
+                break
+            end = m.end()
             relation, a, b = self._slots[m.lastindex]
             triples.append((m.group(a), relation, m.group(b)))
         return triples

@@ -230,6 +230,22 @@ def test_compose_gender_coherence():
         assert LABEL_GENDER[out] == LABEL_GENDER[r1], (r1, out)
 
 
+def test_compose_factors_by_rule():
+    # graphs whose edges name the same rules share chain sampling's memo,
+    # which is exact only because, for every label pair, whether compose()
+    # defines it and the rule of its result depend on the two rules alone,
+    # and the result keeps acc's gender (test_compose_gender_coherence)
+    rules = KinshipEngine.rules
+    by_rules = {}
+    for r1 in KINSHIP_LABELS:
+        for r2 in KINSHIP_LABELS:
+            out = COMPOSE.get((r1, r2))
+            rule = None if out is None else rules[out]
+            assert by_rules.setdefault((rules[r1], rules[r2]), rule) == rule, (r1, r2)
+    assert len(by_rules) == 81
+    assert sum(rule is not None for rule in by_rules.values()) == 18
+
+
 def test_compose_agrees_with_oracle_on_instantiated_chains():
     # realize r2 on a root, then r1 on its subject; where a fresh subject is
     # impossible, fall back to existing carriers of r1

@@ -267,6 +267,42 @@ def test_lowercase_therefore_ends_the_triples(kinship_examples, spatial_examples
         assert parse_response(lowered, "eta-p", e.task).triples == e.gold_triples
 
 
+def test_the_triples_end_at_the_first_line_that_is_not_one_triple():
+    # an answer sentence introduced by anything but "therefore" matches a
+    # template, but follows a line that is not one triple, so it is not read
+    # as one more triple; blank lines and list markers do not end the list
+    for task, names, labels, answer in (
+            ("spatial", "ABC", ("above", "above"), "A is directly above C."),
+            ("kinship", ("Ann", "Bob", "Cy"), ("mother", "brother"),
+             "Ann is the mother of Cy.")):
+        pool = promptkit.TemplatePool.for_task(task)
+        a, b, c = names
+        lines = [pool.canonical(labels[0], a, b), pool.canonical(labels[1], b, c)]
+        gold = [[a, labels[0], b], [b, labels[1], c]]
+        for body, tail in (("\n".join(lines), "\nSo the answer: " + answer),
+                           (f"\n1. {lines[0]}\n\n - {lines[1]}  ", "\nSo: " + answer),
+                           ("\n".join(lines), "\nAnd so.\n" + answer)):
+            response = "The ordered structured triples are:\n" + body + tail
+            parsed = parse_response(response, "eta-p", task)
+            assert parsed.triples == gold, response
+            assert parsed.relation == labels[0]
+    # a line that holds more than one sentence is not a triple line
+    assert parse_response("triples: A is directly above B. B is directly above C.",
+                          "eta-p", "spatial").triples is None
+
+
+def test_an_answer_after_the_triples_is_not_a_triple(kinship_examples,
+                                                     spatial_examples):
+    for e in kinship_examples + spatial_examples:
+        target = render_target(e, "eta-p")
+        head, tail = e.endpoints
+        answer = promptkit.TemplatePool.for_task(e.task).canonical(e.answer, head, tail)
+        response = target[:target.index("\nTherefore, ")] + "\nSo the answer: " + answer
+        parsed = parse_response(response, "eta-p", e.task)
+        assert parsed.triples == e.gold_triples
+        assert parsed.relation == e.answer
+
+
 def test_round_trip_parse_of_targets(kinship_examples, spatial_examples):
     for dataset in (kinship_examples, spatial_examples):
         for e in dataset:

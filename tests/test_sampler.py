@@ -5,8 +5,8 @@ import pytest
 
 from reasonforge import sampler
 from reasonforge.augment import flip_step
-from reasonforge.kinship import KinshipEngine, chain_relation
-from reasonforge.relgraph import RelationalGraph, Triple, _attach, grow_graph
+from reasonforge.kinship import KinshipEngine, chain_relation, compose
+from reasonforge.relgraph import GraphTable, RelationalGraph, Triple, _attach, grow_graph
 from reasonforge.sampler import (NO_WALK, SamplingExhausted, _longest_walk, _walk_from,
                                  sample_chain)
 from reasonforge.spatial import SpatialEngine
@@ -86,21 +86,40 @@ def test_fold_keeps_kinship_chains_entailed():
 
 
 def answerable_walk_exists(graph, length, heads=None):
-    """Brute force: some simple walk of `length` steps from one of `heads`
+    """Exhaustive: some simple walk of `length` steps from one of `heads`
     (default: every node) keeps the fold alive and ends on the engine's
-    ground truth for its head and tail."""
+    ground truth for its head and tail.  What completes a prefix depends
+    only on its head, its visited nodes, its last node and its fold, so a
+    prefix that agrees on all four with one already extended in vain is not
+    extended again."""
     outgoing = graph.outgoing
     engine = graph.engine
+    fold = compose()
+    tried = set()
 
-    def extend(walk, labels):
+    def extend(walk, mask, labels, acc):
         if len(labels) == length:
             return chain_relation(labels) == engine.ground_truth(
                 walk[0], walk[-1], labels)
-        return any(extend(walk + [nb], labels + [label])
-                   for nb, label in outgoing[walk[-1]]
-                   if nb not in walk and chain_relation(labels + [label]) is not None)
+        key = (walk[0], mask, walk[-1], acc)
+        if key in tried:
+            return False
+        tried.add(key)
+        row = fold.get(acc, {})
+        for nb, label in outgoing[walk[-1]]:
+            after = label if acc is None else row.get(label)
+            if after is None or mask >> nb & 1:
+                continue
+            walk.append(nb)
+            labels.append(label)
+            if extend(walk, mask | 1 << nb, labels, after):
+                return True
+            walk.pop()
+            labels.pop()
+        return False
 
-    return any(extend([node], []) for node in sorted(graph.outgoing if heads is None else heads))
+    return any(extend([node], 1 << node, [], None)
+               for node in sorted(graph.outgoing if heads is None else heads))
 
 
 def induced(graph, keep):
@@ -300,6 +319,69 @@ def test_walk_bound_never_changes_a_chain(hop, monkeypatch):
             walk and walk[0] for walk in unpruned], index
         assert any(walks) and walks != unpruned
         assert bounded.dead_heads(hop) == unbounded.dead_heads(hop)
+
+
+@pytest.fixture(scope="module")
+def warm_table():
+    """Every graph kinship growth reaches, as one GraphTable serves them
+    (seeds 0-2687 reach all 256), each mapped to its rule skeleton; chains
+    of hops 2-10 drawn on them with gen's budgets for four seeds each have
+    warmed the memos they share."""
+    table = GraphTable(KinshipEngine)
+    graphs = {table(seed): None for seed in range(2688)}
+    assert len(graphs) == 256
+    for graph in graphs:
+        graphs[graph] = tuple((key, KinshipEngine.rules[label])
+                              for key, label in graph.edges.items())
+    for hop in range(2, 11):
+        for graph in graphs:
+            for seed in range(4):
+                outcome(graph, hop, seed, 3500 if hop >= 10 else 800)
+    return graphs
+
+
+def test_graphs_of_one_rule_skeleton_share_one_memo(warm_table):
+    # kinship's 256 graphs have 12 rule skeletons, and a graph grown outside
+    # a table keeps a memo of its own
+    memos = {}
+    for graph, skeleton in warm_table.items():
+        assert memos.setdefault(skeleton, graph.memo) is graph.memo
+    assert len(memos) == len({id(memo) for memo in memos.values()}) == 12
+    plain = [grow_graph(KinshipEngine(), 1, random.Random(seed)) for seed in range(2)]
+    assert plain[0].edges == next(iter(warm_table)).edges
+    assert all(graph.memo is not memo for graph in plain for memo in memos.values())
+    assert plain[0].memo is not plain[1].memo
+
+
+def with_empty_memo(graph):
+    """The graph's nodes, edges and engine under a memo of its own, empty."""
+    copy = RelationalGraph(graph.engine)
+    copy.edges, copy.outgoing = graph.edges, graph.outgoing
+    return copy
+
+
+def test_a_shared_memo_never_changes_a_chain(warm_table):
+    # with the memo its skeleton's graphs warmed, each table graph gives the
+    # chain, or fails alike, that it gives under an empty memo of its own;
+    # a tight budget also fails on heads that the memo skips as dead
+    found = Counter()
+    for hop in range(2, 11):
+        for graph in warm_table:
+            for seed, budget in ((4, 3500 if hop >= 10 else 800), (5, 30)):
+                walk = outcome(graph, hop, seed, budget)
+                assert walk == outcome(with_empty_memo(graph), hop, seed, budget)
+                found[walk is not None] += 1
+    assert found[True] >= 4000 and found[False] >= 150, found
+
+
+def test_no_head_a_shared_memo_holds_dead_starts_an_answerable_walk(warm_table):
+    checked = Counter()
+    for graph in warm_table:
+        for hop in range(2, 11):
+            dead = graph.dead_heads(hop)
+            assert not answerable_walk_exists(graph, hop, dead), hop
+            checked[hop] += len(dead)
+    assert checked[8] >= 150 and checked[9] >= 1000 and checked[10] >= 3000, checked
 
 
 def test_walk_draw_is_randrange():
