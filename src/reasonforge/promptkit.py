@@ -183,8 +183,7 @@ def _extract_triples(text: str, lowered: str,
     colon = text.find(":", marker)
     start = colon + 1 if colon >= 0 else marker
     stop = lowered.find("therefore", start)
-    # an answer sentence after the triple lines is not one more triple
-    found = pool.extract(text[start:stop if stop >= 0 else len(text)], lines=True)
+    found = pool.extract(text[start:stop if stop >= 0 else len(text)])
     return [[a, r, b] for a, r, b in found] or None
 
 

@@ -20,9 +20,9 @@ nodes in the order they joined, each holding its edges in the order they
 were added.  Every related pair is stored in both directions, so a fact
 read from the other endpoint is the stored reverse edge.  A completed
 graph's nodes and edges never change; one lazily filled memo rides on it,
-chain sampling's bound on each head's walks and the heads it has proven
-dead (`dead_heads`).  The memo never changes what a call returns, so a
-graph is safe to share between examples and across threads, memo and all.
+chain sampling's bound on each head's walks (`bounds`) and the heads it has
+proven dead (`dead_heads`).  The memo never changes what a call returns, so
+a graph is safe to share between examples and across threads, memo and all.
 
 A `GraphTable` serves the graph of each growth seed and grows each
 distinct graph once.  Growth draws only through `rng.choice`, so a graph
@@ -64,8 +64,9 @@ class RelationalGraph:
         self.edges: dict[tuple[int, int], str] = {}
         # node -> [(object, relation), ...] in edge order; nodes in join order
         self.outgoing: dict[int, list[tuple[int, str]]] = {}
-        # chain sampling's memo: length -> dead heads, (head, gender) -> bound
-        self.memo: tuple[dict[int, set[int]], dict[tuple, dict]] = ({}, {})
+        # chain sampling's memo: length -> dead heads; (head, gender) -> walk bound
+        self._dead_heads: dict[int, set[int]] = {}
+        self.bounds: dict[tuple[int, str], dict] = {}
 
     def add_node(self, node: int) -> None:
         if node in self.outgoing:
@@ -88,7 +89,7 @@ class RelationalGraph:
     def dead_heads(self, length: int) -> set[int]:
         """The start nodes from which chain sampling searched every walk of
         `length` steps and found no chain; filled by `sample_chain`."""
-        return self.memo[0].setdefault(length, set())
+        return self._dead_heads.setdefault(length, set())
 
 
 def _attach(graph: RelationalGraph, node: int) -> None:
@@ -161,7 +162,7 @@ class GraphTable:
         # edge keys and moves shared by this table's graphs
         self._pairs: dict[tuple[int, int], tuple[int, int]] = {}
         self._moves: dict[tuple[int, str], tuple[int, str]] = {}
-        self._memos: dict[tuple, tuple] = {}  # rule skeleton -> its memo
+        self._memos: dict[tuple, tuple] = {}  # rule skeleton -> (dead heads, bounds)
 
     def __call__(self, seed: int) -> RelationalGraph:
         table, drawn = self._table, ()
@@ -184,7 +185,8 @@ class GraphTable:
         rules = self.engine.rules
         if rules is not None:
             skeleton = tuple((key, rules[label]) for key, label in graph.edges.items())
-            graph.memo = self._memos.setdefault(skeleton, graph.memo)
+            memo = self._memos.setdefault(skeleton, (graph._dead_heads, graph.bounds))
+            graph._dead_heads, graph.bounds = memo
         # file the graph under its draws
         drawn = ()
         for n, index in draws.taken:

@@ -51,13 +51,11 @@ also where its search would have run out of budget first, since either
 way it gives no chain.  Pruned so, no head searched in gen's presets
 spends more than a few hundred expansions, a fraction of its budget.
 
-The memo also keeps each head's bounds, by head and gender, and a
-`GraphTable` gives one memo to the graphs of one rule skeleton: the same
-edges, each label read as its gender-free rule (`engine.rules`).  Kinship's
-fold factors by rule (whether acc -> step is defined, and its result's
-rule, depend on the two rules alone; the result keeps acc's gender, the
-head's), so there a head of one gender meets the same (node, acc) states
-and bounds, and answerable walks start at the same heads.
+The memo also keeps each head's bound, by head and gender, and a `GraphTable`
+shares one memo among graphs of one rule skeleton: the same edges, each label
+read as its gender-free rule (`engine.rules`).  Exact for kinship: whether acc
+-> step is defined, and its rule, depend on the two rules alone, and its gender
+is acc's, the head's; so a head of one gender meets the same states and walks.
 
 Step i of a sampled chain is the triple (walk[i], label, walk[i+1]); only a
 direction flip rewrites a step against the walk.
@@ -114,7 +112,7 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
     if len(graph.outgoing) < length + 1:
         raise SamplingExhausted(
             f"graph has {len(graph.outgoing)} nodes; need {length + 1}")
-    dead_heads = graph.dead_heads(length)
+    dead_heads, bounds = graph.dead_heads(length), graph.bounds
     moves: dict[tuple, list[tuple[int, str]]] = {}
     bounded = graph.engine.fold is not None
     for head, stream in _heads(sorted(graph.outgoing), seed):
@@ -123,9 +121,7 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
         best = None
         if bounded:
             key = (head, graph.engine.genders[head])
-            best = graph.memo[1].get(key)
-            if best is None:
-                best = graph.memo[1][key] = _longest_walk(graph, head, moves)
+            best = bounds.get(key) or bounds.setdefault(key, _longest_walk(graph, head, moves))
             if max((best[first] for first in graph.outgoing[head]),
                    default=NO_WALK) < length:
                 dead_heads.add(head)

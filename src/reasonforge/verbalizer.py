@@ -64,6 +64,11 @@ def read_asset(name: str, parse: Callable[[str], T]) -> T:
     return _ASSETS[key]
 
 
+# a gap within a list of triples: the rest of a line, then no words but
+# list markers ("-", "•", "2)", "(3)", "**", "Step 4:") up to the next
+_LIST_GAP = re.compile(r"[^\n]*(?:\n[\W\d_]*(?:step\s*\d+[\W\d_]*)*)?", re.I)
+
+
 class TemplatePool:
     """Relation -> sentence templates with {A}/{B} slots, plus extraction."""
 
@@ -96,9 +101,7 @@ class TemplatePool:
                                     .replace(r"\{B\}", f"({name_pattern})") + ")")
                 self._slots[group] = (relation, group + 1, group + 1 + slot_size)
                 group += 1 + 2 * slot_size
-        sentence = f"(?={name_pattern})(?:{'|'.join(alternatives)})"
-        self._matcher = re.compile(sentence)
-        self._lines = re.compile(rf"^[ \t]*(?:[-*]|\d+[.)])?[ \t]*{sentence}\s*$", re.M)
+        self._matcher = re.compile(f"(?={name_pattern})(?:{'|'.join(alternatives)})")
 
     @classmethod
     def for_task(cls, task: str) -> "TemplatePool":
@@ -111,15 +114,15 @@ class TemplatePool:
     def render(self, relation: str, a: str, b: str, rng: random.Random) -> str:
         return rng.choice(self.templates[relation]).format(A=a, B=b)
 
-    def extract(self, text: str, lines: bool = False) -> list[tuple[str, str, str]]:
+    def extract(self, text: str) -> list[tuple[str, str, str]]:
         """Recover (subject, relation, object) triples in order of mention,
         in one scan; where two templates match at one position, the first
-        listed wins, and the scan resumes after each match.  With `lines`,
-        only the first run of lines that are each wholly one sentence, after
-        an optional list marker, counts; blank lines do not end the run."""
+        listed wins, and the scan resumes after each match.  The list ends at
+        a gap that is not `_LIST_GAP`: one that holds a line of prose, or
+        opens a match's line with words ("So: A is above C.")."""
         triples, end = [], 0
-        for m in (self._lines if lines else self._matcher).finditer(text):
-            if lines and triples and text[end:m.start()].strip():
+        for m in self._matcher.finditer(text):
+            if triples and not _LIST_GAP.fullmatch(text, end, m.start()):
                 break
             end = m.end()
             relation, a, b = self._slots[m.lastindex]

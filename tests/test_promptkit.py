@@ -267,28 +267,33 @@ def test_lowercase_therefore_ends_the_triples(kinship_examples, spatial_examples
         assert parse_response(lowered, "eta-p", e.task).triples == e.gold_triples
 
 
-def test_the_triples_end_at_the_first_line_that_is_not_one_triple():
+def test_the_triples_end_at_a_line_of_words_before_or_between_triples():
     # an answer sentence introduced by anything but "therefore" matches a
-    # template, but follows a line that is not one triple, so it is not read
-    # as one more triple; blank lines and list markers do not end the list
+    # template, but words open its line, so it is not read as one more
+    # triple; nor is a triple after a line of prose; list markers, blank
+    # lines, several triples on one line and words after a triple on its
+    # line do not end the list
     for task, names, labels, answer in (
             ("spatial", "ABC", ("above", "above"), "A is directly above C."),
             ("kinship", ("Ann", "Bob", "Cy"), ("mother", "brother"),
              "Ann is the mother of Cy.")):
         pool = promptkit.TemplatePool.for_task(task)
         a, b, c = names
-        lines = [pool.canonical(labels[0], a, b), pool.canonical(labels[1], b, c)]
+        one, two = pool.canonical(labels[0], a, b), pool.canonical(labels[1], b, c)
         gold = [[a, labels[0], b], [b, labels[1], c]]
-        for body, tail in (("\n".join(lines), "\nSo the answer: " + answer),
-                           (f"\n1. {lines[0]}\n\n - {lines[1]}  ", "\nSo: " + answer),
-                           ("\n".join(lines), "\nAnd so.\n" + answer)):
-            response = "The ordered structured triples are:\n" + body + tail
+        for body, tail in ((f"\n{one}\n{two}", "\nSo the answer: " + answer),
+                           (f"\n1. {one}\n\n - {two}  ", "\nSo: " + answer),
+                           (f"\n{one}\n{two}", "\nAnd so.\n" + answer),
+                           (f" {one} {two}", "\nSo the answer: " + answer),
+                           (f"\n\u2022 {one}\n\u2022 {two}", "\nSo: " + answer),
+                           (f"\n(1) {one}\n(2) {two}", "\n\nThat gives: " + answer),
+                           (f"\nStep 1: {one}\nStep 2: {two}", "\nIn all, " + answer),
+                           (f"\n**{one}**\n**{two}**", "\nHence " + answer),
+                           (f"\n{one} (given)\n{two} (given)", "\nSo: " + answer)):
+            response = "The ordered structured triples are:" + body + tail
             parsed = parse_response(response, "eta-p", task)
             assert parsed.triples == gold, response
             assert parsed.relation == labels[0]
-    # a line that holds more than one sentence is not a triple line
-    assert parse_response("triples: A is directly above B. B is directly above C.",
-                          "eta-p", "spatial").triples is None
 
 
 def test_an_answer_after_the_triples_is_not_a_triple(kinship_examples,

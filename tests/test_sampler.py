@@ -343,14 +343,23 @@ def warm_table():
 def test_graphs_of_one_rule_skeleton_share_one_memo(warm_table):
     # kinship's 256 graphs have 12 rule skeletons, and a graph grown outside
     # a table keeps a memo of its own
-    memos = {}
+    def shares(graph, other):
+        return graph.bounds is other.bounds and graph.dead_heads(2) is other.dead_heads(2)
+
+    firsts = {}
     for graph, skeleton in warm_table.items():
-        assert memos.setdefault(skeleton, graph.memo) is graph.memo
-    assert len(memos) == len({id(memo) for memo in memos.values()}) == 12
+        assert shares(graph, firsts.setdefault(skeleton, graph))
+    firsts = list(firsts.values())
+    assert len(firsts) == 12
+    assert len({id(g.bounds) for g in firsts}) == 12
+    assert len({id(g.dead_heads(2)) for g in firsts}) == 12
     plain = [grow_graph(KinshipEngine(), 1, random.Random(seed)) for seed in range(2)]
     assert plain[0].edges == next(iter(warm_table)).edges
-    assert all(graph.memo is not memo for graph in plain for memo in memos.values())
-    assert plain[0].memo is not plain[1].memo
+    for graph in plain:
+        assert not any(graph.bounds is g.bounds or graph.dead_heads(2) is g.dead_heads(2)
+                       for g in firsts)
+    assert plain[0].bounds is not plain[1].bounds
+    assert plain[0].dead_heads(2) is not plain[1].dead_heads(2)
 
 
 def with_empty_memo(graph):

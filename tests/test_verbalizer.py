@@ -196,8 +196,15 @@ POOL_NAMES = {
 @given(data=st.data())
 def test_extract_equals_per_template_scan(task, data):
     asset = json.loads((data_dir() / f"templates_{task}.json").read_text())
+    # on one line a list never ends early, so extract is the per-template
+    # scan; across lines it may end early, but skips or adds no triple
+    pool = TemplatePool.for_task(task)
     text = data.draw(spliced_texts(asset["templates"], POOL_NAMES[task]))
-    assert TemplatePool.for_task(task).extract(text) == \
+    found = pool.extract(text)
+    assert found == reference_extract(asset["templates"], asset["name_pattern"],
+                                      text)[:len(found)]
+    text = text.replace("\n", " ")
+    assert pool.extract(text) == \
         reference_extract(asset["templates"], asset["name_pattern"], text)
 
 
