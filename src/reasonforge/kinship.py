@@ -201,7 +201,7 @@ class KinshipEngine:
     labels = KINSHIP_LABELS
     default_growth = KINSHIP_LABELS
     growth_iterations = 1
-    rules = _RULE  # label -> rule: the fold factors by rule (see sampler)
+    rules = _RULE  # label -> its rule, (male label, female label); see sampler
 
     def __init__(self) -> None:
         self.genealogy = Genealogy()
@@ -322,6 +322,18 @@ class KinshipEngine:
         own = gender[person] != "m"
         return [(other, mine[own], theirs[gender[other] != "m"])
                 for others, mine, theirs in rules for other in others]
+
+    def labels_into(self, person: int) -> set[str]:
+        """The labels r for which someone is the r of person."""
+        return {theirs for _, _, theirs in self._relatives(person)}
+
+    def shape(self) -> tuple:
+        """Per person: child unit, parent unit (numbered as met, None for
+        none) and spouse: all that relates two people but their genders."""
+        g, units = self.genealogy, {id(None): None}
+        return tuple((units.setdefault(id(g.child_unit.get(p)), len(units)),
+                      units.setdefault(id(g.parent_unit.get(p)), len(units)),
+                      g.spouse.get(p)) for p in g.gender)
 
     def derive(self, u: int, v: int) -> Optional[str]:
         """Vocabulary label of "u is <r> of v", or None."""

@@ -1,37 +1,41 @@
 """Relational graph model and the iterative growth procedure.
 
-A graph starts from a single root node.  Each growth iteration scans the
-nodes present at the start of the iteration; for every node v and every
-relation r in the engine's default growth labels, if no edge (v', r, v)
-exists yet, the task engine attempts to realize a fresh node v_r (possibly
-with auxiliary nodes) so that "v_r is the r of v" holds.  Each new node
-then gets an edge in both directions to every related node already in the
-graph, as the engine lists them (`engine.links`, in graph order: kinship
-reads the relatives off its family units, spatial relates every pair), so
-the edge set stays closed under deduction at all times.
-
-Absence checks run against the live graph, not a frozen snapshot: a node
-realized earlier in the same iteration already satisfies later checks,
-which both avoids duplicate attachments and keeps spatial growth free of
-coincident placements.
+A graph starts from a single root node and grows in two phases.  First,
+on the engine alone, each iteration scans the nodes present at its start:
+for every node v and relation r in the engine's default growth labels that
+no node is the r of yet (`engine.labels_into`, read live, so a node
+realized earlier in the iteration counts), the engine realizes a fresh
+node v_r (possibly with auxiliary nodes) so that "v_r is the r of v"
+holds.  Then the nodes are attached in creation order, each with an edge
+both ways to every related earlier node, as the engine lists them
+(`engine.links`, in graph order: kinship reads the relatives off its family
+units, spatial relates every pair), so the edges are closed under
+deduction.  Realizing never changes how two nodes relate, so this gives
+the edges of attaching each node as soon as it is realized.
 
 The adjacency table (`outgoing`) is also the node table: its keys are the
 nodes in the order they joined, each holding its edges in the order they
 were added.  Every related pair is stored in both directions, so a fact
 read from the other endpoint is the stored reverse edge.  A completed
-graph's nodes and edges never change; one lazily filled memo rides on it,
-chain sampling's bound on each head's walks (`bounds`) and the heads it has
-proven dead (`dead_heads`).  The memo never changes what a call returns, so
-a graph is safe to share between examples and across threads, memo and all.
+graph's nodes, edges and `outgoing` lists (graphs may share them) never
+change; one lazily filled memo rides on it, chain sampling's bound on each
+head's walks (`bounds`) and the heads it has proven dead (`dead_heads`).
+The memo never changes what a call returns, so a graph is safe to share
+between examples and across threads, memo and all.
 
-A `GraphTable` serves the graph of each growth seed and grows each
-distinct graph once.  Growth draws only through `rng.choice`, so a graph
-is a function of the indices it draws: the table maps the indices drawn so
-far to the next draw's number of options, or to the graph grown once the
-draws end.  A seed replays its own draws down the table until it reaches a
-graph, growing one only on a path that no earlier seed took.  The graphs
-of one table share their edge-key and move tuples, and those of one rule
-skeleton their memo, exact as the sampler's docstring shows.
+A `GraphTable` serves the graph of each growth seed and realizes each
+distinct genealogy once.  Growth draws only through `rng.choice`, so a
+graph is a function of the indices it draws: the table maps the indices
+drawn so far to the next draw's number of options, or to the graph grown
+once the draws end.  A seed replays its own draws down the table until it
+reaches a graph, growing one only on a path that no earlier seed took.
+Kinship genealogies of one shape (`KinshipEngine.shape`) relate the same
+pairs by the same rules, and a label is its rule read by its subject's
+gender, so only a shape's first genealogy is attached: the others' edges
+are its rules read by their own genders, in its order, and their nodes
+share its move list for their gender.  The graphs of a table share their
+edge-key and move tuples, and those of a rule skeleton their memo (exact:
+see the sampler).
 """
 
 from __future__ import annotations
@@ -92,42 +96,39 @@ class RelationalGraph:
         return self._dead_heads.setdefault(length, set())
 
 
-def _attach(graph: RelationalGraph, node: int) -> None:
-    """Add a node and its edges to every related node already in the graph."""
-    links = graph.engine.links(node, graph)
-    graph.add_node(node)
-    for other, forward, backward in links:
-        graph.add_edge(node, forward, other)
-        graph.add_edge(other, backward, node)
+def _attach(graph: RelationalGraph, *nodes: int) -> RelationalGraph:
+    """Add the nodes in order, each with its edges to every related node
+    already in the graph; return the graph."""
+    for node in nodes:
+        links = graph.engine.links(node, graph)
+        graph.add_node(node)
+        for other, forward, backward in links:
+            graph.add_edge(node, forward, other)
+            graph.add_edge(other, backward, node)
+    return graph
+
+
+def _realize(engine: Engine, iterations: int, rng) -> list[int]:
+    """Growth's first phase: run `iterations` rounds of realizations on the
+    engine, drawing from `rng`, and return the nodes in creation order."""
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    nodes = [engine.new_root(rng)]
+    for _ in range(iterations):
+        for node in nodes[:]:
+            held = engine.labels_into(node)
+            for relation in engine.default_growth:
+                if relation not in held and (realized := engine.realize(node, relation, rng)):
+                    nodes += realized[1]
+                    if relation not in (held := engine.labels_into(node)):
+                        raise AssertionError(f"realized {relation} missing for {node}")
+    return nodes
 
 
 def grow_graph(engine: Engine, iterations: int, rng) -> RelationalGraph:
-    """Run `iterations` rounds of the construction over the engine's
-    default growth labels, drawing from `rng`, and return the closed graph."""
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-
-    graph = RelationalGraph(engine)
-    graph.add_node(engine.new_root(rng))
-    edges, outgoing = graph.edges, graph.outgoing
-    for _ in range(iterations):
-        snapshot = sorted(outgoing)
-        for node in snapshot:
-            for relation in engine.default_growth:
-                # every pair is stored both ways: an edge into node is the
-                # reverse of one of node's own
-                if any(edges[other, node] == relation for other, _ in outgoing[node]):
-                    continue
-                realized = engine.realize(node, relation, rng)
-                if realized is None:
-                    continue
-                subject, created = realized
-                for fresh in created:
-                    _attach(graph, fresh)
-                if edges.get((subject, node)) != relation:
-                    raise AssertionError(
-                        f"realized {relation} edge missing for ({subject}, {node})")
-    return graph
+    """Run `iterations` rounds of the construction over the engine's default
+    growth labels, drawing from `rng`: the nodes realized, attached in order."""
+    return _attach(RelationalGraph(engine), *_realize(engine, iterations, rng))
 
 
 class _Draws:
@@ -150,19 +151,17 @@ class _Draws:
 
 
 class GraphTable:
-    """Growth seed -> the graph `grow_graph(engine(), iterations,
-    Random(seed))` grows, each distinct graph grown once.  The graphs it
-    holds live as long as the table."""
+    """Growth seed -> the graph `grow_graph(engine(), iterations, Random(seed))`
+    grows, each genealogy realized once; its graphs live as long as it."""
 
     def __init__(self, engine: type[Engine]) -> None:
         self.engine = engine
         # the indices drawn so far -> the next draw's n, or the graph grown
         # once the draws end
         self._table: dict[tuple[int, ...], Union[int, RelationalGraph]] = {}
-        # edge keys and moves shared by this table's graphs
-        self._pairs: dict[tuple[int, int], tuple[int, int]] = {}
-        self._moves: dict[tuple[int, str], tuple[int, str]] = {}
+        self._shared: dict[tuple, tuple] = {}  # edge keys and moves of its graphs
         self._memos: dict[tuple, tuple] = {}  # rule skeleton -> (dead heads, bounds)
+        self._shapes: dict[tuple, tuple] = {}  # kinship shape -> its template
 
     def __call__(self, seed: int) -> RelationalGraph:
         table, drawn = self._table, ()
@@ -176,21 +175,34 @@ class GraphTable:
 
     def _grow(self, seed: int) -> RelationalGraph:
         draws = _Draws(seed)
-        graph = grow_graph(self.engine(), self.engine.growth_iterations, draws)
-        pairs, moves = self._pairs, self._moves
-        graph.edges = {pairs.setdefault(key, key): relation
-                       for key, relation in graph.edges.items()}
-        for out in graph.outgoing.values():
-            out[:] = [moves.setdefault(move, move) for move in out]
-        rules = self.engine.rules
-        if rules is not None:
-            skeleton = tuple((key, rules[label]) for key, label in graph.edges.items())
-            memo = self._memos.setdefault(skeleton, (graph._dead_heads, graph.bounds))
-            graph._dead_heads, graph.bounds = memo
+        grow = self._relabel if self.engine.rules else grow_graph  # no rules: one grid
+        graph = grow(self.engine(), self.engine.growth_iterations, draws)
         # file the graph under its draws
         drawn = ()
         for n, index in draws.taken:
             self._table[drawn] = n
             drawn += (index,)
         self._table[drawn] = graph
+        return graph
+
+    def _relabel(self, engine: KinshipEngine, iterations: int, rng) -> RelationalGraph:
+        """The graph of the genealogy realized on `rng`, read off its shape's
+        template: (rule skeleton, node -> (moves if male, if female), memo)."""
+        nodes = _realize(engine, iterations, rng)
+        template = self._shapes.get(shape := engine.shape())
+        if template is None:
+            first = _attach(RelationalGraph(engine), *nodes)
+            rules, intern = engine.rules, self._shared.setdefault
+            skeleton = tuple((intern(key, key), rules[label])
+                             for key, label in first.edges.items())
+            moves = {node: tuple([intern(move := (other, rules[label][female]), move)
+                                  for other, label in out] for female in (0, 1))
+                     for node, out in first.outgoing.items()}
+            template = self._shapes[shape] = (
+                skeleton, moves, self._memos.setdefault(skeleton, ({}, {})))
+        skeleton, moves, memo = template
+        gender, graph = engine.genders, RelationalGraph(engine)
+        graph.edges = {key: rule[gender[key[0]] != "m"] for key, rule in skeleton}
+        graph.outgoing = {node: pair[gender[node] != "m"] for node, pair in moves.items()}
+        graph._dead_heads, graph.bounds = memo
         return graph

@@ -19,10 +19,12 @@ answer, and augmentation record) are resampled a bounded number of times;
 when the combinatorial space is too small to avoid repeats the first valid
 candidate is accepted instead.
 
-Graphs come from one `GraphTable` per `build_dataset` call, which grows
-each distinct graph once: in one process every bucket draws on it, while
-each bucket sent to a worker process gets its own copy of the empty table.
-No graph outlives `build_dataset`.
+Graphs come from one `GraphTable` per `build_dataset` call.  It realizes
+each distinct genealogy once and attaches only the first of each kinship
+shape, reading the others' edges off it by gender, exactly (see relgraph),
+so graphs share `outgoing` lists that nothing mutates.  In one process every
+bucket draws on the table; a bucket sent to a worker gets its own empty
+copy.  No graph outlives `build_dataset`.
 """
 
 from __future__ import annotations

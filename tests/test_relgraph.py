@@ -10,7 +10,8 @@ from reasonforge.kinship import KINSHIP_LABELS, KinshipEngine
 from reasonforge.oracle import (VERIFIERS, SpatialWorld, coordinate_relation,
                                 genealogy_relation)
 from reasonforge import relgraph
-from reasonforge.relgraph import GraphTable, RelationalGraph, _attach, grow_graph
+from reasonforge.relgraph import (GraphTable, RelationalGraph, _attach, _realize,
+                                  grow_graph)
 from reasonforge.spatial import SpatialEngine, relation_of_displacement
 
 
@@ -242,16 +243,22 @@ def test_edge_invariants():
         g.add_edge(1, "below", 0)
 
 
-def counting_growth(monkeypatch):
-    """Patch relgraph.grow_graph, the table's growth, to count its calls."""
-    grown = []
+def counting_phases(monkeypatch):
+    """Patch relgraph's two growth phases to record their calls: the
+    genealogies realized and the graphs attached in full."""
+    realized, attached = [], []
 
-    def counted(*args, **kwargs):
-        grown.append(args)
-        return grow_graph(*args, **kwargs)
+    def realize(*args):
+        realized.append(args)
+        return _realize(*args)
 
-    monkeypatch.setattr(relgraph, "grow_graph", counted)
-    return grown
+    def attach(graph, *nodes):
+        attached.append(nodes)
+        return _attach(graph, *nodes)
+
+    monkeypatch.setattr(relgraph, "_realize", realize)
+    monkeypatch.setattr(relgraph, "_attach", attach)
+    return realized, attached
 
 
 @pytest.mark.parametrize("engine, seeds", [(KinshipEngine, range(3000)),
@@ -259,17 +266,101 @@ def counting_growth(monkeypatch):
 def test_graph_table_serves_each_seeds_own_graph(monkeypatch, engine, seeds):
     # a seed replayed down the table reaches the graph its own growth gives:
     # the same nodes, edges in order and genders
-    grown = counting_growth(monkeypatch)
     table = GraphTable(engine)
+    realized, attached = counting_phases(monkeypatch)
+    served = {seed: table(seed) for seed in seeds}
+    monkeypatch.undo()
     for seed in seeds:
-        g = table(seed)
+        g = served[seed]
         fresh = grow_graph(engine(), engine.growth_iterations, random.Random(seed))
         assert g.outgoing == fresh.outgoing
         assert list(g.edges.items()) == list(fresh.edges.items())
         assert g.engine.genders == fresh.engine.genders
         assert table(seed) is g
-    # kinship growth's nine small choices reach 256 graphs; a grid draws none
-    assert len(grown) == (256 if engine is KinshipEngine else 1)
+    # kinship growth's nine small choices reach 256 genealogies, each realized
+    # once, in 12 shapes, each attached in full once; a grid draws none
+    kinship = engine is KinshipEngine
+    assert len({id(g) for g in served.values()}) == len(realized) == (256 if kinship else 1)
+    assert len(attached) == (12 if kinship else 1)
+
+
+def test_shape_tells_apart_a_parent_seat_and_a_marriage():
+    # pairs of genealogies alike in every person's child unit and spouse but
+    # not in who parents a unit, then alike but for one marriage: each pair
+    # relates other people, so the two need shapes of their own
+    def people(*genders):
+        engine = KinshipEngine()
+        for gender in genders:
+            engine.genealogy.new_person(gender)
+        return engine
+
+    a, b = people("m", "m"), people("m", "m")
+    a.genealogy.add_child(0, "f")
+    b.genealogy.add_child(1, "f")
+    assert (a.derive(0, 2), b.derive(0, 2)) == ("father", None)
+    assert a.shape() != b.shape()
+    c, d = people("m"), people("m", "f")
+    c.genealogy.add_spouse(0)
+    for engine in (c, d):
+        engine.genealogy.new_person("m")
+        engine.genealogy.add_parent(1, "m")
+    assert (c.derive(3, 0), d.derive(3, 0)) == ("father-in-law", None)
+    assert c.shape() != d.shape()
+
+
+class DeepKinship(KinshipEngine):
+    growth_iterations = 2
+
+
+class DeepNoChoices(DeepKinship):
+    """Two iterations of the labels whose realization draws only genders, so
+    that genealogies of one shape recur with other genders."""
+    default_growth = tuple(label for label in KINSHIP_LABELS if not any(
+        rule in label for rule in ("grand", "uncle", "aunt", "son-in", "daughter-in")))
+
+
+@pytest.mark.parametrize("engine, seeds", [(DeepKinship, range(40)),
+                                           (DeepNoChoices, range(60))])
+def test_graph_table_shapes_are_exact_beyond_the_presets_depth(engine, seeds):
+    table = GraphTable(engine)
+    for seed in seeds:
+        g = table(seed)
+        fresh = grow_graph(engine(), 2, random.Random(seed))
+        assert g.outgoing == fresh.outgoing
+        assert list(g.edges.items()) == list(fresh.edges.items())
+        assert g.engine.genders == fresh.engine.genders
+    if engine is DeepNoChoices:
+        # some graphs were read off another genealogy's template
+        assert len(table._shapes) < len(seeds)
+
+
+def incremental_graph(engine, iterations, rng):
+    """Growth in one phase: each realized node attached at once, and what a
+    node lacks read off the graph's edges into it."""
+    g = _attach(RelationalGraph(engine), engine.new_root(rng))
+    for _ in range(iterations):
+        for node in sorted(g.outgoing):
+            for relation in engine.default_growth:
+                if relation not in labels_into(g, node):
+                    realized = engine.realize(node, relation, rng)
+                    if realized is not None:
+                        _attach(g, *realized[1])
+    return g
+
+
+@pytest.mark.parametrize("engine, iterations, seeds", [
+    (KinshipEngine, 1, range(300)), (KinshipEngine, 2, range(10)),
+    (KinshipEngine, 3, range(2)), (SpatialEngine, 1, range(2)),
+    (SpatialEngine, 2, range(2)), (SpatialEngine, 3, range(2))])
+def test_realizing_first_then_attaching_equals_incremental_growth(engine, iterations, seeds):
+    # realizing never changes how two nodes relate, so attaching after all
+    # realizations gives the edges and moves of attaching as nodes come
+    for seed in seeds:
+        g = grow_graph(engine(), iterations, random.Random(seed))
+        ref = incremental_graph(engine(), iterations, random.Random(seed))
+        assert g.outgoing == ref.outgoing
+        assert list(g.edges.items()) == list(ref.edges.items())
+        assert g.engine.genders == ref.engine.genders
 
 
 def test_graph_table_shares_tuples_between_its_graphs():
@@ -295,3 +386,19 @@ def test_graph_table_refuses_growth_that_draws_otherwise():
     grow_graph(RandomRoot(), 1, random.Random(3))  # fine on a plain Random
     with pytest.raises(TypeError, match="rng.random"):
         GraphTable(RandomRoot)(3)
+
+
+def test_graphs_of_one_shape_and_gender_share_their_moves():
+    table = GraphTable(KinshipEngine)
+    by_shape = {}
+    for g in {id(g): g for g in map(table, range(600))}.values():
+        by_shape.setdefault(g.engine.shape(), []).append(g)
+    assert len(by_shape) == 12
+    shared = 0
+    for first, *others in by_shape.values():
+        for g in others:
+            for node, moves in g.outgoing.items():
+                same = g.engine.genders[node] == first.engine.genders[node]
+                assert (moves is first.outgoing[node]) == same
+                shared += same
+    assert shared > 1000

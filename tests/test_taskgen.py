@@ -184,6 +184,28 @@ def test_pinned_content_hash(tmp_path, name):
             for p in outputs] == digests
 
 
+# Content hashes of `verify` and `stats` stdout on each PINNED dataset,
+# whose own bytes test_pinned_content_hash pins: the read path's output.
+READ_PINNED = {
+    "kinship": ("8372b46f2f2d0308849b5917c0f6057a", "4f43d03fb6051f0f29718817a5a6fb1c"),
+    "kinship-hop10": ("20d8f0c7d5a0f83a814094888436c80c", "f4cd0ba97dc8dc4ef7cf019a6ee1b065"),
+    "spatial": ("81686e928acab8d8709180c58a5497f0", "f2bebf9a523f1f1b4a79539478f2eec4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_verify_and_stats_output(tmp_path, capsys, name):
+    task, counts, *_ = PINNED[name]
+    data = tmp_path / "d.jsonl"
+    write_jsonl(build_dataset(DatasetSpec.make(task, counts, seed=0)), data)
+    digests = []
+    for command in ("verify", "stats"):
+        assert main([command, "--dataset", str(data)]) == 0
+        out = capsys.readouterr().out
+        digests.append(hashlib.blake2b(out.encode(), digest_size=16).hexdigest())
+    assert tuple(digests) == READ_PINNED[name]
+
+
 def test_different_seed_changes_data():
     other = build_dataset(DatasetSpec.make("kinship", {2: 5}, seed=6))
     base = build_dataset(DatasetSpec.make("kinship", {2: 5}, seed=7))
@@ -286,15 +308,16 @@ def test_graphs_per_hop_reuse():
 
 
 def tracking_growth(monkeypatch):
-    """Weak references to every graph grown through relgraph.grow_graph."""
+    """Weak references to every graph a relgraph.GraphTable builds."""
     grown = []
+    build = GraphTable._grow
 
-    def tracking_grow_graph(*args, **kwargs):
-        graph = grow_graph(*args, **kwargs)
+    def tracking_build(table, seed):
+        graph = build(table, seed)
         grown.append(weakref.ref(graph))
         return graph
 
-    monkeypatch.setattr(relgraph, "grow_graph", tracking_grow_graph)
+    monkeypatch.setattr(relgraph.GraphTable, "_grow", tracking_build)
     return grown
 
 
