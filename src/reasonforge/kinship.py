@@ -21,17 +21,16 @@ being a son hold in every world this engine builds).
 Children are grouped into family units (father slot, mother slot, children),
 which is what guarantees full siblings: adding a parent to one child adds it
 to every co-child of the unit.  Deduction reads a person's labelled
-relatives straight off the units: growth links a new person to them, and
-derive(u, v) looks v up among u's.  The composition table a chain walk
-keeps alive, compose(), is derived on first use from the oracle's nine
-rules; the oracle imports nothing from here.
+relatives off the units (`relatives`): growth reads what a person lacks and
+a new person's edges there, and derive(u, v) looks v up among u's.  The
+composition table a chain walk keeps alive, compose(), is derived on first
+use from the oracle's nine rules; the oracle imports nothing from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from operator import itemgetter
 from typing import Optional
 
 from .oracle import VERIFIERS
@@ -293,9 +292,9 @@ class KinshipEngine:
 
     # -- deduction -------------------------------------------------------------
 
-    def _relatives(self, person: int) -> list[tuple[int, str, str]]:
-        """(relative, label of person to relative, label of relative to
-        person) for every labelled relative, read off the family units.
+    def relatives(self, node: int) -> list[tuple[int, str, str]]:
+        """(relative, label of node to relative, label of relative to node)
+        for every realized relative of the person `node`, off the family units.
 
         One rule per label pair; in the worlds this engine builds no two
         rules relate the same two people.
@@ -303,10 +302,10 @@ class KinshipEngine:
         g = self.genealogy
         gender, spouse = g.gender, g.spouse
         children_of, parents_of, siblings_of = g.children_of, g.parents_of, g.siblings_of
-        children = children_of(person)
-        parents = parents_of(person)
-        siblings = siblings_of(person)
-        partner = spouse.get(person)
+        children = children_of(node)
+        parents = parents_of(node)
+        siblings = siblings_of(node)
+        partner = spouse.get(node)
         rules = (
             (children, _PARENT, _CHILD),
             (parents, _CHILD, _PARENT),
@@ -319,13 +318,9 @@ class KinshipEngine:
             (parents_of(partner) if partner is not None else (),
              _CHILD_IN_LAW, _PARENT_IN_LAW),
         )
-        own = gender[person] != "m"
+        own = gender[node] != "m"
         return [(other, mine[own], theirs[gender[other] != "m"])
                 for others, mine, theirs in rules for other in others]
-
-    def labels_into(self, person: int) -> set[str]:
-        """The labels r for which someone is the r of person."""
-        return {theirs for _, _, theirs in self._relatives(person)}
 
     def shape(self) -> tuple:
         """Per person: child unit, parent unit (numbered as met, None for
@@ -337,20 +332,10 @@ class KinshipEngine:
 
     def derive(self, u: int, v: int) -> Optional[str]:
         """Vocabulary label of "u is <r> of v", or None."""
-        for other, label, _ in self._relatives(u):
+        for other, label, _ in self.relatives(u):
             if other == v:
                 return label
         return None
-
-    def links(self, node: int, graph) -> list[tuple[int, str, str]]:
-        """(other, label of node to other, label of other to node) for every
-        relative of node already in the graph, in graph order."""
-        present = graph.outgoing
-        links = [link for link in self._relatives(node) if link[0] in present]
-        # persons join the graph in the order they are created, so ids
-        # ascend in graph order
-        links.sort(key=itemgetter(0))
-        return links
 
 
 @cache

@@ -39,7 +39,7 @@ _MALE_LABELS = frozenset({
 
 
 class KinshipWorld:
-    """Primitive facts: genders, spouse pairs, and parent links.
+    """Primitive facts: genders, spouse pairs, and each person's parents.
 
     Children are clustered into sibling groups; parent facts attach to the
     group, so every member of a group shares every parent (the full-sibling

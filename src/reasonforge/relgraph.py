@@ -1,17 +1,18 @@
 """Relational graph model and the iterative growth procedure.
 
-A graph starts from a single root node and grows in two phases.  First,
-on the engine alone, each iteration scans the nodes present at its start:
-for every node v and relation r in the engine's default growth labels that
-no node is the r of yet (`engine.labels_into`, read live, so a node
-realized earlier in the iteration counts), the engine realizes a fresh
-node v_r (possibly with auxiliary nodes) so that "v_r is the r of v"
-holds.  Then the nodes are attached in creation order, each with an edge
-both ways to every related earlier node, as the engine lists them
-(`engine.links`, in graph order: kinship reads the relatives off its family
-units, spatial relates every pair), so the edges are closed under
-deduction.  Realizing never changes how two nodes relate, so this gives
-the edges of attaching each node as soon as it is realized.
+A graph starts from a single root node and grows in two phases, both read
+off the engine's relatives of a node (`engine.relatives`).  First, on the
+engine alone, each iteration scans the nodes present at its start: for
+every node v and relation r in the engine's default growth labels that no
+relative of v is the r of yet (read live, so a node realized earlier in
+the iteration counts), the engine realizes a fresh node v_r (possibly with
+auxiliary nodes) so that "v_r is the r of v" holds.  Then the nodes are
+attached in creation order, each with an edge both ways to every related
+earlier node, in graph order (ids ascend in creation order; kinship reads
+the relatives off its family units, spatial relates every pair), so the
+edges are closed under deduction.  Realizing never changes how two nodes
+relate, so this gives the edges of attaching each node as soon as it is
+realized.
 
 The adjacency table (`outgoing`) is also the node table: its keys are the
 nodes in the order they joined, each holding its edges in the order they
@@ -34,8 +35,8 @@ pairs by the same rules, and a label is its rule read by its subject's
 gender, so only a shape's first genealogy is attached: the others' edges
 are its rules read by their own genders, in its order, and their nodes
 share its move list for their gender.  The graphs of a table share their
-edge-key and move tuples, and those of a rule skeleton their memo (exact:
-see the sampler).
+edge-key and move tuples, and those of a shape their memo (exact: a shape
+fixes its rule skeleton; see the sampler).
 """
 
 from __future__ import annotations
@@ -100,9 +101,10 @@ def _attach(graph: RelationalGraph, *nodes: int) -> RelationalGraph:
     """Add the nodes in order, each with its edges to every related node
     already in the graph; return the graph."""
     for node in nodes:
-        links = graph.engine.links(node, graph)
+        related = sorted(link for link in graph.engine.relatives(node)
+                         if link[0] in graph.outgoing)
         graph.add_node(node)
-        for other, forward, backward in links:
+        for other, forward, backward in related:
             graph.add_edge(node, forward, other)
             graph.add_edge(other, backward, node)
     return graph
@@ -113,14 +115,17 @@ def _realize(engine: Engine, iterations: int, rng) -> list[int]:
     engine, drawing from `rng`, and return the nodes in creation order."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
+    def held(node):  # the labels r for which a relative of node is its r
+        return {theirs for _, _, theirs in engine.relatives(node)}
+
     nodes = [engine.new_root(rng)]
     for _ in range(iterations):
         for node in nodes[:]:
-            held = engine.labels_into(node)
+            has = held(node)
             for relation in engine.default_growth:
-                if relation not in held and (realized := engine.realize(node, relation, rng)):
+                if relation not in has and (realized := engine.realize(node, relation, rng)):
                     nodes += realized[1]
-                    if relation not in (held := engine.labels_into(node)):
+                    if relation not in (has := held(node)):
                         raise AssertionError(f"realized {relation} missing for {node}")
     return nodes
 
@@ -160,7 +165,6 @@ class GraphTable:
         # once the draws end
         self._table: dict[tuple[int, ...], Union[int, RelationalGraph]] = {}
         self._shared: dict[tuple, tuple] = {}  # edge keys and moves of its graphs
-        self._memos: dict[tuple, tuple] = {}  # rule skeleton -> (dead heads, bounds)
         self._shapes: dict[tuple, tuple] = {}  # kinship shape -> its template
 
     def __call__(self, seed: int) -> RelationalGraph:
@@ -198,8 +202,7 @@ class GraphTable:
             moves = {node: tuple([intern(move := (other, rules[label][female]), move)
                                   for other, label in out] for female in (0, 1))
                      for node, out in first.outgoing.items()}
-            template = self._shapes[shape] = (
-                skeleton, moves, self._memos.setdefault(skeleton, ({}, {})))
+            template = self._shapes[shape] = (skeleton, moves, ({}, {}))
         skeleton, moves, memo = template
         gender, graph = engine.genders, RelationalGraph(engine)
         graph.edges = {key: rule[gender[key[0]] != "m"] for key, rule in skeleton}

@@ -52,10 +52,11 @@ way it gives no chain.  Pruned so, no head searched in gen's presets
 spends more than a few hundred expansions, a fraction of its budget.
 
 The memo also keeps each head's bound, by head and gender, and a `GraphTable`
-shares one memo among graphs of one rule skeleton: the same edges, each label
-read as its gender-free rule (`engine.rules`).  Exact for kinship: whether acc
--> step is defined, and its rule, depend on the two rules alone, and its gender
-is acc's, the head's; so a head of one gender meets the same states and walks.
+shares one memo among graphs of one shape, which fixes the rule skeleton: the
+same edges, each label read as its gender-free rule (`engine.rules`).  Exact
+for kinship: whether acc -> step is defined, and its rule, depend on the two
+rules alone, and its gender is acc's, the head's; so a head of one gender meets
+the same states and walks.
 
 Step i of a sampled chain is the triple (walk[i], label, walk[i+1]); only a
 direction flip rewrites a step against the walk.

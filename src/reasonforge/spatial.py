@@ -104,15 +104,11 @@ class SpatialEngine:
         dx, dy = _sign(ux - vx), _sign(uy - vy)
         return _BY_SIGN[(dx, dy)], _BY_SIGN[(-dx, -dy)]
 
-    def labels_into(self, node: int) -> set[str]:
-        """The labels r for which a placed node is the r of node."""
-        return {self.derive_pair(other, node)[0] for other in self.pos if other != node}
-
-    def links(self, node: int, graph) -> list[tuple[int, str, str]]:
+    def relatives(self, node: int) -> list[tuple[int, str, str]]:
         """(other, label of node to other, label of other to node) for every
-        node already in the graph, in graph order: on a grid every pair is
-        related."""
-        return [(other, *self.derive_pair(node, other)) for other in graph.outgoing]
+        other placed node: on a grid every pair is related."""
+        return [(other, *self.derive_pair(node, other)) for other in self.pos
+                if other != node]
 
     def chain_relation(self, labels: Sequence[str]) -> str:
         return chain_relation(labels)

@@ -194,12 +194,10 @@ def generate_candidate(
     graph = graphs(_graph_seed(spec, hop, index, attempt))
     base = (spec.seed, spec.task, hop, index, attempt)
     try:
-        # ten-hop entailed kinship walks are scarce: each head gets a deeper
-        # search.  With the walk bound's pruning no head searched by the
-        # presets spends more than ~215 expansions, so either budget only
-        # caps the search on a graph unlike theirs
-        chain = sample_chain(graph, hop, derive_seed(*base, "walk"),
-                             budget=3500 if hop >= 10 else 800)
+        # with the walk bound's pruning no head searched by the presets spends
+        # more than ~215 expansions, so the budget only caps the search on a
+        # graph unlike theirs
+        chain = sample_chain(graph, hop, derive_seed(*base, "walk"))
     except SamplingExhausted:
         return None
     # every augmentation keeps the head-to-tail answer, so read it once here

@@ -128,5 +128,5 @@ def test_readme_api_calls_name_the_parameters():
                              f"{name}{inspect.signature(target)}")
             checked.add(name)
     assert not wrong, wrong
-    assert {"grow_graph", "flip_edges", "sample_chain", "links",
+    assert {"grow_graph", "flip_edges", "sample_chain", "relatives",
             "TemplatePool.for_task"} <= checked, checked

@@ -182,7 +182,7 @@ def test_dead_head_memo_never_changes_a_chain(hop):
     # reuses with graphs_per_hop 3; gen's budget lets every dead head be
     # recorded, and a tight one leaves heads that run out of it unrecorded.
     walks = Counter()
-    for budget in (3500 if hop >= 10 else 800, 150):
+    for budget in (800, 150):
         for index in range(3):
             graph_seed = derive_seed(0, "kinship", "graph", hop, index)
 
@@ -324,33 +324,38 @@ def test_walk_bound_never_changes_a_chain(hop, monkeypatch):
 @pytest.fixture(scope="module")
 def warm_table():
     """Every graph kinship growth reaches, as one GraphTable serves them
-    (seeds 0-2687 reach all 256), each mapped to its rule skeleton; chains
-    of hops 2-10 drawn on them with gen's budgets for four seeds each have
-    warmed the memos they share."""
+    (seeds 0-2687 reach all 256), each mapped to its shape; chains of hops
+    2-10 drawn on them with gen's budget for four seeds each have warmed
+    the memos they share."""
     table = GraphTable(KinshipEngine)
     graphs = {table(seed): None for seed in range(2688)}
     assert len(graphs) == 256
     for graph in graphs:
-        graphs[graph] = tuple((key, KinshipEngine.rules[label])
-                              for key, label in graph.edges.items())
+        graphs[graph] = graph.engine.shape()
     for hop in range(2, 11):
         for graph in graphs:
             for seed in range(4):
-                outcome(graph, hop, seed, 3500 if hop >= 10 else 800)
+                outcome(graph, hop, seed, 800)
     return graphs
 
 
-def test_graphs_of_one_rule_skeleton_share_one_memo(warm_table):
-    # kinship's 256 graphs have 12 rule skeletons, and a graph grown outside
-    # a table keeps a memo of its own
+def test_graphs_of_one_shape_share_one_memo(warm_table):
+    # kinship's 256 graphs have 12 shapes, each holding one memo that its
+    # graphs share; a shape fixes the rule skeleton (the edges, each label
+    # read as its rule), which is what makes the sharing exact.  A graph
+    # grown outside a table keeps a memo of its own
     def shares(graph, other):
         return graph.bounds is other.bounds and graph.dead_heads(2) is other.dead_heads(2)
 
-    firsts = {}
-    for graph, skeleton in warm_table.items():
-        assert shares(graph, firsts.setdefault(skeleton, graph))
+    def skeleton(graph):
+        return tuple((key, KinshipEngine.rules[label]) for key, label in graph.edges.items())
+
+    firsts, skeletons = {}, {}
+    for graph, shape in warm_table.items():
+        assert shares(graph, firsts.setdefault(shape, graph))
+        assert skeleton(graph) == skeletons.setdefault(shape, skeleton(graph))
     firsts = list(firsts.values())
-    assert len(firsts) == 12
+    assert len(firsts) == len(set(skeletons.values())) == 12
     assert len({id(g.bounds) for g in firsts}) == 12
     assert len({id(g.dead_heads(2)) for g in firsts}) == 12
     plain = [grow_graph(KinshipEngine(), 1, random.Random(seed)) for seed in range(2)]
@@ -370,13 +375,13 @@ def with_empty_memo(graph):
 
 
 def test_a_shared_memo_never_changes_a_chain(warm_table):
-    # with the memo its skeleton's graphs warmed, each table graph gives the
+    # with the memo its shape's graphs warmed, each table graph gives the
     # chain, or fails alike, that it gives under an empty memo of its own;
     # a tight budget also fails on heads that the memo skips as dead
     found = Counter()
     for hop in range(2, 11):
         for graph in warm_table:
-            for seed, budget in ((4, 3500 if hop >= 10 else 800), (5, 30)):
+            for seed, budget in ((4, 800), (5, 30)):
                 walk = outcome(graph, hop, seed, budget)
                 assert walk == outcome(with_empty_memo(graph), hop, seed, budget)
                 found[walk is not None] += 1

@@ -25,11 +25,11 @@ def head_bound(graph, head):
 
 
 def warm_hop10_graph():
-    # a pruned search of every head with gen's hop-10 budget fills the
+    # a pruned search of every head with gen's budget fills the
     # graph's hop-10 dead-head memo with the heads it proves dead
     graph = hop10_graph()
     for head in sorted(graph.outgoing):
-        _walk_from(graph, 10, head, random.Random(head), 3500, {},
+        _walk_from(graph, 10, head, random.Random(head), 800, {},
                    _longest_walk(graph, head, {}), graph.dead_heads(10))
     assert graph.dead_heads(10)
     return graph
@@ -86,7 +86,7 @@ def test_a_skipped_head_seeds_no_stream(monkeypatch):
         del made[:], yielded[:], searched[:]
         dead = set(graph.dead_heads(10))
         try:
-            sample_chain(graph, 10, seed, budget=3500)
+            sample_chain(graph, 10, seed)
         except SamplingExhausted:
             pass
         memo_skipped += len(dead.intersection(yielded))

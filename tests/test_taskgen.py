@@ -7,10 +7,11 @@ import weakref
 
 import pytest
 
-from reasonforge import relgraph, taskgen
+from reasonforge import relgraph, sampler, taskgen
 from reasonforge.cli import main
 from reasonforge.kinship import KinshipEngine
 from reasonforge.oracle import VERIFIERS
+from reasonforge.promptkit import render_target
 from reasonforge.relgraph import (GraphTable, RelationalGraph, Triple, _attach,
                                   grow_graph)
 from reasonforge.sampler import ReasoningChain
@@ -206,6 +207,74 @@ def test_pinned_verify_and_stats_output(tmp_path, capsys, name):
     assert tuple(digests) == READ_PINNED[name]
 
 
+def score_corpus(examples, style):
+    """{id, response} records to score against `examples`, by position i:
+    the gold target in `style` (i % 5 == 0), the same target naming a wrong
+    label (1), the gold target with trailing chatter naming a wrong label, as
+    the benchmark plants it (2), a line that names no label (3), and the
+    eta-p target with its first two triples swapped (4)."""
+    rng = random.Random(0)
+    records = []
+    for i, e in enumerate(examples):
+        other = rng.choice([label for label in taskgen.ENGINES[e.task].labels
+                            if label != e.answer])
+        target = render_target(e, style)
+        if i % 5 == 1:
+            response = render_target(dataclasses.replace(e, answer=other), style)
+        elif i % 5 == 2:
+            mention = f"the {other}" if e.task == "kinship" else {
+                "above": "above it", "below": "below it", "overlaps": "overlapping it",
+            }.get(other, f"to the {other} of it")
+            response = f"{target.rstrip('.')}, not {mention}."
+        elif i % 5 == 3:
+            response = "I do not know."
+        elif i % 5 == 4:
+            first, second, *rest = e.gold_triples
+            response = render_target(
+                dataclasses.replace(e, gold_triples=[second, first, *rest]), "eta-p")
+        else:
+            response = target
+        records.append({"id": e.id, "response": response})
+    return records
+
+
+# Content hashes of `score`'s JSON report and of its text report on stdout,
+# under std-p then eta-p, for score_corpus on each PINNED dataset.
+SCORE_PINNED = {
+    "kinship": ("7ec7cff977540b16fb70ae157cb71683", "439baa97240f6b583ba2b744b982c9ef",
+                "1fdb1733575255f1f2ec872c22d2ba19", "641ffdba253cc911a72176d9b9d11835"),
+    "kinship-hop10": ("45363968b018f1468440fff2b7b9c513", "92049734ca5a14734a83813b79a15930",
+                      "89e4c72d342047b13addfcfa5499a631", "fe04f8037ea5a92bd82ce1ef3b9b03cb"),
+    "spatial": ("9b06ff9b60e296d159d428549c5eff60", "c5b269ed98a915a7ddebd7176596bade",
+                "d90c01ea30434d2652df1495ec64763c", "7e1e7ca914c574c2a63e0ac85b8f43d7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_score_output(tmp_path, capsys, name):
+    task, counts, *_ = PINNED[name]
+    examples = build_dataset(DatasetSpec.make(task, counts, seed=0))
+    data, report = tmp_path / "d.jsonl", tmp_path / "report.json"
+    write_jsonl(examples, data)
+    digests = []
+    for style in ("std-p", "eta-p"):
+        predictions = tmp_path / f"{style}.jsonl"
+        predictions.write_text("".join(json.dumps(record) + "\n"
+                                       for record in score_corpus(examples, style)))
+        assert main(["score", "--predictions", str(predictions), "--gold", str(data),
+                     "--style", style, "--report", str(report)]) == 0
+        text, _, tail = capsys.readouterr().out.rpartition("report written to ")
+        assert tail == f"{report}\n"
+        summary = json.loads(report.read_text())
+        # every kind of response is in the corpus and counted apart
+        assert 0 < summary["correct"] < summary["total"] == len(examples)
+        assert summary["unparseable"] == len(examples[3::5])
+        assert summary["triples_exact"] < summary["total"]
+        digests += [hashlib.blake2b(report.read_bytes(), digest_size=16).hexdigest(),
+                    hashlib.blake2b(text.encode(), digest_size=16).hexdigest()]
+    assert tuple(digests) == SCORE_PINNED[name]
+
+
 def test_different_seed_changes_data():
     other = build_dataset(DatasetSpec.make("kinship", {2: 5}, seed=6))
     base = build_dataset(DatasetSpec.make("kinship", {2: 5}, seed=7))
@@ -367,6 +436,24 @@ def test_one_table_serves_every_bucket(monkeypatch):
     monkeypatch.undo()
     assert build_dataset(spec, workers=2) == serial
     assert serial == [e for bucket in per_bucket for e in bucket]
+
+
+def test_no_head_is_bounded_twice_per_memo(monkeypatch):
+    # a kinship-paper-sized gen (the paper preset's per-hop proportions at
+    # 1/10 scale) bounds each (memo, head, gender) once: the graphs of one
+    # shape share one memo, which keeps every bound it takes
+    bounded, memos = [], []
+
+    def longest_walk(graph, head, moves, real=sampler._longest_walk):
+        memos.append(graph.bounds)  # kept alive, so no memo's id is reused
+        bounded.append((id(graph.bounds), head, graph.engine.genders[head]))
+        return real(graph, head, moves)
+
+    monkeypatch.setattr(sampler, "_longest_walk", longest_walk)
+    counts = {2: 116, 3: 117, 4: 113, 5: 122, 6: 122, 7: 123, 8: 112, 9: 95, 10: 80}
+    build_dataset(DatasetSpec.make("kinship", counts, seed=1))
+    assert len(set(bounded)) == len(bounded) > 0
+    assert len({id(memo) for memo in memos}) <= 12  # kinship's shapes
 
 
 def test_query_endpoints_roundtrip(small_kinship, small_spatial):
