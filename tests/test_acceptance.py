@@ -6,6 +6,7 @@ generated once per session through the real CLI and shared by the criteria
 that inspect them.
 """
 
+import hashlib
 import itertools
 import random
 import subprocess
@@ -30,6 +31,13 @@ from reasonforge.taskgen import (corrupt, derive_seed, entailed_relation,
                                  read_jsonl)
 
 COMPOSE = {(r1, r2): out for r1, row in compose().items() for r2, out in row.items()}
+
+# sha256 of `gen --task T --preset paper --seed 0`: a change that is meant
+# to keep the output bytes must keep these
+PRESET_SHA256 = {
+    "clutrr": "9d3f7ca6d623663f015d95e423b98e23d7faebab7a9eb52f87ac10afb1a81242",
+    "stepgame": "97720f6901ec5485c9430ed66d7308f5ee94abe01063d7232e4c88d4d58b91b8",
+}
 
 CLUTRR_COUNTS = {2: 1162, 3: 1170, 4: 1129, 5: 1219, 6: 1224, 7: 1231,
                  8: 1120, 9: 945, 10: 795}
@@ -78,6 +86,14 @@ def test_dataset_shape_reproduction(preset_files, preset_examples,
     assert total < 60.0, f"generation took {total:.1f}s"
     acceptance_report(f"dataset-shape: PASS (9995 + 4995 examples, "
                       f"per-hop counts exact, generated in {total:.1f}s)")
+
+
+def test_preset_content_hash(preset_files, acceptance_report):
+    paths, _ = preset_files
+    assert {task: hashlib.sha256(path.read_bytes()).hexdigest()
+            for task, path in paths.items()} == PRESET_SHA256
+    acceptance_report("preset-pins: PASS (both paper presets match their "
+                      "pinned sha256)")
 
 
 def test_oracle_soundness(preset_files, acceptance_report):

@@ -207,6 +207,35 @@ def test_pinned_verify_and_stats_output(tmp_path, capsys, name):
     assert tuple(digests) == READ_PINNED[name]
 
 
+# Content hashes of the dataset and of stdout (its output path read as
+# "OUT") of `gen --seed 0` with each option the PINNED specs leave at its
+# default: every --aug kind alone, --graphs-per-hop and a worker pool.
+GEN_PINNED = {
+    "aug-none": (["--task", "clutrr", "--counts", "2=6,6=4", "--aug", "none"],
+                 "1cfd0024d6dc21220ed89374d03b651a", "0d4ced9da7f50d5fda1860ecad5b145c"),
+    "aug-permute": (["--task", "clutrr", "--counts", "2=6,6=4", "--aug", "permute"],
+                    "cb0baeee3bcfcd4a43196ff8bb9ceb16", "0d4ced9da7f50d5fda1860ecad5b145c"),
+    "aug-noise2": (["--task", "clutrr", "--counts", "2=6,6=4", "--aug", "noise:2"],
+                   "8e1aa94d9f2e80a7bfdd87b8eed0f26c", "0d4ced9da7f50d5fda1860ecad5b145c"),
+    "aug-flip2": (["--task", "stepgame", "--counts", "2=6,6=4", "--aug", "flip:2"],
+                  "a48fec8f2b78fdb33698558df4fb3453", "0d4ced9da7f50d5fda1860ecad5b145c"),
+    "graphs-per-hop3": (["--task", "clutrr", "--counts", "3=8,9=4", "--graphs-per-hop", "3"],
+                        "76b73ae474c84823ccc82f9b9265710e", "c52768edbda813c57b4740aaaa268bc8"),
+    "workers2": (["--task", "clutrr", "--counts", "2=6,5=4,8=3,11=0", "--workers", "2"],
+                 "73ad10a774abbcaf85b01b14eb5aca81", "22ff46ac071257cd8d31df55d16afd29"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEN_PINNED))
+def test_pinned_gen_option(tmp_path, capsys, name):
+    argv, *digests = GEN_PINNED[name]
+    data = tmp_path / "d.jsonl"
+    assert main(["gen", "--seed", "0", *argv, "-o", str(data)]) == 0
+    out = capsys.readouterr().out.replace(str(data), "OUT")
+    assert [hashlib.blake2b(data.read_bytes(), digest_size=16).hexdigest(),
+            hashlib.blake2b(out.encode(), digest_size=16).hexdigest()] == digests
+
+
 def score_corpus(examples, style):
     """{id, response} records to score against `examples`, by position i:
     the gold target in `style` (i % 5 == 0), the same target naming a wrong
