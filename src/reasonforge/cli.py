@@ -3,8 +3,9 @@
 All randomness flows from --seed; identical invocations write byte-identical
 files.  A named preset holds per-hop counts only.  Data assets resolve
 through REASONFORGE_DATA_DIR when set; gen and verify read theirs first,
-render and score a task's when its first row arrives.  verify, stats,
-zero-shot render and score's gold file are read one row at a time.
+render and score a task's when its first row arrives.  gen writes each hop
+bucket as it is built; verify, stats, zero-shot render and score's gold
+file are read one row at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager, suppress
 from functools import cache, partial
 from pathlib import Path
@@ -173,13 +175,13 @@ def cmd_gen(args) -> int:
     TemplatePool.for_task(spec.task)
     try:
         with staged_output(args.output) as staged:
-            examples = build_dataset(spec, workers=args.workers)
-            write_jsonl(examples, staged)
+            write_jsonl(build_dataset(spec, workers=args.workers), staged)
     except GenerationExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(examples)} examples to {args.output}")
-    print(stats_table(examples))
+    counts = dict(spec.counts)  # each bucket meets its count exactly
+    print(f"wrote {sum(counts.values())} examples to {args.output}")
+    print(stats_table(counts))
     return 0
 
 
@@ -261,7 +263,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    print(stats_table(read_input(args.dataset)))
+    print(stats_table(Counter(example.hop for example in read_input(args.dataset))))
     return 0
 
 

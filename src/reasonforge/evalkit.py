@@ -10,7 +10,7 @@ responses whose extracted triple list is exactly the gold one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .promptkit import parse_response
 from .taskgen import Example, read_records
@@ -120,12 +120,10 @@ def score(
     return report
 
 
-def stats_table(examples: Iterable[Example]) -> str:
-    """Per-hop dataset counts in the standard row layout (hops 2-10, Total)."""
-    counts: dict[int, int] = {}
-    for example in examples:
-        counts[example.hop] = counts.get(example.hop, 0) + 1
-    hops = sorted(set(HOP_RANGE) | set(counts))
+def stats_table(counts: Mapping[int, int]) -> str:
+    """A hop -> count map in the standard row layout: hops 2-10 and any
+    other hop with examples, in order, then Total."""
+    hops = sorted(set(HOP_RANGE) | {hop for hop, count in counts.items() if count})
     lines = [f"{'Hop':<7}{'count':>7}"]
     for hop in hops:
         lines.append(f"{hop:<7}{counts.get(hop, 0):>7}")

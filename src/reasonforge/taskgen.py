@@ -19,12 +19,12 @@ answer, and augmentation record) are resampled a bounded number of times;
 when the combinatorial space is too small to avoid repeats the first valid
 candidate is accepted instead.
 
-Graphs come from one `GraphTable` per `build_dataset` call.  It realizes
+Graphs come from one `GraphTable` per `build_dataset` run.  It realizes
 each distinct genealogy once and attaches only the first of each kinship
 shape, reading the others' edges off it by gender, exactly (see relgraph),
 so graphs share `outgoing` lists that nothing mutates.  In one process every
 bucket draws on the table; a bucket sent to a worker gets its own empty
-copy.  No graph outlives `build_dataset`.
+copy.  No graph outlives the run.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .augment import AUGMENTATIONS, NoiseUnavailable
@@ -251,32 +251,31 @@ def _dedup_key(example: Example) -> tuple:
 # dataset assembly
 # --------------------------------------------------------------------------
 
-def build_dataset(spec: DatasetSpec, workers: int = 1) -> list[Example]:
-    """Generate all buckets, exactly meeting the per-hop counts.
+def build_dataset(spec: DatasetSpec, workers: int = 1) -> Iterator[Example]:
+    """Yield the examples bucket by bucket, in `spec.counts` order and exactly
+    meeting its counts.
 
     Buckets are independent (dedup is per bucket and every candidate is a
     pure function of its seed lineage), so a pool of up to `workers`
-    processes, never more than cores or buckets, builds whole buckets,
-    deepest and slowest first; any worker count yields byte-identical output.
+    processes, never more than cores or buckets, builds whole buckets; any
+    worker count yields byte-identical output.  One worker builds a bucket
+    when its first example is taken.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    jobs = sorted(spec.counts, reverse=True)
     # a worker unpickles its own copy of the empty table for each bucket
-    args = (repeat(spec), [hop for hop, _ in jobs], [count for _, count in jobs],
-            repeat(GraphTable(ENGINES[spec.task])))
-    workers = min(workers, os.cpu_count() or 1, len(jobs))
+    args = (repeat(spec), [hop for hop, _ in spec.counts],
+            [count for _, count in spec.counts], repeat(GraphTable(ENGINES[spec.task])))
+    workers = min(workers, os.cpu_count() or 1, len(spec.counts))
     if workers > 1:
         # imported here: a one-process run, and `import reasonforge`, skip them
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            buckets = list(pool.map(_build_bucket, *args))
+            yield from chain.from_iterable(pool.map(_build_bucket, *args))
     else:
-        buckets = list(map(_build_bucket, *args))
-    built = dict(zip(jobs, buckets))
-    return [example for job in spec.counts for example in built[job]]
+        yield from chain.from_iterable(map(_build_bucket, *args))
 
 
 def _build_bucket(spec: DatasetSpec, hop: int, count: int,

@@ -112,6 +112,18 @@ def test_import_leaves_the_process_pool_out():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("counts", ["2=3,5=2", "2=3,11=0", "1=2,11=1"])
+def test_gen_summary_is_stats_of_its_output(tmp_path, capsys, counts):
+    # gen's table comes from the spec's counts, stats' from the rows it
+    # reads: a zero-count hop outside 2-10 gets no row in either
+    out = tmp_path / "d.jsonl"
+    assert run(["gen", "--task", "clutrr", "--counts", counts, "-o", str(out)]) == 0
+    wrote, table = capsys.readouterr().out.split("\n", 1)
+    assert wrote == f"wrote {len(out.read_text().splitlines())} examples to {out}"
+    assert run(["stats", "--dataset", str(out)]) == 0
+    assert table == capsys.readouterr().out
+
+
 def test_gen_zero_counts(tmp_path):
     out = tmp_path / "empty.jsonl"
     assert run(["gen", "--task", "clutrr", "--counts", "2:10=0",
@@ -238,6 +250,32 @@ def test_output_pipe_gets_the_whole_output(tmp_path):
     reader.join(timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert len(received) == 1 and len(received[0].splitlines()) == 2
+
+
+def test_pipe_gets_the_buckets_before_a_failing_one(tmp_path, capsys, monkeypatch):
+    # gen writes each bucket as it is built: a pipe's reader gets the rows
+    # of the buckets before the failing one, a regular file none of them
+    build = taskgen._build_bucket
+
+    def failing(spec, hop, count, graphs):
+        if hop == 3:
+            raise GenerationExhausted(hop, 0, 5)
+        return build(spec, hop, count, graphs)
+
+    monkeypatch.setattr(taskgen, "_build_bucket", failing)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    gen = ["gen", "--task", "stepgame", "--counts", "2=2,3=2", "--seed", "0"]
+    assert run(gen + ["-o", str(fifo)]) == 1
+    reader.join(timeout=10)
+    assert capsys.readouterr().err.startswith("error: hop 3: ")
+    assert [json.loads(line)["hop"] for line in received[0].splitlines()] == [2, 2]
+    assert run(gen + ["-o", str(tmp_path / "d.jsonl")]) == 1
+    assert sorted(os.listdir(tmp_path)) == ["fifo"]
 
 
 def test_stdout_pipe_gets_the_whole_output(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -11,7 +12,7 @@ from reasonforge.taskgen import DatasetSpec, build_dataset
 
 @pytest.fixture(scope="module")
 def gold():
-    return build_dataset(DatasetSpec.make("spatial", {2: 6, 3: 6}, seed=13))
+    return list(build_dataset(DatasetSpec.make("spatial", {2: 6, 3: 6}, seed=13)))
 
 
 def predictions_from(gold, transform):
@@ -90,13 +91,17 @@ def test_repeated_gold_id_is_refused(gold):
 
 
 def test_stats_table(gold):
-    table = stats_table(gold)
+    table = stats_table(Counter(e.hop for e in gold))
     lines = table.splitlines()
     assert lines[1].split() == ["2", "6"]
     assert lines[-1].split() == ["Total", "12"]
-    empty = stats_table([])
+    empty = stats_table({})
     assert empty.splitlines()[-1].split() == ["Total", "0"]
     assert len(empty.splitlines()) == 11  # header + hops 2..10 + total
+    # a hop outside 2-10 gets a row only when it has examples
+    assert stats_table({2: 3, 11: 0}) == stats_table({2: 3})
+    assert [line.split()[0] for line in stats_table({1: 2, 11: 1}).splitlines()] == [
+        "Hop", "1", *map(str, range(2, 11)), "11", "Total"]
 
 
 def test_report_text_and_dict(gold):

@@ -27,12 +27,12 @@ SPATIAL_LABEL_LIST = ('["above", "below", "left", "lower-left", "lower-right", '
 
 @pytest.fixture(scope="module")
 def kinship_examples():
-    return build_dataset(DatasetSpec.make("kinship", {2: 8, 5: 8}, seed=21))
+    return list(build_dataset(DatasetSpec.make("kinship", {2: 8, 5: 8}, seed=21)))
 
 
 @pytest.fixture(scope="module")
 def spatial_examples():
-    return build_dataset(DatasetSpec.make("spatial", {2: 8, 5: 8}, seed=21))
+    return list(build_dataset(DatasetSpec.make("spatial", {2: 8, 5: 8}, seed=21)))
 
 
 def test_assets_carry_verbatim_instructions():

@@ -28,12 +28,12 @@ SMALL = {h: 12 for h in (2, 3, 4)}
 
 @pytest.fixture(scope="module")
 def small_kinship():
-    return build_dataset(DatasetSpec.make("kinship", SMALL, seed=5))
+    return list(build_dataset(DatasetSpec.make("kinship", SMALL, seed=5)))
 
 
 @pytest.fixture(scope="module")
 def small_spatial():
-    return build_dataset(DatasetSpec.make("spatial", SMALL, seed=5))
+    return list(build_dataset(DatasetSpec.make("spatial", SMALL, seed=5)))
 
 
 # -- corrupt ---------------------------------------------------------------------
@@ -110,8 +110,8 @@ def test_counts_met_exactly(small_kinship, small_spatial):
 
 
 def test_empty_spec_gives_empty_dataset():
-    assert build_dataset(DatasetSpec.make("spatial", {h: 0 for h in range(2, 11)},
-                                          seed=1)) == []
+    assert list(build_dataset(DatasetSpec.make(
+        "spatial", {h: 0 for h in range(2, 11)}, seed=1))) == []
 
 
 def test_ids_and_seed_lineage(small_kinship):
@@ -143,7 +143,7 @@ def test_gold_triples_are_story_triples_in_reasoning_order(small_spatial):
 
 
 def test_determinism_byte_identical(tmp_path, small_kinship):
-    again = build_dataset(DatasetSpec.make("kinship", SMALL, seed=5))
+    again = list(build_dataset(DatasetSpec.make("kinship", SMALL, seed=5)))
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_jsonl(small_kinship, a)
     write_jsonl(again, b)
@@ -282,7 +282,7 @@ SCORE_PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_score_output(tmp_path, capsys, name):
     task, counts, *_ = PINNED[name]
-    examples = build_dataset(DatasetSpec.make(task, counts, seed=0))
+    examples = list(build_dataset(DatasetSpec.make(task, counts, seed=0)))
     data, report = tmp_path / "d.jsonl", tmp_path / "report.json"
     write_jsonl(examples, data)
     digests = []
@@ -305,8 +305,8 @@ def test_pinned_score_output(tmp_path, capsys, name):
 
 
 def test_different_seed_changes_data():
-    other = build_dataset(DatasetSpec.make("kinship", {2: 5}, seed=6))
-    base = build_dataset(DatasetSpec.make("kinship", {2: 5}, seed=7))
+    other = list(build_dataset(DatasetSpec.make("kinship", {2: 5}, seed=6)))
+    base = list(build_dataset(DatasetSpec.make("kinship", {2: 5}, seed=7)))
     assert [e.story for e in other] != [e.story for e in base]
 
 
@@ -379,12 +379,12 @@ def test_generation_exhausted_names_hop():
     # a 25-hop walk cannot exist in the 25-node spatial grid
     spec = DatasetSpec.make("spatial", {25: 1}, seed=0)
     with pytest.raises(GenerationExhausted) as err:
-        build_dataset(spec)
+        list(build_dataset(spec))
     assert err.value.hop == 25
 
 
 def test_diversity_within_bucket():
-    dataset = build_dataset(DatasetSpec.make("kinship", {6: 120}, seed=9))
+    dataset = list(build_dataset(DatasetSpec.make("kinship", {6: 120}, seed=9)))
     keys = set()
     for e in dataset:
         key = (tuple(t[1] for t in e.gold_triples), e.answer,
@@ -395,12 +395,12 @@ def test_diversity_within_bucket():
 
 def test_parallel_equals_sequential():
     spec = DatasetSpec.make("spatial", {h: 25 for h in (2, 5, 8)}, seed=4)
-    assert build_dataset(spec, workers=4) == build_dataset(spec, workers=1)
+    assert list(build_dataset(spec, workers=4)) == list(build_dataset(spec, workers=1))
 
 
 def test_graphs_per_hop_reuse():
     spec = DatasetSpec.make("kinship", {3: 10}, seed=2, graphs_per_hop=2)
-    dataset = build_dataset(spec)
+    dataset = list(build_dataset(spec))
     assert len(dataset) == 10
     assert verify_dataset(dataset).mismatch_count == 0
 
@@ -424,17 +424,17 @@ def test_reused_graphs_give_the_same_bytes_whatever_their_memo(monkeypatch):
     # memos and the second starts from them and grows no graph, while a cold
     # build and spawned workers start from empty memos
     spec = DatasetSpec.make("kinship", {9: 8, 10: 8}, seed=11, graphs_per_hop=3)
-    cold = build_dataset(spec)
+    cold = list(build_dataset(spec))
     shared = GraphTable(KinshipEngine)
     monkeypatch.setattr(taskgen, "GraphTable", lambda engine: shared)
-    assert build_dataset(spec) == cold
+    assert list(build_dataset(spec)) == cold
     assert any(shared(taskgen._graph_seed(spec, 10, index, 0)).dead_heads(10)
                for index in range(3))
     grown = tracking_growth(monkeypatch)
-    assert build_dataset(spec) == cold
+    assert list(build_dataset(spec)) == cold
     assert grown == []  # the warm table grew none
     monkeypatch.undo()
-    assert build_dataset(spec, workers=2) == cold
+    assert list(build_dataset(spec, workers=2)) == cold
     assert verify_dataset(cold).mismatch_count == 0
 
 
@@ -442,14 +442,33 @@ def test_no_graph_outlives_build_dataset(monkeypatch):
     # the build's table owns its graphs, so none is alive once the build
     # returns; a graphs_per_hop bucket grows at most that many graphs
     grown = tracking_growth(monkeypatch)
-    build_dataset(DatasetSpec.make("kinship", {3: 10}, seed=2, graphs_per_hop=3))
+    list(build_dataset(DatasetSpec.make("kinship", {3: 10}, seed=2, graphs_per_hop=3)))
     assert 1 <= len(grown) <= 3
     reused = len(grown)
-    build_dataset(DatasetSpec.make("kinship", {2: 6, 9: 3}, seed=2))
-    build_dataset(DatasetSpec.make("spatial", {2: 4, 3: 4}, seed=2))
+    list(build_dataset(DatasetSpec.make("kinship", {2: 6, 9: 3}, seed=2)))
+    list(build_dataset(DatasetSpec.make("spatial", {2: 4, 3: 4}, seed=2)))
     gc.collect()
     assert len(grown) > reused + 2
     assert all(ref() is None for ref in grown)
+
+
+def test_one_worker_builds_each_bucket_as_it_is_taken(monkeypatch):
+    # buckets are built in output order when their first example is taken,
+    # so a caller that writes examples as they come holds one bucket
+    built = []
+    build = taskgen._build_bucket
+
+    def recording(spec, hop, count, graphs):
+        built.append(hop)
+        return build(spec, hop, count, graphs)
+
+    monkeypatch.setattr(taskgen, "_build_bucket", recording)
+    examples = build_dataset(DatasetSpec.make("spatial", {2: 2, 3: 2}, seed=0))
+    assert built == []
+    assert next(examples).hop == 2
+    assert built == [2]
+    assert [e.hop for e in examples] == [2, 3, 3]
+    assert built == [2, 3]
 
 
 def test_one_table_serves_every_bucket(monkeypatch):
@@ -457,13 +476,13 @@ def test_one_table_serves_every_bucket(monkeypatch):
     # workers each bucket has its own table, and the bytes are the same
     spec = DatasetSpec.make("kinship", {2: 30, 3: 30, 4: 30}, seed=4)
     grown = tracking_growth(monkeypatch)
-    serial = build_dataset(spec)
+    serial = list(build_dataset(spec))
     shared = len(grown)
-    per_bucket = [build_dataset(dataclasses.replace(spec, counts=((hop, 30),)))
+    per_bucket = [list(build_dataset(dataclasses.replace(spec, counts=((hop, 30),))))
                   for hop in (2, 3, 4)]
     assert shared < len(grown) - shared  # buckets built alone grow more
     monkeypatch.undo()
-    assert build_dataset(spec, workers=2) == serial
+    assert list(build_dataset(spec, workers=2)) == serial
     assert serial == [e for bucket in per_bucket for e in bucket]
 
 
@@ -480,7 +499,7 @@ def test_no_head_is_bounded_twice_per_memo(monkeypatch):
 
     monkeypatch.setattr(sampler, "_longest_walk", longest_walk)
     counts = {2: 116, 3: 117, 4: 113, 5: 122, 6: 122, 7: 123, 8: 112, 9: 95, 10: 80}
-    build_dataset(DatasetSpec.make("kinship", counts, seed=1))
+    list(build_dataset(DatasetSpec.make("kinship", counts, seed=1)))
     assert len(set(bounded)) == len(bounded) > 0
     assert len({id(memo) for memo in memos}) <= 12  # kinship's shapes
 
