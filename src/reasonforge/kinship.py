@@ -196,7 +196,6 @@ class Genealogy:
 class KinshipEngine:
     """Realization and deduction over a Genealogy."""
 
-    task = "kinship"
     labels = KINSHIP_LABELS
     default_growth = KINSHIP_LABELS
     growth_iterations = 1

@@ -24,16 +24,16 @@ full: a subtree is fixed by (node, accumulator, visited set) under its
 head, so skipping one that held no chain loses no walk.  The walk is a
 bitmask, so an untried move is one that is not on it.
 
-Heads are searched one at a time, each within its own node-expansion
-budget; a skipped dead state costs none.  The first head is drawn and
-walked on `random.Random(seed)`; the later heads are ordered by a second
-stream of the seed, and each walks on a stream of (seed, head), seeded only
-once that head is searched.  A head whose whole subtree held no chain holds
-none for any seed or budget, so the graph's memo keeps it per walk length
-(`RelationalGraph.dead_heads`) and later calls skip it at no cost; a head
-out of budget is not kept.  No head's search reads another head's stream
-or budget, so skipping a dead head changes no result: a call returns the
-same chain whatever the memo holds.
+Heads are searched one at a time, each within its own budget of BUDGET
+node expansions; a skipped dead state costs none.  The first head is drawn
+and walked on `random.Random(seed)`; the later heads are ordered by a
+second stream of the seed, and each walks on a stream of (seed, head),
+seeded only once that head is searched.  A head whose whole subtree held
+no chain holds none for any seed or budget, so the graph's memo keeps it
+per walk length (`RelationalGraph.dead_heads`) and later calls skip it at
+no cost; a head out of budget is not kept.  No head's search reads another
+head's stream or budget, so skipping a dead head changes no result: a call
+returns the same chain whatever the memo holds.
 
 With a fold, each head is first bounded (`_longest_walk`), in one pass over
 the (node, acc) states its first moves reach, never re-entering the head.
@@ -45,11 +45,10 @@ crosses each component at most once and meets distinct nodes in it.  The
 search drops every move whose bound is below the nodes the walk still
 needs, so a dropped move leads into a subtree that holds no chain, and the
 dead-state memo, the dead-head memo and "a chain is found exactly when one
-exists" all stay exact.  A head none of whose first moves is bounded at
-the length holds no chain: it is recorded as dead and skipped unsearched,
-also where its search would have run out of budget first, since either
-way it gives no chain.  Pruned so, no head searched in gen's presets
-spends more than a few hundred expansions, a fraction of its budget.
+exists" all stay exact.  The search is the one place that rejects a
+head: a level whose moves are all dropped or tried is backed out of before
+the budget is tested, so a head whose first moves are all dropped draws
+nothing and joins the dead-head memo at any budget.
 
 The memo also keeps each head's bound, by head and gender, and a `GraphTable`
 shares one memo among graphs of one shape, which fixes the rule skeleton: the
@@ -73,6 +72,10 @@ from .relgraph import RelationalGraph, Triple
 
 
 NO_WALK = float("-inf")  # the bound of a state no answerable walk goes on from
+# node expansions per head: with the walk bound's pruning no head searched by
+# gen's presets spends more than ~215, so the budget only caps the search on
+# a graph unlike theirs or at a hop outside 2-10
+BUDGET = 800
 
 
 class SamplingExhausted(Exception):
@@ -97,19 +100,16 @@ class ReasoningChain:
         return self.walk[-1]
 
 
-def sample_chain(graph: RelationalGraph, length: int, seed: int,
-                 budget: int = 800) -> ReasoningChain:
-    """Draw one chain of `length` steps, each head searched within `budget`
-    node expansions.
+def sample_chain(graph: RelationalGraph, length: int, seed: int) -> ReasoningChain:
+    """Draw one chain of `length` steps, each head searched within BUDGET node
+    expansions.
 
-    Deterministic for a fixed (graph, length, seed, budget), whatever the
-    graph's dead-head memo holds.  Raises SamplingExhausted when every head
-    is dead or runs out of its budget.
+    Deterministic for a fixed (graph, length, seed), whatever the graph's
+    dead-head memo holds.  Raises SamplingExhausted when every head is dead
+    or runs out of its budget.
     """
     if length < 1:
         raise ValueError("walk length must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     if len(graph.outgoing) < length + 1:
         raise SamplingExhausted(
             f"graph has {len(graph.outgoing)} nodes; need {length + 1}")
@@ -123,11 +123,7 @@ def sample_chain(graph: RelationalGraph, length: int, seed: int,
         if bounded:
             key = (head, graph.engine.genders[head])
             best = bounds.get(key) or bounds.setdefault(key, _longest_walk(graph, head, moves))
-            if max((best[first] for first in graph.outgoing[head]),
-                   default=NO_WALK) < length:
-                dead_heads.add(head)
-                continue
-        walk = _walk_from(graph, length, head, stream(), budget, moves, best, dead_heads)
+        walk = _walk_from(graph, length, head, stream(), BUDGET, moves, best, dead_heads)
         if walk is not None:
             return _chain(graph, walk)
     raise SamplingExhausted(f"no walk of length {length} within the search budget")
@@ -238,11 +234,11 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
                best: Optional[dict[tuple, float]],
                dead_heads: set[int]) -> Optional[list[int]]:
     """A walk of length+1 nodes from `head` drawn on `rng`, or None once
-    `budget` expansions are spent or every move was tried; a head whose
-    every move was tried joins `dead_heads`.  With `best`, the bounds of
-    `_longest_walk`, a move is dropped when its bound is below the nodes
-    the walk still needs.  `moves` caches, per (node, acc), the moves the
-    fold admits."""
+    every move was tried or `budget` expansions are spent; a head whose
+    every move was tried joins `dead_heads`, whatever its budget.  With
+    `best`, the bounds of `_longest_walk`, a move is dropped when its bound
+    is below the nodes the walk still needs.  `moves` caches, per (node,
+    acc), the moves the fold admits."""
     getrandbits = rng.getrandbits
     outgoing = graph.outgoing
     edges = graph.edges
@@ -284,8 +280,6 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
         stack.append(choices)
         # draw the next move, backing out of levels whose moves are spent
         while True:
-            if budget <= 0:
-                return None
             top = stack[-1]
             if not top:
                 stack.pop()
@@ -295,6 +289,8 @@ def _walk_from(graph: RelationalGraph, length: int, head: int,
                     dead_heads.add(head)
                     return None
                 continue
+            if budget <= 0:
+                return None
             # rng.randrange(n), as CPython draws it: the same values from
             # the same stream, without the call's argument checks
             n = len(top)

@@ -59,7 +59,6 @@ def chain_relation(relations: Sequence[str]) -> str:
 class SpatialEngine:
     """Grid world: node id -> integer coordinate, plus deduction over it."""
 
-    task = "spatial"
     labels = SPATIAL_LABELS
     # overlaps would create coincident nodes with no reasoning value
     default_growth = tuple(r for r in SPATIAL_LABELS if r != "overlaps")

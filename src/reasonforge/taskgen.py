@@ -194,9 +194,6 @@ def generate_candidate(
     graph = graphs(_graph_seed(spec, hop, index, attempt))
     base = (spec.seed, spec.task, hop, index, attempt)
     try:
-        # with the walk bound's pruning no head searched by the presets spends
-        # more than ~215 expansions, so the budget only caps the search on a
-        # graph unlike theirs
         chain = sample_chain(graph, hop, derive_seed(*base, "walk"))
     except SamplingExhausted:
         return None

@@ -60,14 +60,15 @@ def test_transition_uniform_eighth():
     assert all(0.6 * expected < n < 1.4 * expected for n in following.values())
 
 
-def test_dead_end_backtracks():
+def test_dead_end_backtracks(monkeypatch):
     # edges run i -> i-1 only, so a 3-step walk must start at node 3; every
     # other start dead-ends and the search backtracks instead of giving up
     g = path_graph(4)
     for seed in range(30):
         assert sample_chain(g, 3, seed).walk == [3, 2, 1, 0]
+    monkeypatch.setattr(sampler, "BUDGET", 1)
     with pytest.raises(SamplingExhausted):
-        sample_chain(g, 3, 0, budget=1)
+        sample_chain(g, 3, 0)
 
 
 def test_fold_keeps_kinship_chains_entailed():
@@ -132,7 +133,7 @@ def induced(graph, keep):
     return sub
 
 
-def test_kinship_search_finds_a_chain_exactly_when_one_exists():
+def test_kinship_search_finds_a_chain_exactly_when_one_exists(monkeypatch):
     # the dead-state memo is exact and the last step keeps only true
     # answers: given budget, the search fails only where no answerable
     # walk exists, and what it returns is answerable.  Ten-node induced
@@ -140,6 +141,7 @@ def test_kinship_search_finds_a_chain_exactly_when_one_exists():
     # cover most of the graph to find one.  The later seeds search graphs
     # whose dead-head memo the earlier ones filled, and no head in the memo
     # starts an answerable walk.
+    monkeypatch.setattr(sampler, "BUDGET", 10**6)
     outcomes = Counter()
     recorded = 0
     for s in range(30):
@@ -151,7 +153,7 @@ def test_kinship_search_finds_a_chain_exactly_when_one_exists():
                 outcomes[exists] += 1
                 for seed in range(8):
                     try:
-                        chain = sample_chain(g, hop, seed, budget=10**6)
+                        chain = sample_chain(g, hop, seed)
                     except SamplingExhausted:
                         chain = None
                     assert (chain is not None) == exists, (s, hop, seed)
@@ -166,15 +168,15 @@ def test_kinship_search_finds_a_chain_exactly_when_one_exists():
     assert recorded >= 1000
 
 
-def outcome(graph, hop, seed, budget):
+def outcome(graph, hop, seed):
     try:
-        return sample_chain(graph, hop, seed, budget=budget).walk
+        return sample_chain(graph, hop, seed).walk
     except SamplingExhausted:
         return None
 
 
 @pytest.mark.parametrize("hop", [7, 8, 9, 10])
-def test_dead_head_memo_never_changes_a_chain(hop):
+def test_dead_head_memo_never_changes_a_chain(hop, monkeypatch):
     # each seed gives the same chain, or fails alike, on a graph with an
     # empty memo, with a memo warmed by 40 other seeds, and with one warmed
     # in reverse order; the warm-up also searches the other lengths, whose
@@ -183,6 +185,7 @@ def test_dead_head_memo_never_changes_a_chain(hop):
     # recorded, and a tight one leaves heads that run out of it unrecorded.
     walks = Counter()
     for budget in (800, 150):
+        monkeypatch.setattr(sampler, "BUDGET", budget)
         for index in range(3):
             graph_seed = derive_seed(0, "kinship", "graph", hop, index)
 
@@ -193,15 +196,15 @@ def test_dead_head_memo_never_changes_a_chain(hop):
             seeds = [derive_seed(0, "kinship", hop, index, attempt, "walk")
                      for attempt in range(46)]
             targets, warm = seeds[:6], seeds[6:]
-            cold = [outcome(fresh(), hop, seed, budget) for seed in targets]
+            cold = [outcome(fresh(), hop, seed) for seed in targets]
             walks.update(walk is not None for walk in cold)
             for order, lengths in ((warm, range(7, 11)), (warm[::-1], range(10, 6, -1))):
                 graph = fresh()
                 for length in lengths:
                     for seed in order if length == hop else order[:10]:
-                        outcome(graph, length, seed, budget)
+                        outcome(graph, length, seed)
                 assert graph.dead_heads(hop)
-                assert [outcome(graph, hop, seed, budget)
+                assert [outcome(graph, hop, seed)
                         for seed in targets] == cold, (budget, index)
     assert walks[True] >= 18
 
@@ -236,20 +239,48 @@ def test_walk_bound_never_rejects_a_head_with_a_chain():
     assert rejected[10] >= 300
 
 
-def test_heads_the_bound_rejects_are_recorded():
-    # a budget of one expansion lets the search prove no head dead, so the
-    # memo holds exactly the heads the bound rejected, whose searches all
-    # ran out of budget
+def test_heads_the_bound_rejects_are_recorded(monkeypatch):
+    # a budget of one expansion lets the search prove dead only the heads
+    # whose first moves the bound all drops, so the memo holds exactly
+    # those, and every other head's search runs out of budget
+    monkeypatch.setattr(sampler, "BUDGET", 1)
     recorded = 0
     for s in range(5):
         g = grow_graph(KinshipEngine(), 1, random.Random(s))
         for length in (6, 8, 10):
             rejected = {head for head in g.outgoing if head_bound(g, head) < length}
             with pytest.raises(SamplingExhausted):
-                sample_chain(g, length, s, budget=1)
+                sample_chain(g, length, s)
             assert g.dead_heads(length) == rejected
             recorded += len(rejected)
     assert recorded >= 50
+
+
+class CountingRandom(random.Random):
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+def test_a_head_whose_first_moves_are_all_dropped_is_dead_at_any_budget():
+    # the search backs out of its first level, left empty by the bound,
+    # before it tests its budget, so even one expansion proves such a head
+    # dead, drawing nothing
+    recorded = 0
+    for s in range(5):
+        g = grow_graph(KinshipEngine(), 1, random.Random(s))
+        for length in (6, 8, 10):
+            for head in g.outgoing:
+                if head_bound(g, head) >= length:
+                    continue
+                rng, dead = CountingRandom(0), set()
+                assert _walk_from(g, length, head, rng, 1, {},
+                                  _longest_walk(g, head, {}), dead) is None
+                assert dead == {head} and rng.draws == 0, (s, length, head)
+                recorded += 1
+    assert recorded >= 150
 
 
 def test_every_move_the_bound_drops_holds_no_answerable_walk():
@@ -302,19 +333,20 @@ def test_walk_bound_never_changes_a_chain(hop, monkeypatch):
     # one graph with budget enough for any head, the pruned search finds a
     # chain exactly where a search that prunes nothing does, from the same
     # head, and the two dead-head memos are equal
+    monkeypatch.setattr(sampler, "BUDGET", 10**6)
     for index in range(3):
         graph_seed = derive_seed(0, "kinship", "graph", hop, index)
         seeds = [derive_seed(0, "kinship", hop, index, attempt, "walk")
                  for attempt in range(46)]
         bounded = grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
                              random.Random(graph_seed))
-        walks = [outcome(bounded, hop, seed, 10**6) for seed in seeds]
+        walks = [outcome(bounded, hop, seed) for seed in seeds]
         with monkeypatch.context() as patch:
             patch.setattr(sampler, "_longest_walk",
                           lambda *args: defaultdict(lambda: float("inf")))
             unbounded = grow_graph(KinshipEngine(), KinshipEngine.growth_iterations,
                                    random.Random(graph_seed))
-            unpruned = [outcome(unbounded, hop, seed, 10**6) for seed in seeds]
+            unpruned = [outcome(unbounded, hop, seed) for seed in seeds]
         assert [walk and walk[0] for walk in walks] == [
             walk and walk[0] for walk in unpruned], index
         assert any(walks) and walks != unpruned
@@ -335,7 +367,7 @@ def warm_table():
     for hop in range(2, 11):
         for graph in graphs:
             for seed in range(4):
-                outcome(graph, hop, seed, 800)
+                outcome(graph, hop, seed)
     return graphs
 
 
@@ -374,7 +406,7 @@ def with_empty_memo(graph):
     return copy
 
 
-def test_a_shared_memo_never_changes_a_chain(warm_table):
+def test_a_shared_memo_never_changes_a_chain(warm_table, monkeypatch):
     # with the memo its shape's graphs warmed, each table graph gives the
     # chain, or fails alike, that it gives under an empty memo of its own;
     # a tight budget also fails on heads that the memo skips as dead
@@ -382,8 +414,9 @@ def test_a_shared_memo_never_changes_a_chain(warm_table):
     for hop in range(2, 11):
         for graph in warm_table:
             for seed, budget in ((4, 800), (5, 30)):
-                walk = outcome(graph, hop, seed, budget)
-                assert walk == outcome(with_empty_memo(graph), hop, seed, budget)
+                monkeypatch.setattr(sampler, "BUDGET", budget)
+                walk = outcome(graph, hop, seed)
+                assert walk == outcome(with_empty_memo(graph), hop, seed)
                 found[walk is not None] += 1
     assert found[True] >= 4000 and found[False] >= 150, found
 
@@ -481,5 +514,3 @@ def test_config_validation():
     g = spatial_l1()
     with pytest.raises(ValueError):
         sample_chain(g, 0, 0)
-    with pytest.raises(ValueError):
-        sample_chain(g, 1, 0, budget=0)

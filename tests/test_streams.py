@@ -29,7 +29,7 @@ def warm_hop10_graph():
     # graph's hop-10 dead-head memo with the heads it proves dead
     graph = hop10_graph()
     for head in sorted(graph.outgoing):
-        _walk_from(graph, 10, head, random.Random(head), 800, {},
+        _walk_from(graph, 10, head, random.Random(head), sampler.BUDGET, {},
                    _longest_walk(graph, head, {}), graph.dead_heads(10))
     assert graph.dead_heads(10)
     return graph
@@ -54,8 +54,8 @@ def test_candidate_draws_do_not_depend_on_the_memo():
 
 
 def test_a_skipped_head_seeds_no_stream(monkeypatch):
-    # on a fresh graph the bound skips heads, and later calls skip what it
-    # and the searches recorded
+    # on a fresh graph the searches record dead heads, among them heads
+    # whose first moves the bound all drops, and later calls skip them
     graph = hop10_graph()
     made, yielded, searched, bounded = [], [], [], []
 
